@@ -12,11 +12,16 @@ partitions:
   established and stores at most three sets at any instant: the established
   true set, the possible-but-not-true delta, and the delta currently being
   derived. The possible delta is deleted as soon as the round shows the
-  fixpoint has not been reached.
+  fixpoint has not been reached. By default its inner rounds are
+  semi-naive: after the first round of a least fixpoint, a rule runs once
+  per positive subgoal whose predicate gained facts in the previous round,
+  with that subgoal reading only those facts. ``delta_mode=False`` keeps
+  the plain loop that re-derives every fact in every round.
 
 Every least fixpoint round runs the rule set through the MapReduce operator
 pipelines; base facts are injected directly into each round instead of
-running trivial jobs for them.
+running trivial jobs for them. A broken invariant raises
+:class:`InvariantError`.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ __all__ = [
     "least_fixpoint",
     "least_fixpoint_delta",
     "IterationLimitError",
+    "InvariantError",
     "immediate_consequences",
     "solve",
     "classify",
@@ -51,6 +57,10 @@ __all__ = [
 
 class IterationLimitError(RuntimeError):
     """The configured iteration cap was hit; termination theory says this is a bug."""
+
+
+class InvariantError(RuntimeError):
+    """A driver self-check failed: the computation is wrong, not the input."""
 
 
 class TruthValue(enum.Enum):
@@ -65,7 +75,7 @@ class TruthValue(enum.Enum):
 @dataclass
 class SolveOptions:
     mode: str = "optimized"  # "optimized" | "naive"
-    delta_mode: bool = False  # semi-naive inner rounds (optimized driver only)
+    delta_mode: bool = True  # semi-naive inner rounds (optimized driver only)
     max_steps: int = 10_000
     debug_checks: bool = True  # cheap per-step invariant assertions
     deep_checks: bool = False  # oracle-grade assertions (recompute fixpoints)
@@ -220,7 +230,9 @@ class Session:
         self.plans = compile_program(program)
         self.definite_plans = [p for p in self.plans if not p.anti_joins]
         self.empty = Database(self.symbols)
-        self.stats = SolveStats(mode=opts.mode, delta_mode=opts.delta_mode)
+        self.stats = SolveStats(
+            mode=opts.mode, delta_mode=opts.delta_mode and opts.mode == "optimized"
+        )
 
     def empty_view(self) -> DatabaseView:
         return DatabaseView(self.empty)
@@ -259,10 +271,10 @@ def least_fixpoint(
         if nxt.count() == current.count():
             # the chain is increasing, so equal counts mean equal sets
             if opts.debug_checks and not nxt.same_content(current):
-                raise AssertionError(f"{label}: size-based fixpoint test disagrees with set equality")
+                raise InvariantError(f"{label}: size-based fixpoint test disagrees with set equality")
             break
         if opts.debug_checks and not current.issubset(nxt):
-            raise AssertionError(f"{label}: consequence chain is not increasing")
+            raise InvariantError(f"{label}: consequence chain is not increasing")
         current = nxt
         stats.register_live(live_as, current)
     stats.lfp_calls += 1
@@ -320,7 +332,7 @@ def least_fixpoint_delta(
         stats.snapshot_live()
     if opts.debug_checks and new_total != result.count():
         # every fact must enter the delta exactly once
-        raise AssertionError(f"{label}: delta set received duplicate facts")
+        raise InvariantError(f"{label}: delta set received duplicate facts")
     stats.lfp_calls += 1
     stats.steps.append(
         StepStat(
@@ -348,7 +360,7 @@ def _assert_delta_precondition(
     full = least_fixpoint(probe, plans, neg, label=f"{label}:precheck", live_as="precheck")
     for part in start:
         if not part.issubset(full):
-            raise AssertionError(f"{label}: starting set is not contained in the least fixpoint")
+            raise InvariantError(f"{label}: starting set is not contained in the least fixpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +401,11 @@ def solve_optimized(session: Session) -> FixpointResult:
         _finish_step(stats, known.count(), unknown.count())
         if opts.debug_checks:
             if unknown.difference(known).count() != unknown.count():
-                raise AssertionError("possible delta overlaps the true set")
+                raise InvariantError("possible delta overlaps the true set")
             if previous_u is not None:
                 # Lemma-style shrinkage: U_i must be inside U_{i-1}
                 if not (known.issubset(previous_u) and unknown.issubset(previous_u)):
-                    raise AssertionError("possible set grew between inference steps")
+                    raise InvariantError("possible set grew between inference steps")
             tracked = known.copy()
             tracked.update(unknown)
             previous_u = tracked
@@ -436,7 +448,7 @@ def _assert_definite_start(session: Session, known: Database) -> None:
     probe.stats = SolveStats()
     u0 = least_fixpoint(probe, session.plans, DatabaseView(known), label="U0:precheck", live_as="precheck")
     if not known.issubset(u0):
-        raise AssertionError("definite facts fell outside the first possible set")
+        raise InvariantError("definite facts fell outside the first possible set")
 
 
 def _assert_stable_unknown(session: Session, known: Database, unknown: Database) -> None:
@@ -449,7 +461,7 @@ def _assert_stable_unknown(session: Session, known: Database, unknown: Database)
         track=False,
     )
     if not again.same_content(unknown):
-        raise AssertionError("possible delta changed after the true set stabilized")
+        raise InvariantError("possible delta changed after the true set stabilized")
 
 
 def solve_naive(session: Session) -> FixpointResult:
@@ -469,18 +481,18 @@ def solve_naive(session: Session) -> FixpointResult:
         _finish_step(stats, known_next.count(), possible_next.count() - known_next.count())
         if opts.debug_checks:
             if not known.issubset(known_next):
-                raise AssertionError("true set shrank between rounds")
+                raise InvariantError("true set shrank between rounds")
             if not possible_next.issubset(possible):
-                raise AssertionError("possible set grew between rounds")
+                raise InvariantError("possible set grew between rounds")
             if not known_next.issubset(possible_next):
-                raise AssertionError("true set escaped the possible set")
+                raise InvariantError("true set escaped the possible set")
         stationary = (
             known_next.count() == known.count()
             and possible_next.count() == possible.count()
         )
         if opts.debug_checks and stationary:
             if not (known_next.same_content(known) and possible_next.same_content(possible)):
-                raise AssertionError("size-based stationarity test disagrees with set equality")
+                raise InvariantError("size-based stationarity test disagrees with set equality")
         stats.drop_live("K'")
         stats.drop_live("U'")
         stats.drop_live("K")

@@ -9,17 +9,23 @@ functions emit the positive group only when no negative tag is present (the
 whole group is scanned first, so value order never matters), and duplicate
 elimination keys each record by itself and emits it once.
 
-Rule evaluation chains these jobs: joins over the positive subgoals (each
-followed by duplicate elimination), one anti-join per negative subgoal, and
-a final projection onto the head arguments.
+Rule evaluation chains one job per join over the positive subgoals and one
+per anti-join over the negative subgoals. Job output is a set, so no job
+between them removes duplicates. Projections run inside these jobs: the
+positive-goal projection in the job that produces the goal, and the head
+projection, head constants included, in the reducer of the last job. A rule
+with neither joins nor anti-joins runs a single projection job, so every
+rule evaluation runs ``max(1, joins + anti-joins)`` jobs.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import replace
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .mapreduce import Engine, JobSpec, Record
 from .planner import RulePlan, SubgoalAccess
-from .store import FactSource, SymbolTable
+from .store import FactSource
 
 __all__ = [
     "single_join",
@@ -31,6 +37,19 @@ __all__ = [
 ]
 
 _NEG = "neg"  # bare tag for negative-side records in an anti-join
+
+
+def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in indices)``; indices past the end of the
+    row pick from ``consts``, which are appended to it."""
+    indices = tuple(indices)
+    if len(indices) > 1:
+        get = itemgetter(*indices)
+    elif indices:  # itemgetter of a single index returns a bare value
+        get = lambda row, i=indices[0]: (row[i],)  # noqa: E731
+    else:
+        get = lambda row: ()  # noqa: E731
+    return (lambda row: get(row + consts)) if consts else get
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +86,13 @@ def _access_stream(
             return
         const_cols.append((col, sid))
     eq_cols = access.eq_cols
+    project = _picker(out_cols)
     for row in tuples:
         if any(row[c] != sid for c, sid in const_cols):
             continue
         if any(row[a] != row[b] for a, b in eq_cols):
             continue
-        yield (tag, tuple(row[c] for c in out_cols))
+        yield (tag, project(row))
 
 
 def _tagged(rows: Iterable[tuple[int, ...]], tag: str) -> Iterator[Record]:
@@ -91,21 +111,22 @@ def _join_spec(
     right_tag: str,
     left_key: Sequence[int],
     right_key: Sequence[int],
-    out_cols: Sequence[tuple[str, int]],
+    pick: Callable[[tuple], tuple],
     out_tag: str,
     inputs: Sequence[Iterable[Record]] = (),
 ) -> JobSpec:
-    lkey = tuple(left_key)
-    rkey = tuple(right_key)
-    selectors = tuple((side == "l", idx) for side, idx in out_cols)
-    warnings = ("empty join key: all records meet in one reduce group",) if not lkey else ()
+    """Join job; ``pick`` maps a left row concatenated with a right row to
+    the output row."""
+    left_get = _picker(left_key)
+    right_get = _picker(right_key)
+    warnings = ("empty join key: all records meet in one reduce group",) if not left_key else ()
 
     def mapper(record: Record) -> list:
         tag, cols = record
         if tag == left_tag:
-            return [(tuple(cols[i] for i in lkey), record)]
+            return [(left_get(cols), record)]
         if tag == right_tag:
-            return [(tuple(cols[i] for i in rkey), record)]
+            return [(right_get(cols), record)]
         raise ValueError(f"unexpected record tag {tag!r}")
 
     def reducer(key, values) -> list:
@@ -118,64 +139,22 @@ def _join_spec(
                 rights.append(cols)
         if not lefts or not rights:
             return []
-        out = []
-        seen = set()  # duplicates are pruned inside the group before emission
-        for lcols in lefts:
-            for rcols in rights:
-                row = tuple(lcols[i] if left else rcols[i] for left, i in selectors)
-                if row not in seen:
-                    seen.add(row)
-                    out.append((out_tag, row))
-        return out
+        # duplicates are pruned inside the group before emission
+        rows = {pick(lcols + rcols) for lcols in lefts for rcols in rights}
+        return [(out_tag, row) for row in rows]
 
     return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs), warnings=warnings)
 
 
 def _dedup_spec(
     name: str,
-    out_tag: Optional[str] = None,
-    project: Optional[Sequence[int]] = None,
+    pick: Callable[[tuple], tuple] = tuple,  # tuple() of a tuple is the identity
     inputs: Sequence[Iterable[Record]] = (),
 ) -> JobSpec:
-    """Record-as-key duplicate elimination, optionally projecting columns
-    and renaming the origin tag."""
-    cols_sel = tuple(project) if project is not None else None
-
-    if cols_sel is None and out_tag is None:
-
-        def mapper(record: Record) -> list:
-            return [(record, "")]
-
-    else:
-
-        def mapper(record: Record) -> list:
-            cols = record[1]
-            if cols_sel is not None:
-                cols = tuple(cols[i] for i in cols_sel)
-            return [((out_tag if out_tag is not None else record[0], cols), "")]
-
-    def reducer(key, values) -> list:
-        return [key]
-
-    return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs))
-
-
-def _head_spec(
-    name: str,
-    plan: RulePlan,
-    symbols: SymbolTable,
-    inputs: Sequence[Iterable[Record]] = (),
-) -> JobSpec:
-    extract = tuple(
-        (True, idx) if kind == "v" else (False, symbols.intern(idx))
-        for kind, idx in plan.head_cols
-    )
-    out_tag = "head"
+    """Record-as-key duplicate elimination, optionally projecting columns."""
 
     def mapper(record: Record) -> list:
-        cols = record[1]
-        row = tuple(cols[i] if is_var else i for is_var, i in extract)
-        return [((out_tag, row), "")]
+        return [((record[0], pick(record[1])), "")]
 
     def reducer(key, values) -> list:
         return [key]
@@ -185,19 +164,20 @@ def _head_spec(
 
 def _antijoin_spec(
     name: str,
-    pos_tag: str,
     pos_key: Sequence[int],
-    neg_records: Iterable[Record],
-    neg_tag: str = _NEG,
+    inputs: Sequence[Iterable[Record]],
+    pick: Optional[Callable[[tuple], tuple]] = None,
 ) -> JobSpec:
-    pkey = tuple(pos_key)
-    warnings = ("empty anti-join key: ground negative subgoal",) if not pkey else ()
+    """Anti-join job; surviving positive rows are mapped through ``pick``
+    when given."""
+    pos_get = _picker(pos_key)
+    warnings = ("empty anti-join key: ground negative subgoal",) if not pos_key else ()
 
     def mapper(record: Record) -> list:
         tag, cols = record
-        if tag == neg_tag:
+        if tag == _NEG:
             return [(cols, _NEG)]
-        return [(tuple(cols[i] for i in pkey), record)]
+        return [(pos_get(cols), record)]
 
     def reducer(key, values) -> list:
         kept = []
@@ -205,9 +185,11 @@ def _antijoin_spec(
             if value is _NEG or value == _NEG:
                 return []  # a negative match kills the whole group
             kept.append(value)
-        return kept
+        if pick is None:
+            return kept
+        return [(tag, pick(cols)) for tag, cols in kept]
 
-    return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=[neg_records], warnings=warnings)
+    return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs), warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +210,12 @@ def single_join(
 
     ``out_cols`` selects output columns as ("l", i) or ("r", i) pairs.
     """
-    spec = _join_spec(name, "L", "R", left_key, right_key, out_cols, "out")
-    spec.inputs = [_tagged(left, "L"), _tagged(right, "R")]
+    left = list(left)
+    width = len(left[0]) if left else 0
+    pick = _picker([i if side == "l" else width + i for side, i in out_cols])
+    spec = _join_spec(
+        name, "L", "R", left_key, right_key, pick, "out", [_tagged(left, "L"), _tagged(right, "R")]
+    )
     output, _ = engine.run_job(spec)
     return {cols for _, cols in output}
 
@@ -255,71 +241,9 @@ def anti_join(
     ``negative`` holds bare key tuples (safety guarantees the key covers
     every column of the negative relation).
     """
-    spec = _antijoin_spec(name, "P", key, _tagged(negative, _NEG))
-    spec.inputs = list(spec.inputs) + [_tagged(positive, "P")]
+    spec = _antijoin_spec(name, key, [_tagged(negative, _NEG), _tagged(positive, "P")])
     output, _ = engine.run_job(spec)
     return {cols for _, cols in output}
-
-
-def _goal_pipeline(
-    plan: RulePlan,
-    pos: FactSource,
-    delta: Optional[FactSource] = None,
-    delta_at: Optional[int] = None,
-) -> tuple[list[JobSpec], Optional[list[Record]]]:
-    """Jobs computing the positive goal; returns (specs, seed records).
-
-    With ``delta``/``delta_at`` the positive subgoal at that index streams
-    from the delta source instead of ``pos`` (semi-naive evaluation).
-    """
-    name = plan.head_predicate
-
-    def source_for(index: int) -> FactSource:
-        if delta is not None and index == delta_at:
-            return delta
-        return pos
-
-    if plan.base is None:
-        # no positive subgoals: the goal is the unit relation
-        return [], [("goal", ())]
-
-    goal_project = plan.goal_cols
-    if goal_project == tuple(range(len(goal_project))):
-        goal_project = None  # identity projection: key records as they are
-
-    specs: list[JobSpec] = []
-    base_stream = _access_stream(source_for(0), plan.base, "s0", cols=plan.base_cols)
-    if not plan.joins:
-        specs.append(
-            _dedup_spec(f"{name}:goal", "goal", project=goal_project, inputs=[base_stream])
-        )
-        return specs, None
-
-    left_tag = "s0"
-    pending = [base_stream]
-    last = len(plan.joins) - 1
-    for i, step in enumerate(plan.joins):
-        right_tag = f"r{i + 1}"
-        join_out = f"j{i + 1}"
-        spec = _join_spec(
-            f"{name}:join{i + 1}",
-            left_tag,
-            right_tag,
-            step.left_key,
-            step.right_key,
-            step.out_cols,
-            join_out,
-        )
-        spec.inputs = pending + [_access_stream(source_for(i + 1), step.right, right_tag)]
-        specs.append(spec)
-        pending = []
-        if i == last:
-            specs.append(_dedup_spec(f"{name}:goal", "goal", project=goal_project))
-            left_tag = "goal"
-        else:
-            specs.append(_dedup_spec(f"{name}:dedup{i + 1}"))
-            left_tag = join_out
-    return specs, None
 
 
 def rule_pipeline(
@@ -328,29 +252,76 @@ def rule_pipeline(
     neg: FactSource,
     delta: Optional[FactSource] = None,
     delta_at: Optional[int] = None,
-) -> tuple[list[JobSpec], Optional[list[Record]]]:
-    """The full job pipeline for one rule: positive goal, anti-joins, head."""
-    name = plan.head_predicate
-    specs, seed = _goal_pipeline(plan, pos, delta, delta_at)
-    for j, step in enumerate(plan.anti_joins):
+) -> list[JobSpec]:
+    """The jobs of one rule evaluation, the last of which emits head tuples.
+
+    Jobs are named ``r<rule index>:<head predicate>:<kind>``. With
+    ``delta``/``delta_at`` the positive subgoal at that index streams from
+    the delta source instead of ``pos`` (semi-naive evaluation).
+    """
+    prefix = f"r{plan.index}:{plan.head_predicate}"
+    consts = tuple(pos.symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
+
+    def head_pick(goal_at: Sequence[int], width: int) -> Callable[[tuple], tuple]:
+        """Head projection of rows of ``width`` columns that hold goal column
+        ``g`` at ``goal_at[g]``; the head constants follow the row's columns."""
+        const_at = iter(range(width, width + len(consts)))
+        indices = [goal_at[v] if k == "v" else next(const_at) for k, v in plan.head_cols]
+        return _picker(indices, consts)
+
+    def source_for(index: int) -> FactSource:
+        return delta if delta is not None and index == delta_at else pos
+
+    # inputs of the next job besides the output of the job before it
+    if plan.base is None:
+        pending: list[Iterable[Record]] = [[("s0", ())]]  # no positive subgoals: unit relation
+    else:
+        cols = plan.base_cols if plan.joins else [plan.base_cols[g] for g in plan.goal_cols]
+        pending = [_access_stream(source_for(0), plan.base, "s0", cols=cols)]
+
+    specs: list[JobSpec] = []
+    left_tag = "s0"
+    left_width = len(plan.base_schema)
+    for i, step in enumerate(plan.joins, start=1):
+        # output columns as indices into the left row followed by the right row
+        flat = [c if side == "l" else left_width + c for side, c in step.out_cols]
+        if i < len(plan.joins):
+            pick = _picker(flat)
+        elif plan.anti_joins:
+            pick = _picker([flat[g] for g in plan.goal_cols])
+        else:
+            row_width = left_width + len(step.right.var_cols)
+            pick = head_pick([flat[g] for g in plan.goal_cols], row_width)
+        right_tag = f"r{i}"
+        pending.append(_access_stream(source_for(i), step.right, right_tag))
         specs.append(
-            _antijoin_spec(
-                f"{name}:antijoin{j + 1}",
-                "goal",
-                step.pos_key,
-                _access_stream(neg, step.access, _NEG),
+            _join_spec(
+                f"{prefix}:join{i}", left_tag, right_tag, step.left_key, step.right_key,
+                pick, f"j{i}", pending,
             )
         )
-    specs.append(_head_spec(f"{name}:head", plan, pos.symbols))
-    return specs, seed
+        pending = []
+        left_tag = f"j{i}"
+        left_width = len(flat)
+
+    width = len(plan.goal_schema)
+    identity = range(width)
+    for j, step in enumerate(plan.anti_joins, start=1):
+        pick = head_pick(identity, width) if j == len(plan.anti_joins) else None
+        pending.append(_access_stream(neg, step.access, _NEG))
+        specs.append(_antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, pending, pick))
+        pending = []
+
+    if not specs:
+        specs.append(_dedup_spec(f"{prefix}:head", head_pick(identity, width), pending))
+    return specs
 
 
 def multi_join(engine: Engine, plan: RulePlan, pos: FactSource) -> set[tuple[int, ...]]:
     """Compute the positive goal: the natural join of all positive subgoals
-    projected onto the goal schema, with duplicate elimination per stage."""
-    specs, seed = _goal_pipeline(plan, pos)
-    output, _ = engine.run_pipeline(specs, inputs=seed)
-    return {cols for _, cols in output}
+    projected onto the goal schema."""
+    goal_head = tuple(("v", g) for g in range(len(plan.goal_schema)))
+    return eval_rule(engine, replace(plan, anti_joins=(), head_cols=goal_head), pos, pos)
 
 
 def eval_rule(
@@ -363,6 +334,5 @@ def eval_rule(
 ) -> set[tuple[int, ...]]:
     """Head tuples derivable from the rule with positive subgoals matched in
     ``pos`` and negative subgoals absent from ``neg``."""
-    specs, seed = rule_pipeline(plan, pos, neg, delta, delta_at)
-    output, _ = engine.run_pipeline(specs, inputs=seed)
+    output, _ = engine.run_pipeline(rule_pipeline(plan, pos, neg, delta, delta_at))
     return {cols for _, cols in output}

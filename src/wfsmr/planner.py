@@ -17,7 +17,7 @@ jobs. Positive subgoals sharing no variables join on the empty key
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 from .program import Atom, Program, Rule, SafetyError, Symbol, Variable, check_safety
@@ -122,6 +122,7 @@ class RulePlan:
     goal_schema: tuple[str, ...]
     anti_joins: tuple[AntiJoinStep, ...]
     head_cols: tuple[HeadCol, ...]
+    index: int = 0  # position among the program's rules, for job names
 
     @property
     def head_predicate(self) -> str:
@@ -277,4 +278,7 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
 
 def compile_program(program: Program, prune: bool = True) -> list[RulePlan]:
     """One plan per non-fact rule; facts are loaded as base insertions."""
-    return [compile_rule(rule, prune=prune) for rule in program.proper_rules()]
+    return [
+        replace(compile_rule(rule, prune=prune), index=index)
+        for index, rule in enumerate(program.proper_rules())
+    ]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from wfsmr.mapreduce import Engine, EngineConfig
 from wfsmr.operators import anti_join, dedup, eval_rule, multi_join, single_join
 from wfsmr.planner import compile_rule
-from wfsmr.program import Fact, parse_facts, parse_program
+from wfsmr.bench import builtin_program
+from wfsmr.program import Atom, Fact, Literal, Rule, parse_facts, parse_program
 from wfsmr.store import Database, SymbolTable
 
 from tests.helpers import (
@@ -246,6 +248,94 @@ class TestEvalRule:
                     for _, args in eval_rule_bruteforce(rule, db_atoms(pos), db_atoms(neg))
                 }
                 assert got == want, str(rule)
+
+
+def _delta_renamed(rule, at):
+    """The rule with its ``at``-th positive subgoal reading predicate ``delta``."""
+    body = []
+    seen = 0
+    for lit in rule.body:
+        if not lit.negated:
+            if seen == at:
+                lit = Literal(Atom("delta", lit.atom.args))
+            seen += 1
+        body.append(lit)
+    return Rule(rule.head, tuple(body))
+
+
+def _shape_cases():
+    """(name, plan) pairs covering every pipeline shape the planner emits."""
+    cases = []
+    for name in ("tc-neg", "win-not-win"):
+        for i, rule in enumerate(builtin_program(name).proper_rules()):
+            cases.append((f"{name}#{i}", compile_rule(rule)))
+    for text in (
+        "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).",
+        "h(X,9) <- a(X,Z), b(Z,Y), not c(Y,X).",
+        "p <- not q(1).",
+    ):
+        cases.append((text, compile_rule(parse_program(text + "\n").rules[0])))
+    for text in (
+        "h(X,Y) <- a(X,Z), b(Z,W), c(W,Y), not d(X,W).",
+        "h(Y) <- a(X,Y), not b(Y).",
+    ):
+        plan = compile_rule(parse_program(text + "\n").rules[0], prune=False)
+        assert plan.goal_cols != tuple(range(len(plan.goal_cols)))
+        cases.append((f"{text} unpruned", plan))
+    return cases
+
+
+class TestRulePipelineShape:
+    @pytest.mark.parametrize("name,plan", _shape_cases(), ids=[n for n, _ in _shape_cases()])
+    def test_one_job_per_join_or_antijoin(self, name, plan):
+        rng = random.Random(name)
+        rule = plan.rule
+        preds = {a.predicate: a.arity for a in (rule.head, *(lit.atom for lit in rule.body))}
+        sym = SymbolTable()
+        pos, neg, delta = Database(sym), Database(sym), Database(sym)
+        for pred, arity in sorted(preds.items()):
+            for row in itertools.product(range(1, 4), repeat=arity):
+                if rng.random() < 0.6:
+                    pos.insert(Fact(pred, row))
+                    if rng.random() < 0.5:
+                        delta.insert(Fact(pred, row))
+                if rng.random() < 0.25:
+                    neg.insert(Fact(pred, row))
+        want_jobs = max(1, len(plan.joins) + len(plan.anti_joins))
+        with Engine() as engine:
+            got = eval_rule(engine, plan, pos, neg)
+            assert len(engine.stats_log) == want_jobs
+            want = eval_rule_bruteforce(rule, db_atoms(pos), db_atoms(neg))
+            assert decoded(sym, got) == {args for _, args in want}
+            for at, atom in enumerate(rule.positive()):
+                engine.stats_log.clear()
+                got = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=at)
+                assert len(engine.stats_log) == want_jobs
+                delta_atoms = {("delta", args) for p, args in db_atoms(delta) if p == atom.predicate}
+                want = eval_rule_bruteforce(
+                    _delta_renamed(rule, at), db_atoms(pos) | delta_atoms, db_atoms(neg)
+                )
+                assert decoded(sym, got) == {args for _, args in want}, at
+
+    def test_job_names_carry_rule_index_and_kind(self):
+        from wfsmr.planner import compile_program
+
+        plans = compile_program(builtin_program("tc-neg"))
+        sym = SymbolTable()
+        pos = make_db(parse_facts("b(1,2).\nb(2,3)."), sym)
+        with Engine() as engine:
+            for plan in plans:
+                eval_rule(engine, plan, pos, Database(sym))
+            names = [s.name for s in engine.stats_log]
+        assert names == [
+            "r0:tc:head",
+            "r1:tc:join1",
+            "r2:par:antijoin1",
+            "r3:par:join1",
+            "r3:par:antijoin1",
+            "r4:q:join1",
+            "r4:q:antijoin1",
+        ]
 
 
 class TestPartitionIndependence:
