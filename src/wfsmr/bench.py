@@ -37,7 +37,6 @@ CSV_HEADER = [
     "n",
     "k",
     "mode",
-    "delta",
     "workers",
     "partitions",
     "rep",
@@ -113,7 +112,6 @@ class BenchConfig:
     workers: int = 1
     partitions: int = 1
     reps: int = 1
-    delta_mode: bool = SolveOptions.delta_mode
 
 
 @dataclass
@@ -122,7 +120,6 @@ class BenchRow:
     n: int
     k: int
     mode: str
-    delta: bool  # semi-naive inner rounds actually ran (never under naive)
     workers: int
     partitions: int
     rep: int
@@ -139,7 +136,6 @@ class BenchRow:
             self.n,
             self.k,
             self.mode,
-            int(self.delta),
             self.workers,
             self.partitions,
             self.rep,
@@ -177,7 +173,7 @@ def run_bench(config: BenchConfig, csv_path: Optional[str] = None) -> list[Bench
     rows = []
     for rep in range(config.reps):
         engine = Engine(EngineConfig(workers=config.workers, partitions=config.partitions))
-        options = SolveOptions(mode=config.mode, delta_mode=config.delta_mode)
+        options = SolveOptions(mode=config.mode)
         started = time.perf_counter()
         try:
             result = solve(program, facts, options=options, engine=engine)
@@ -190,7 +186,6 @@ def run_bench(config: BenchConfig, csv_path: Optional[str] = None) -> list[Bench
                 n=config.n,
                 k=config.k,
                 mode=config.mode,
-                delta=result.stats.delta_mode,
                 workers=config.workers,
                 partitions=config.partitions,
                 rep=rep,
@@ -219,18 +214,16 @@ def append_rows(csv_path: str, rows: list[BenchRow]) -> None:
 
 
 def summarize(csv_path: str) -> str:
-    """Aggregate mean wall time per (test, n, k, mode, delta); gnuplot-friendly
+    """Aggregate mean wall time per (test, n, k, mode); gnuplot-friendly
     whitespace-separated columns."""
     groups: dict[tuple, list[float]] = {}
     with open(csv_path, newline="") as handle:
         for record in csv.DictReader(handle):
-            key = (
-                record["test"], int(record["n"]), int(record["k"]), record["mode"], record["delta"]
-            )
+            key = (record["test"], int(record["n"]), int(record["k"]), record["mode"])
             groups.setdefault(key, []).append(float(record["wall_ms"]))
-    lines = ["# test n k mode delta runs mean_wall_ms"]
+    lines = ["# test n k mode runs mean_wall_ms"]
     for key in sorted(groups):
         times = groups[key]
         mean = sum(times) / len(times)
-        lines.append(" ".join(str(part) for part in key) + f" {len(times)} {mean:.3f}")
+        lines.append(f"{key[0]} {key[1]} {key[2]} {key[3]} {len(times)} {mean:.3f}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 SPILL_ENV = "WFSMR_SPILL_DIR"
-_NO_DELTA_HELP = "optimized driver: re-derive every fact in every inner round"
 
 
 class _UsageError(Exception):
@@ -56,7 +55,6 @@ def _build_parser() -> _Parser:
     solve_cmd.add_argument("--workers", type=int, default=1)
     solve_cmd.add_argument("--partitions", type=int, default=0, help="default: workers")
     solve_cmd.add_argument("--trace", action="store_true", help="print per-step trace lines")
-    solve_cmd.add_argument("--no-delta", action="store_true", help=_NO_DELTA_HELP)
 
     gen = sub.add_parser("generate", help="write a benchmark facts file")
     gen.add_argument("--dist", choices=["cycle", "tree", "chain"], required=True)
@@ -72,7 +70,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--partitions", type=int, default=0, help="default: workers")
     bench.add_argument("--reps", type=int, default=1)
-    bench.add_argument("--no-delta", action="store_true", help=_NO_DELTA_HELP)
     bench.add_argument("--csv", required=True)
     bench.add_argument("--summary", action="store_true", help="print aggregated means")
 
@@ -132,8 +129,7 @@ def cmd_solve(args) -> int:
     for mode in modes:
         engine = Engine(config)
         try:
-            options = SolveOptions(mode=mode, delta_mode=not args.no_delta)
-            results[mode] = solve(program, facts, options=options, engine=engine)
+            results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
             if args.trace:
                 for line in results[mode].stats.trace_lines():
                     print(f"{mode}: {line}")
@@ -181,12 +177,11 @@ def cmd_bench(args) -> int:
         workers=args.workers,
         partitions=args.partitions if args.partitions > 0 else args.workers,
         reps=args.reps,
-        delta_mode=not args.no_delta,
     )
     rows = bench_mod.run_bench(config, csv_path=args.csv)
     for row in rows:
         print(
-            f"{row.test} n={row.n} k={row.k} {row.mode} delta={int(row.delta)} rep={row.rep}: "
+            f"{row.test} n={row.n} k={row.k} {row.mode} rep={row.rep}: "
             f"{row.wall_ms:.1f} ms, steps={row.steps}, jobs={row.jobs}, "
             f"true={row.true_count}, undefined={row.undefined_count}"
         )

@@ -12,11 +12,10 @@ partitions:
   established and stores at most three sets at any instant: the established
   true set, the possible-but-not-true delta, and the delta currently being
   derived. The possible delta is deleted as soon as the round shows the
-  fixpoint has not been reached. By default its inner rounds are
-  semi-naive: after the first round of a least fixpoint, a rule runs once
-  per positive subgoal whose predicate gained facts in the previous round,
-  with that subgoal reading only those facts. ``delta_mode=False`` keeps
-  the plain loop that re-derives every fact in every round.
+  fixpoint has not been reached. Its inner rounds are semi-naive: after
+  the first round of a least fixpoint, a rule runs once per positive
+  subgoal whose predicate gained facts in the previous round, with that
+  subgoal reading only those facts.
 
 Every least fixpoint round runs the rule set through the MapReduce operator
 pipelines; base facts are injected directly into each round instead of
@@ -75,7 +74,6 @@ class TruthValue(enum.Enum):
 @dataclass
 class SolveOptions:
     mode: str = "optimized"  # "optimized" | "naive"
-    delta_mode: bool = True  # semi-naive inner rounds (optimized driver only)
     max_steps: int = 10_000
     debug_checks: bool = True  # cheap per-step invariant assertions
     deep_checks: bool = False  # oracle-grade assertions (recompute fixpoints)
@@ -100,7 +98,6 @@ class StepStat:
 @dataclass
 class SolveStats:
     mode: str = "optimized"
-    delta_mode: bool = False
     inference_steps: int = 0
     lfp_calls: int = 0
     steps: list[StepStat] = field(default_factory=list)
@@ -230,9 +227,7 @@ class Session:
         self.plans = compile_program(program)
         self.definite_plans = [p for p in self.plans if not p.anti_joins]
         self.empty = Database(self.symbols)
-        self.stats = SolveStats(
-            mode=opts.mode, delta_mode=opts.delta_mode and opts.mode == "optimized"
-        )
+        self.stats = SolveStats(mode=opts.mode)
 
     def empty_view(self) -> DatabaseView:
         return DatabaseView(self.empty)
@@ -316,7 +311,7 @@ def least_fixpoint_delta(
         inner += 1
         _check_cap(opts, inner, f"delta least fixpoint {label}")
         accumulated = DatabaseView(*start, result) if start else DatabaseView(result)
-        if opts.delta_mode and delta_new is not None:
+        if delta_new is not None:
             derived = _delta_consequences(
                 engine, plans, accumulated, neg, delta_new, stats, session.symbols
             )

@@ -70,13 +70,10 @@ def test_criterion_2_random_program_oracle_equivalence():
         for index in range(200):
             program = random_program(rng, max_rules=8, max_facts=20)
             optimized = solve(program)
-            plain = solve(program, options=SolveOptions(delta_mode=False))
             naive = solve(program, options=SolveOptions(mode="naive"))
             assert partitions_agree(optimized, naive), f"#{index}\n{program.pretty()}"
-            assert partitions_agree(plain, naive), f"#{index}\n{program.pretty()}"
             oracle = ground_afp(program)
             assert result_atoms(optimized) == oracle, f"#{index}\n{program.pretty()}"
-            assert result_atoms(plain) == oracle, f"#{index}\n{program.pretty()}"
         assert time.perf_counter() - started < 60.0
 
 
@@ -120,21 +117,19 @@ def test_criterion_5_transitive_closure_with_negation():
             joins = chain_levels(n, k) - 1
             assert joins in (2, 4, 8)
             facts = gen_chain(n, k)
+            optimized = solve(program, facts)
             naive = solve(program, facts, options=SolveOptions(mode="naive"))
-            # the paper's plain optimized loop, then the semi-naive default
-            for options in (SolveOptions(delta_mode=False), SolveOptions()):
-                optimized = solve(program, facts, options=options)
-                assert partitions_agree(optimized, naive), (n, k, options)
-                assert (
-                    optimized.stats.derived_facts < naive.stats.derived_facts
-                ), (n, k, options, optimized.stats.derived_facts, naive.stats.derived_facts)
+            assert partitions_agree(optimized, naive), (n, k)
+            assert (
+                optimized.stats.derived_facts < naive.stats.derived_facts
+            ), (n, k, optimized.stats.derived_facts, naive.stats.derived_facts)
 
 
-def _solve_outputs(tmp_path, tag, program_text, facts_text, workers, partitions, driver=()):
+def _solve_outputs(tmp_path, tag, program_text, facts_text, workers, partitions):
     program = tmp_path / f"{tag}.lp"
     program.write_text(program_text, encoding="utf-8")
     args = ["solve", "--program", str(program), "--out", str(tmp_path / tag),
-            "--workers", str(workers), "--partitions", str(partitions), *driver]
+            "--workers", str(workers), "--partitions", str(partitions)]
     if facts_text is not None:
         facts = tmp_path / f"{tag}.facts"
         facts.write_text(facts_text, encoding="utf-8")
@@ -165,16 +160,12 @@ def test_criterion_6_determinism_and_partition_independence(tmp_path):
         rng = random.Random(606)
         for i in range(24):
             cases.append((f"rand{i}", random_program(rng).pretty(), None))
-        drivers = [(), ("--no-delta",), ("--mode", "naive")]
         for tag, program_text, facts_text in cases:
             outputs = [
-                _solve_outputs(
-                    tmp_path, f"{tag}-{w}x{p}-{d}", program_text, facts_text, w, p, driver
-                )
+                _solve_outputs(tmp_path, f"{tag}-{w}x{p}", program_text, facts_text, w, p)
                 for w, p in WORKER_CONFIGS
-                for d, driver in enumerate(drivers)
             ]
-            assert all(out == outputs[0] for out in outputs), tag
+            assert outputs[0] == outputs[1] == outputs[2], tag
 
 
 @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")

@@ -128,10 +128,7 @@ class TestRunBench:
             records = list(csv.reader(handle))
         assert records[0] == CSV_HEADER
         assert len(records) == 4  # header + 2 reps + 1 naive
-        column = {name: i for i, name in enumerate(CSV_HEADER)}
-        assert [r[column["rep"]] for r in records[1:3]] == ["0", "1"]
-        # semi-naive by default; the naive driver never runs it
-        assert [r[column["delta"]] for r in records[1:]] == ["1", "1", "0"]
+        assert [r[6] for r in records[1:3]] == ["0", "1"]
 
     def test_unknown_test_rejected(self):
         with pytest.raises(ValueError):
@@ -166,14 +163,4 @@ class TestSummarize:
         text = summarize(str(csv_path))
         lines = text.strip().splitlines()
         assert lines[0].startswith("#")
-        assert lines[1].startswith("win-cycle 8 0 optimized 1 2 ")
-
-    def test_delta_runs_are_summarized_apart(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        run_bench(BenchConfig(test="win-cycle", n=8), str(csv_path))
-        run_bench(BenchConfig(test="win-cycle", n=8, delta_mode=False), str(csv_path))
-        lines = summarize(str(csv_path)).strip().splitlines()
-        assert [line.rsplit(" ", 1)[0] for line in lines[1:]] == [
-            "win-cycle 8 0 optimized 0 1",
-            "win-cycle 8 0 optimized 1 1",
-        ]
+        assert lines[1].startswith("win-cycle 8 0 optimized 2 ")

@@ -1,4 +1,3 @@
-import csv
 from pathlib import Path
 
 from wfsmr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
@@ -74,21 +73,6 @@ class TestSolve:
         assert "step=K0" in text
         assert "job " in text
 
-    def test_no_delta_gives_same_files_from_more_jobs(self, tmp_path, capsys):
-        from wfsmr.bench import TC_NEG
-
-        program = write(tmp_path, "tc.lp", TC_NEG)
-        facts = write(tmp_path, "b.facts", "".join(f"b({i},{i + 2}).\n" for i in range(1, 11)))
-        outputs, jobs = [], []
-        for tag, extra in (("delta", []), ("plain", ["--no-delta"])):
-            out = str(tmp_path / tag)
-            args = ["solve", "--program", program, "--facts", facts, "--out", out]
-            assert main(args + extra) == EXIT_OK
-            outputs.append((Path(out + ".true").read_bytes(), Path(out + ".undef").read_bytes()))
-            jobs.append(int(capsys.readouterr().out.rsplit("jobs=", 1)[1]))
-        assert outputs[0] == outputs[1]
-        assert jobs[0] < jobs[1]
-
     def test_broken_invariant_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         from wfsmr.store import Database
 
@@ -162,17 +146,8 @@ class TestBenchCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "win-cycle n=16" in out
-        assert "# test n k mode delta runs mean_wall_ms" in out
+        assert "# test n k mode runs mean_wall_ms" in out
         assert Path(csv_path).exists()
-
-    def test_no_delta_is_recorded(self, tmp_path, capsys):
-        csv_path = str(tmp_path / "bench.csv")
-        args = ["bench", "--test", "tc-chain", "--n", "8", "--k", "2", "--csv", csv_path]
-        assert main(args + ["--no-delta"]) == EXIT_OK
-        assert "optimized delta=0 " in capsys.readouterr().out
-        with open(csv_path) as handle:
-            header, row = list(csv.reader(handle))
-        assert row[header.index("delta")] == "0"
 
 
 class TestEngineConfig:
