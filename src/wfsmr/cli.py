@@ -93,14 +93,8 @@ def _load_program(path: str) -> Program:
 
 
 def _load_facts(paths: Sequence[str]) -> list[Fact]:
-    facts: list[Fact] = []
-    seen = set()
-    for path in paths:
-        for fact in parse_facts(Path(path).read_text(encoding="utf-8")):
-            if fact not in seen:
-                seen.add(fact)
-                facts.append(fact)
-    return facts
+    texts = (Path(path).read_text(encoding="utf-8") for path in paths)
+    return list(dict.fromkeys(fact for text in texts for fact in parse_facts(text)))
 
 
 def _write_atoms(path: Path, db: Database) -> None:

@@ -25,15 +25,14 @@ running trivial jobs for them. A broken invariant raises
 from __future__ import annotations
 
 import enum
-import gc
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .mapreduce import Engine, EngineConfig
+from .mapreduce import Engine, EngineConfig, gc_paused
 from .operators import eval_rule
 from .planner import RulePlan, compile_program
-from .program import ArityError, Fact, Program, UnknownPredicateError
+from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
 from .store import Database, DatabaseView, FactSource, SymbolTable
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "SolveOptions",
     "StepStat",
     "SolveStats",
-    "Interpretation",
     "FixpointResult",
     "Session",
     "least_fixpoint",
@@ -56,10 +54,6 @@ __all__ = [
 
 class IterationLimitError(RuntimeError):
     """The configured iteration cap was hit; termination theory says this is a bug."""
-
-
-class InvariantError(RuntimeError):
-    """A driver self-check failed: the computation is wrong, not the input."""
 
 
 class TruthValue(enum.Enum):
@@ -84,7 +78,7 @@ class StepStat:
     label: str  # K0, U0, K1, ...
     k_size: int = 0
     u_extra: int = 0
-    new_facts: int = 0
+    new_facts: int = 0  # facts the step's rules inferred beyond the base facts
     inner_iterations: int = 0
     jobs: int = 0
 
@@ -128,14 +122,6 @@ class SolveStats:
 
     def trace_lines(self) -> list[str]:
         return [step.line() for step in self.steps]
-
-
-@dataclass
-class Interpretation:
-    """The pair of true facts and possible-but-not-true facts (disjoint)."""
-
-    known: Database
-    unknown: Database
 
 
 @dataclass
@@ -276,7 +262,7 @@ def least_fixpoint(
     stats.steps.append(
         StepStat(
             label=label,
-            new_facts=current.count(),
+            new_facts=current.count() - session.base.count(),
             inner_iterations=inner,
             jobs=engine.jobs_run - jobs_before,
         )
@@ -332,7 +318,8 @@ def least_fixpoint_delta(
     stats.steps.append(
         StepStat(
             label=label,
-            new_facts=result.count(),
+            # only the first round of an lfp without a start copies in the base facts
+            new_facts=result.count() - (0 if start else session.base.count()),
             inner_iterations=inner,
             jobs=engine.jobs_run - jobs_before,
         )
@@ -509,6 +496,7 @@ def solve_naive(session: Session) -> FixpointResult:
 # ---------------------------------------------------------------------------
 
 
+@gc_paused
 def solve(
     program: Program,
     facts: Iterable[Fact] = (),
@@ -527,11 +515,6 @@ def solve(
     if engine is None:
         engine = Engine(config or EngineConfig())
     started = time.perf_counter()
-    # fact sets and records are acyclic, so the cycle collector only adds
-    # full-heap scans while the driver churns; pause it for the whole solve
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
     try:
         session = Session(program, facts, engine, opts)
         jobs_before = engine.jobs_run
@@ -543,8 +526,6 @@ def solve(
         result.stats.wall_ms = (time.perf_counter() - started) * 1000.0
         return result
     finally:
-        if gc_was_enabled:
-            gc.enable()
         if own_engine:
             engine.close()
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 import gc
 import pickle
 import tempfile
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ContextDecorator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -37,12 +39,41 @@ __all__ = [
     "partition_for",
     "wordcount_job",
     "wordcount",
+    "gc_paused",
 ]
 
 Record = tuple  # (key, value)
 Mapper = Callable[[Record], list]
 Reducer = Callable[[Any, Iterable], list]
 Combiner = Callable[[Any, list], list]
+
+
+class _CollectorPause(ContextDecorator):
+    """Pauses the cycle collector (job data and fact sets are acyclic, so it
+    would only add full-heap scans). Overlapping users, nested or on other
+    threads, share one pause: the first to enter saves the collector's
+    state and the last to leave restores it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._users = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._users == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._users += 1
+
+    def __exit__(self, *exc: object) -> None:
+        with self._lock:
+            self._users -= 1
+            if self._users == 0 and self._was_enabled:
+                gc.enable()
+
+
+gc_paused = _CollectorPause()
 
 
 class JobError(RuntimeError):
@@ -204,6 +235,7 @@ class Engine:
 
     # -- job execution -----------------------------------------------------
 
+    @gc_paused
     def run_job(self, spec: JobSpec) -> tuple[set, JobStats]:
         """Run one job; returns (output record set, stats)."""
         start = time.perf_counter()
@@ -211,22 +243,6 @@ class Engine:
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
         workers = self.config.workers
-
-        # job data is acyclic (tuples/lists/dicts), so reference counting
-        # reclaims it all; pausing the cycle collector keeps large jobs from
-        # triggering repeated full-heap scans
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            return self._run_job_inner(spec, partitions, workers, start)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run_job_inner(
-        self, spec: JobSpec, partitions: int, workers: int, start: float
-    ) -> tuple[set, JobStats]:
         tasks = self._map_tasks(spec.inputs, workers)
         threshold = self.config.spill_threshold
         spilled: list[_SpilledValues] = []

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
-from .program import Atom, Program, Rule, SafetyError, Symbol, Variable, check_safety
+from .program import Atom, InvariantError, Program, Rule, SafetyError, Symbol, Variable, check_safety
 
 __all__ = [
     "SubgoalAccess",
@@ -229,15 +229,15 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
 
         missing = final_set - set(schema)
         if missing:  # cannot happen for safe rules
-            raise AssertionError(f"schema lost variables {sorted(missing)} in rule '{rule}'")
+            raise InvariantError(f"schema lost variables {sorted(missing)} in rule '{rule}'")
         if prune and schema != goal_schema:
-            raise AssertionError(
+            raise InvariantError(
                 f"pruned schema {schema} differs from goal schema {goal_schema}"
             )
         goal_cols = tuple(schema.index(v) for v in goal_schema)
     else:
         if final_set:  # cannot happen: safety forces ground head and negatives
-            raise AssertionError(f"rule '{rule}' has variables but no positive subgoal")
+            raise InvariantError(f"rule '{rule}' has variables but no positive subgoal")
         goal_cols = ()
 
     anti_joins = []
@@ -245,7 +245,7 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
         key_vars = access.vars
         for name in key_vars:
             if name not in goal_schema:
-                raise AssertionError(
+                raise InvariantError(
                     f"anti-join variable {name} missing from schema in rule '{rule}'"
                 )
         anti_joins.append(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, NoReturn, Union
 
 __all__ = [
     "Variable",
@@ -34,6 +34,7 @@ __all__ = [
     "ArityError",
     "SafetyError",
     "UnknownPredicateError",
+    "InvariantError",
     "check_safety",
     "parse_program",
     "parse_facts",
@@ -81,16 +82,15 @@ class SafetyError(ProgramError):
         super().__init__("unsafe program: " + "; ".join(parts))
 
     def variable_names(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for _, names in self.violations:
-            for name in names:
-                if name not in out:
-                    out.append(name)
-        return tuple(out)
+        return tuple(dict.fromkeys(name for _, names in self.violations for name in names))
 
 
 class UnknownPredicateError(ProgramError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """A self-check failed: the computation is wrong, not the input."""
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,7 @@ class Atom:
 
     def variables(self) -> tuple[str, ...]:
         """Distinct variable names in first-occurrence order."""
-        seen: list[str] = []
-        for term in self.args:
-            if isinstance(term, Variable) and term.name not in seen:
-                seen.append(term.name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(t.name for t in self.args if isinstance(t, Variable)))
 
     def is_ground(self) -> bool:
         return all(isinstance(t, Constant) for t in self.args)
@@ -163,12 +159,8 @@ class Rule:
         return tuple(lit.atom for lit in self.body if lit.negated)
 
     def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for atom in (self.head, *(lit.atom for lit in self.body)):
-            for name in atom.variables():
-                if name not in seen:
-                    seen.append(name)
-        return tuple(seen)
+        atoms = (self.head, *(lit.atom for lit in self.body))
+        return tuple(dict.fromkeys(name for atom in atoms for name in atom.variables()))
 
     def __str__(self) -> str:
         if not self.body:
@@ -200,16 +192,11 @@ def check_safety(rule: Rule) -> tuple[str, ...]:
     subgoals are covered by definition, so only head and negative occurrences
     need checking. A fact (empty body) is safe exactly when it is ground.
     """
-    bound: set[str] = set()
-    for atom in rule.positive():
-        bound.update(atom.variables())
-    offending: list[str] = []
-    atoms_to_check = (rule.head, *rule.negative())
-    for atom in atoms_to_check:
-        for name in atom.variables():
-            if name not in bound and name not in offending:
-                offending.append(name)
-    return tuple(offending)
+    bound = {name for atom in rule.positive() for name in atom.variables()}
+    checked = (rule.head, *rule.negative())
+    return tuple(dict.fromkeys(
+        name for atom in checked for name in atom.variables() if name not in bound
+    ))
 
 
 class Program:
@@ -245,12 +232,10 @@ class Program:
             raise ArityError(atom.predicate, atom.arity, known)
 
     def facts(self) -> tuple[Fact, ...]:
-        out = []
-        for rule in self.rules:
-            if rule.is_fact:
-                args = tuple(t.symbol for t in rule.head.args)  # type: ignore[union-attr]
-                out.append(Fact(rule.head.predicate, args))
-        return tuple(out)
+        return tuple(
+            Fact(rule.head.predicate, tuple(t.symbol for t in rule.head.args))  # type: ignore[union-attr]
+            for rule in self.rules if rule.is_fact
+        )
 
     def proper_rules(self) -> tuple[Rule, ...]:
         return tuple(rule for rule in self.rules if not rule.is_fact)
@@ -285,6 +270,20 @@ class Program:
 _ARROWS = (":-", "<-")
 _PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", ".": "dot"}
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+
+# The facts grammar over the tokenizer's classes (``\s`` is ``str.isspace``):
+# whitespace and comments between any two tokens; constants are ASCII names
+# starting lowercase or with a digit, never ``not``. A comment cannot end
+# before its line does, so a failing match backtracks in linear time.
+_SKIP = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
+_CONST = r"(?!not(?![A-Za-z0-9_]))[a-z0-9][A-Za-z0-9_]*"
+_SKIP_RE = re.compile(_SKIP)
+_FACT_RE = re.compile(
+    rf"({_CONST}){_SKIP}"
+    rf"(?:\({_SKIP}(?:({_CONST}{_SKIP}(?:,{_SKIP}{_CONST}{_SKIP})*))?\){_SKIP})?"
+    rf"\.{_SKIP}"
+)
+_COMMENT_RE = re.compile(r"%[^\n]*")
 
 
 @dataclass(frozen=True)
@@ -450,12 +449,31 @@ def parse_program(text: str) -> Program:
 def parse_facts(text: str) -> tuple[Fact, ...]:
     """Parse a facts file (one ground atom per statement) into deduplicated Facts.
 
-    Rule arrows and variables are rejected; predicate arities must be
-    consistent within the input.
+    Each statement costs one match of ``_FACT_RE``. Inputs it rejects (rules,
+    variables, bad syntax) and arity clashes raise the token parser's error.
     """
+    match, names = _FACT_RE.match, _NAME_RE.findall
+    unique: dict[tuple[str, tuple[Symbol, ...]], None] = {}
+    arities: dict[str, int] = {}
+    pos, end = _SKIP_RE.match(text).end(), len(text)
+    while pos < end:
+        found = match(text, pos)
+        if found is None:
+            _raise_facts_error(text)
+        pos = found.end()
+        predicate, body = found.groups()
+        if body and "%" in body:
+            body = _COMMENT_RE.sub("", body)
+        args = tuple(map(_canonical_symbol, names(body))) if body else ()
+        if arities.setdefault(predicate, len(args)) != len(args):
+            _raise_facts_error(text)
+        unique[predicate, args] = None
+    return tuple([Fact(predicate, args) for predicate, args in unique])
+
+
+def _raise_facts_error(text: str) -> NoReturn:
+    """Raise the token parser's error for a facts input ``parse_facts`` rejected."""
     parser = _Parser(text)
-    seen: set[Fact] = set()
-    out: list[Fact] = []
     arities: dict[str, int] = {}
     while not parser.at_eof():
         tok = parser.peek()
@@ -467,23 +485,12 @@ def parse_facts(text: str) -> tuple[Fact, ...]:
         if not atom.is_ground():
             names = ", ".join(atom.variables())
             raise ParseError(f"fact '{atom}' is not ground (variables: {names})", tok.line, tok.col)
-        known = arities.get(atom.predicate)
-        if known is None:
-            arities[atom.predicate] = atom.arity
-        elif known != atom.arity:
-            raise ArityError(atom.predicate, atom.arity, known)
-        fact = Fact(atom.predicate, tuple(t.symbol for t in atom.args))  # type: ignore[union-attr]
-        if fact not in seen:
-            seen.add(fact)
-            out.append(fact)
-    return tuple(out)
+        if arities.setdefault(atom.predicate, atom.arity) != atom.arity:
+            raise ArityError(atom.predicate, atom.arity, arities[atom.predicate])
+    raise InvariantError("parse_facts rejected a facts input that the token parser accepts")
 
 
 def facts_to_text(facts: Iterable[Fact]) -> str:
     """Render facts in the facts-file format, one statement per line."""
     return "".join(f"{fact}.\n" for fact in facts)
 
-
-def iter_fact_atoms(facts: Iterable[Fact]) -> Iterator[Atom]:
-    for fact in facts:
-        yield Atom(fact.predicate, tuple(Constant(a) for a in fact.args))

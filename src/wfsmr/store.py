@@ -59,9 +59,6 @@ class Relation:
         self.tuples.add(row)
         return True
 
-    def sorted_tuples(self) -> list[tuple[int, ...]]:
-        return sorted(self.tuples)
-
     def __contains__(self, row: tuple[int, ...]) -> bool:
         return row in self.tuples
 
@@ -105,9 +102,6 @@ class Database:
             elif rel.arity != fact.arity:
                 raise ArityError(fact.predicate, fact.arity, rel.arity)
             rel.tuples.add(tuple(map(intern, fact.args)))
-
-    def insert_encoded(self, predicate: str, arity: int, row: tuple[int, ...]) -> bool:
-        return self._relation_for(predicate, arity).add(row)
 
     def add_encoded(self, predicate: str, arity: int, rows: Iterable[tuple[int, ...]]) -> int:
         rel = self._relation_for(predicate, arity)

@@ -82,6 +82,15 @@ class TestSolve:
         assert main(["solve", "--program", program, "--out", out, "--mode", "naive"]) == EXIT_RUNTIME
         assert "size-based fixpoint test disagrees" in capsys.readouterr().err
 
+    def test_broken_planner_invariant_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        from wfsmr import planner, program
+
+        for module in (planner, program):
+            monkeypatch.setattr(module, "check_safety", lambda rule: ())
+        path = write(tmp_path, "unsafe.lp", "p(X) :- q(Y).\n")
+        assert main(["check", "--program", path]) == EXIT_RUNTIME
+        assert "schema lost variables" in capsys.readouterr().err
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         out = str(tmp_path / "r")
         assert main(["solve", "--program", "/nonexistent.lp", "--out", out]) == EXIT_RUNTIME

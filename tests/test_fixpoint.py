@@ -1,7 +1,10 @@
+import gc
 import random
+import threading
 
 import pytest
 
+from wfsmr import fixpoint
 from wfsmr.bench import builtin_program, gen_chain, gen_cycle, gen_tree
 from wfsmr.fixpoint import (
     IterationLimitError,
@@ -269,6 +272,66 @@ class TestStats:
         result = solve(parse_program(WIN), gen_cycle(4))
         assert result.stats.derived_facts > 0
         assert result.stats.jobs_total > 0
+
+    @pytest.mark.parametrize("mode", ["optimized", "naive"])
+    @pytest.mark.parametrize(
+        "name, facts", [("win-not-win", gen_cycle(12)), ("tc-neg", gen_chain(9, 3))]
+    )
+    def test_new_facts_are_rule_output(self, mode, name, facts):
+        stats = solve(builtin_program(name), facts, options=SolveOptions(mode=mode)).stats
+        assert sum(s.new_facts for s in stats.steps) <= stats.derived_facts
+        if name == "win-not-win":
+            assert stats.steps[0].new_facts == 0  # K0: no rule without negation
+
+
+class TestCollectorPause:
+    def test_paused_until_the_last_overlapping_solve_exits(self, monkeypatch):
+        entered = {name: threading.Event() for name in "ab"}
+        may_leave = {name: threading.Event() for name in "ab"}
+        errors = []
+        real = fixpoint.solve_optimized
+
+        def held(session):
+            name = threading.current_thread().name
+            entered[name].set()
+            assert may_leave[name].wait(30)
+            return real(session)
+
+        def run():
+            try:
+                solve(parse_program(WIN), gen_cycle(5))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        monkeypatch.setattr(fixpoint, "solve_optimized", held)
+        gc.enable()
+        threads = {name: threading.Thread(target=run, name=name) for name in "ab"}
+        try:
+            for name in "ab":
+                threads[name].start()
+                assert entered[name].wait(30)
+            assert not gc.isenabled()
+            may_leave["a"].set()
+            threads["a"].join(30)
+            assert not threads["a"].is_alive()
+            assert not gc.isenabled()  # "b" is still solving
+            may_leave["b"].set()
+            threads["b"].join(30)
+            assert gc.isenabled()
+        finally:
+            for name in "ab":
+                may_leave[name].set()
+                threads[name].join(30)
+            gc.enable()
+        assert not errors
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            solve(parse_program(WIN), gen_cycle(3))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestClassify:

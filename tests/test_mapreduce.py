@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import threading
 
 import pytest
 
@@ -9,6 +12,7 @@ from wfsmr.mapreduce import (
     JobSpec,
     PipelineError,
     encode_key,
+    gc_paused,
     partition_for,
     wordcount,
     wordcount_job,
@@ -271,3 +275,38 @@ class TestStats:
         assert stats.reduce_out == 3
         assert len(lines) == 1
         assert "wordcount" in lines[0] and "groups=3" in lines[0]
+
+
+class TestCollectorPause:
+    def test_no_thread_sees_the_collector_on_inside_the_pause(self):
+        seen_enabled = []
+
+        def enter_and_leave():
+            for _ in range(2000):
+                with gc_paused:
+                    if gc.isenabled():
+                        seen_enabled.append(threading.current_thread().name)
+
+        gc.enable()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not seen_enabled
+        assert gc.isenabled()
+
+    def test_a_failing_job_restores_the_collector(self):
+        def broken_mapper(record):
+            raise ValueError("boom")
+
+        gc.enable()
+        with Engine() as engine, pytest.raises(JobError):
+            engine.run_job(JobSpec("broken", broken_mapper, collect_reducer, inputs=[[(1, 2)]]))
+        assert gc.isenabled()

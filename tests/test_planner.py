@@ -2,10 +2,20 @@ import random
 
 import pytest
 
+from wfsmr import fixpoint, planner
 from wfsmr.mapreduce import Engine
 from wfsmr.operators import eval_rule
 from wfsmr.planner import PlanWarning, compile_program, compile_rule
-from wfsmr.program import Fact, SafetyError, parse_program
+from wfsmr.program import (
+    Atom,
+    Fact,
+    InvariantError,
+    Literal,
+    Rule,
+    SafetyError,
+    Variable,
+    parse_program,
+)
 from wfsmr.store import Database, SymbolTable
 
 from tests.helpers import (
@@ -85,6 +95,27 @@ class TestCompileRule:
     def test_cartesian_product_warns(self):
         with pytest.warns(PlanWarning):
             plan_for("p(X,Y) <- a(X), b(Y).")
+
+
+class TestBrokenInvariants:
+    """With the safety check bypassed, an unsafe rule reaches the checks that
+    cannot fail for safe rules; they raise the drivers' named error."""
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (Rule(Atom("p", (Variable("X"),)), (Literal(Atom("q", (Variable("Y"),))),)),
+             "schema lost variables"),
+            (Rule(Atom("p", (Variable("X"),))), "has variables but no positive subgoal"),
+        ],
+    )
+    def test_named_error(self, monkeypatch, rule, message):
+        monkeypatch.setattr(planner, "check_safety", lambda rule: ())
+        with pytest.raises(InvariantError, match=message):
+            compile_rule(rule)
+
+    def test_one_error_class_for_planner_and_drivers(self):
+        assert planner.InvariantError is fixpoint.InvariantError
 
 
 class TestCompileProgram:

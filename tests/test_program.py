@@ -1,11 +1,16 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wfsmr import program as program_mod
 from wfsmr.program import (
     ArityError,
     Atom,
     Fact,
+    InvariantError,
     Literal,
     ParseError,
     Rule,
@@ -129,6 +134,102 @@ class TestParseFacts:
     def test_round_trip_through_text(self):
         facts = parse_facts("move(1,2).\nmove(2,1).")
         assert parse_facts(facts_to_text(facts)) == facts
+
+
+# Predicates with their arities, and constants covering ints, zero-padded
+# digit strings (kept as text), names, and names that merely start with "not".
+_PREDICATES = {"p": 2, "q": 0, "r0": 1, "nota": 3, "e_1": 2}
+_CONSTANTS = ("0", "1", "7", "42", "007", "00", "010", "a", "b_C9", "notx", "x")
+# Everything the tokenizer skips: str.isspace characters (ASCII and not) and
+# comments, which may hold any character up to the end of their line.
+_GAPS = st.lists(
+    st.sampled_from(["", " ", "\n", "\t", "\r", "\x0b", "\x0c", "\u00a0", "\u2028",
+                     "% c (x). :- X\n", "%\n", "%%é\n"]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def _facts_texts(draw) -> str:
+    """A valid facts input with gaps between all tokens and repeated facts."""
+    out = [draw(_GAPS)]
+    for _ in range(draw(st.integers(0, 8))):
+        predicate = draw(st.sampled_from(sorted(_PREDICATES)))
+        arity = _PREDICATES[predicate]
+        statement = predicate + draw(_GAPS)
+        if arity or draw(st.booleans()):  # "q." and "q()." are the same atom
+            args = [draw(_GAPS) + draw(st.sampled_from(_CONSTANTS)) + draw(_GAPS) for _ in range(arity)]
+            statement += "(" + draw(_GAPS) + ",".join(args) + ")" + draw(_GAPS)
+        statement += "." + draw(_GAPS)
+        out.append(statement * draw(st.integers(1, 2)))
+    out.append(draw(st.sampled_from(["", "% comment at the end without a newline"])))
+    return "".join(out)
+
+
+class TestParseFactsAgainstTokenParser:
+    @settings(max_examples=200, deadline=None)
+    @given(_facts_texts())
+    def test_same_facts_as_parse_program(self, text):
+        got = parse_facts(text)
+        want = tuple(dict.fromkeys(parse_program(text).facts()))
+        assert got == want
+        assert [tuple(map(type, f.args)) for f in got] == [tuple(map(type, f.args)) for f in want]
+
+    @pytest.mark.parametrize(
+        "text, facts",
+        [
+            ("p(007, 0, 10, 00, x_1).\nq.\nq().", (Fact("p", ("007", 0, 10, "00", "x_1")), Fact("q"))),
+            ("move(1, % x\n 2).", (Fact("move", (1, 2)),)),
+            (" \n% nothing here\n\t% or here", ()),
+        ],
+    )
+    def test_examples(self, text, facts):
+        assert parse_facts(text) == facts
+
+    # (input, error class, line, column, message), as the token parser has
+    # always reported them
+    BROKEN = [
+        ("p(1).\nq(X) :- p(X).\n", ParseError, 2, 6, "rules are not allowed in a facts input"),
+        ("q(1) <- p(1).", ParseError, 1, 6, "rules are not allowed in a facts input"),
+        ("p(1):-.", ParseError, 1, 5, "rules are not allowed in a facts input"),
+        ("p(1).\nmove(X, 2).", ParseError, 2, 1, "fact 'move(X,2)' is not ground (variables: X)"),
+        ("P(1).", ParseError, 1, 1, "expected predicate name, found 'P'"),
+        ("not(1).", ParseError, 1, 1, "'not' is reserved and cannot name a predicate"),
+        ("p(1).\n  not.", ParseError, 2, 3, "'not' is reserved and cannot name a predicate"),
+        ("p(not).", ParseError, 1, 3, "expected term, found 'not'"),
+        ("p(1, not).", ParseError, 1, 6, "expected term, found 'not'"),
+        ("p(1).\nmové(1).", ParseError, 2, 4, "unexpected character 'é'"),
+        ("p(1,é).", ParseError, 1, 5, "unexpected character 'é'"),
+        ("_x(1).", ParseError, 1, 1, "invalid name '_x'"),
+        ("p(1)\nq(2).", ParseError, 2, 1, "expected '.', found 'q'"),
+        ("p(1)", ParseError, 1, 5, "expected '.'"),
+        ("p(1). % ok\n q(2) % no dot\n", ParseError, 3, 1, "expected '.'"),
+        ("p (1). x", ParseError, 1, 9, "expected '.'"),
+        ("p(1)..", ParseError, 1, 6, "expected predicate name, found '.'"),
+        ("p(1,).", ParseError, 1, 5, "expected term, found ')'"),
+        ("p(1 2).", ParseError, 1, 5, "expected ')', found '2'"),
+        ("p(1", ParseError, 1, 4, "expected ')'"),
+        ("p((1)).", ParseError, 1, 3, "expected term, found '('"),
+        ("p(1).\nq(2).\np(1,2).", ArityError, None, None,
+         "predicate 'p' used with arity 2 but previously with arity 1"),
+        ("p().\np(1).", ArityError, None, None,
+         "predicate 'p' used with arity 1 but previously with arity 0"),
+        # the tokenizer reads the whole input before any arity is checked
+        ("p(1).\np(1,2).\né", ParseError, 3, 1, "unexpected character 'é'"),
+    ]
+
+    @pytest.mark.parametrize("text, error, line, col, message", BROKEN)
+    def test_broken_input_error(self, text, error, line, col, message):
+        with pytest.raises(error) as err:
+            parse_facts(text)
+        assert type(err.value) is error
+        assert (getattr(err.value, "line", None), getattr(err.value, "col", None)) == (line, col)
+        assert str(err.value).endswith(message)
+
+    def test_token_parser_never_supplies_the_facts(self, monkeypatch):
+        monkeypatch.setattr(program_mod, "_FACT_RE", re.compile(r"(?!)()()"))
+        with pytest.raises(InvariantError):
+            parse_facts("p(1).")
 
 
 class TestCheckSafety:
