@@ -175,10 +175,7 @@ def run_bench(config: BenchConfig, csv_path: Optional[str] = None) -> list[Bench
         engine = Engine(EngineConfig(workers=config.workers, partitions=config.partitions))
         options = SolveOptions(mode=config.mode)
         started = time.perf_counter()
-        try:
-            result = solve(program, facts, options=options, engine=engine)
-        finally:
-            engine.close()
+        result = solve(program, facts, options=options, engine=engine)
         wall_ms = (time.perf_counter() - started) * 1000.0
         rows.append(
             BenchRow(

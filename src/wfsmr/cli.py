@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +26,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-SPILL_ENV = "WFSMR_SPILL_DIR"
+_WORKERS_HELP = "accepted, but jobs run on one thread whatever the value; default for --partitions"
 
 
 class _UsageError(Exception):
@@ -52,7 +51,7 @@ def _build_parser() -> _Parser:
     solve_cmd.add_argument("--facts", action="append", default=[])
     solve_cmd.add_argument("--out", required=True, help="output path prefix")
     solve_cmd.add_argument("--mode", choices=["naive", "optimized", "both"], default="optimized")
-    solve_cmd.add_argument("--workers", type=int, default=1)
+    solve_cmd.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     solve_cmd.add_argument("--partitions", type=int, default=0, help="default: workers")
     solve_cmd.add_argument("--trace", action="store_true", help="print per-step trace lines")
 
@@ -67,7 +66,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--k", type=int, default=0)
     bench.add_argument("--mode", choices=["naive", "optimized"], default="optimized")
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     bench.add_argument("--partitions", type=int, default=0, help="default: workers")
     bench.add_argument("--reps", type=int, default=1)
     bench.add_argument("--csv", required=True)
@@ -75,7 +74,7 @@ def _build_parser() -> _Parser:
 
     wc = sub.add_parser("wordcount", help="word-frequency smoke test")
     wc.add_argument("files", nargs="+")
-    wc.add_argument("--workers", type=int, default=1)
+    wc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     wc.add_argument("--partitions", type=int, default=0, help="default: workers")
     return parser
 
@@ -84,7 +83,6 @@ def _engine_config(workers: int, partitions: int) -> EngineConfig:
     return EngineConfig(
         workers=workers,
         partitions=partitions if partitions > 0 else workers,
-        spill_dir=os.environ.get(SPILL_ENV),
     )
 
 
@@ -122,15 +120,12 @@ def cmd_solve(args) -> int:
     results = {}
     for mode in modes:
         engine = Engine(config)
-        try:
-            results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
-            if args.trace:
-                for line in results[mode].stats.trace_lines():
-                    print(f"{mode}: {line}")
-                for line in engine.stats_lines():
-                    print(f"{mode}: job {line}")
-        finally:
-            engine.close()
+        results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
+        if args.trace:
+            for line in results[mode].stats.trace_lines():
+                print(f"{mode}: {line}")
+            for line in engine.stats_lines():
+                print(f"{mode}: job {line}")
     primary = results[modes[0]]
     out = Path(args.out)
     _write_atoms(out.with_name(out.name + ".true"), primary.true_facts)
@@ -188,11 +183,7 @@ def cmd_wordcount(args) -> int:
     lines: list[str] = []
     for path in args.files:
         lines.extend(Path(path).read_text(encoding="utf-8").splitlines())
-    engine = Engine(_engine_config(args.workers, args.partitions))
-    try:
-        counts = wordcount(engine, lines)
-    finally:
-        engine.close()
+    counts = wordcount(Engine(_engine_config(args.workers, args.partitions)), lines)
     for word in sorted(counts):
         print(f"{word}\t{counts[word]}")
     return EXIT_OK

@@ -202,14 +202,14 @@ class Session:
         self.base = Database(self.symbols)
         self.signatures = dict(program.signatures)
         self.base.insert_many(program.facts())
-        external = tuple(facts)
-        for fact in external:
-            known = self.signatures.get(fact.predicate)
-            if known is None:
-                self.signatures[fact.predicate] = fact.arity
-            elif known != fact.arity:
-                raise ArityError(fact.predicate, fact.arity, known)
-        self.base.insert_many(external)
+        self.base.insert_many(facts)
+        # insert_many keeps one arity per predicate, so one check per
+        # predicate covers every fact against the program's signatures
+        for predicate in self.base.predicates():
+            arity = self.base.arity_of(predicate)
+            known = self.signatures.setdefault(predicate, arity)
+            if known != arity:
+                raise ArityError(predicate, arity, known)
         self.plans = compile_program(program)
         self.definite_plans = [p for p in self.plans if not p.anti_joins]
         self.empty = Database(self.symbols)
@@ -511,23 +511,18 @@ def solve(
     opts = options or SolveOptions()
     if opts.mode not in ("optimized", "naive"):
         raise ValueError(f"unknown mode {opts.mode!r}")
-    own_engine = engine is None
     if engine is None:
         engine = Engine(config or EngineConfig())
     started = time.perf_counter()
-    try:
-        session = Session(program, facts, engine, opts)
-        jobs_before = engine.jobs_run
-        if opts.mode == "optimized":
-            result = solve_optimized(session)
-        else:
-            result = solve_naive(session)
-        result.stats.jobs_total = engine.jobs_run - jobs_before
-        result.stats.wall_ms = (time.perf_counter() - started) * 1000.0
-        return result
-    finally:
-        if own_engine:
-            engine.close()
+    session = Session(program, facts, engine, opts)
+    jobs_before = engine.jobs_run
+    if opts.mode == "optimized":
+        result = solve_optimized(session)
+    else:
+        result = solve_naive(session)
+    result.stats.jobs_total = engine.jobs_run - jobs_before
+    result.stats.wall_ms = (time.perf_counter() - started) * 1000.0
+    return result
 
 
 def classify(fact: Fact, result: FixpointResult) -> TruthValue:

@@ -3,28 +3,21 @@
 A job applies a user map function to every input record, groups the emitted
 key/value pairs by key, and calls the user reduce function exactly once per
 distinct key. The output is the set of records emitted by all reduce calls,
-so it is independent of worker and partition counts. Worker parallelism
-runs on a thread pool; map tasks cover input splits, reduce tasks cover key
-partitions, and a barrier separates the two phases. Keys are routed to
-partitions with a platform-independent hash (crc32 over a canonical byte
-encoding), so runs are reproducible everywhere.
-
-Reduce groups larger than ``spill_threshold`` overflow their value lists to
-temporary files; at desk scale this indicates a skewed key and is reported
-in the job statistics.
+so it is independent of worker and partition counts. Jobs run serially on
+the calling thread: one loop maps and groups, then each distinct key is
+routed to one of the job's partitions, and the partitions are reduced in
+turn as the reduce tasks of the job. Keys are routed with a
+platform-independent hash (crc32 over a canonical byte encoding), so runs
+are reproducible everywhere.
 """
 from __future__ import annotations
 
 import gc
-import pickle
-import tempfile
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ContextDecorator
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -45,7 +38,6 @@ __all__ = [
 Record = tuple  # (key, value)
 Mapper = Callable[[Record], list]
 Reducer = Callable[[Any, Iterable], list]
-Combiner = Callable[[Any, list], list]
 
 
 class _CollectorPause(ContextDecorator):
@@ -124,7 +116,6 @@ class JobStats:
     wall_ms: float = 0.0
     partitions: int = 1
     max_group: int = 0
-    spilled_groups: int = 0
     warnings: tuple[str, ...] = ()
 
     def line(self) -> str:
@@ -133,8 +124,6 @@ class JobStats:
             f"groups={self.reduce_groups} reduced={self.reduce_out} "
             f"ms={self.wall_ms:.1f}"
         )
-        if self.spilled_groups:
-            text += f" spilled={self.spilled_groups}"
         for note in self.warnings:
             text += f" [{note}]"
         return text
@@ -145,10 +134,8 @@ class JobSpec:
     """One map/shuffle/reduce job.
 
     ``mapper`` takes a record and returns a list of key/value records;
-    ``reducer`` takes a key and a single-pass iterable of values and returns
-    a list of output records. Both must be pure with respect to the job
-    input and safe to call concurrently on disjoint records. ``combiner``,
-    when given, pre-aggregates map output per task and partition.
+    ``reducer`` takes a key and the list of its values and returns a list of
+    output records. Both must be pure with respect to the job input.
     """
 
     name: str
@@ -156,54 +143,19 @@ class JobSpec:
     reducer: Reducer
     inputs: Sequence[Iterable[Record]] = ()
     partitions: Optional[int] = None
-    combiner: Optional[Combiner] = None
     warnings: tuple[str, ...] = ()
 
 
 @dataclass
 class EngineConfig:
+    # ``workers`` is validated and kept for callers that size their
+    # partitions from it; jobs run on the calling thread either way.
     workers: int = 1
     partitions: int = 1
-    spill_dir: Optional[str] = None
-    spill_threshold: Optional[int] = None
-
-
-class _SpilledValues:
-    """Reduce-group value buffer whose overflow lives in a pickle file."""
-
-    def __init__(self, head: list, spill_dir: Optional[str]):
-        self._head = head
-        self._file = tempfile.NamedTemporaryFile(
-            prefix="wfsmr-spill-", suffix=".bin", dir=spill_dir, delete=False
-        )
-        self._count = len(head)
-
-    def append(self, value: Any) -> None:
-        pickle.dump(value, self._file)
-        self._count += 1
-
-    def finish(self) -> None:
-        self._file.flush()
-        self._file.close()
-
-    def cleanup(self) -> None:
-        Path(self._file.name).unlink(missing_ok=True)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self):
-        yield from self._head
-        with open(self._file.name, "rb") as handle:
-            while True:
-                try:
-                    yield pickle.load(handle)
-                except EOFError:
-                    break
 
 
 class Engine:
-    """In-process job runner with a reusable worker pool."""
+    """In-process job runner that keeps the statistics of every job it ran."""
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
@@ -213,25 +165,17 @@ class Engine:
             raise ValueError("partitions must be >= 1")
         self.stats_log: list[JobStats] = []
         self.jobs_run = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- lifecycle: the engine holds no resources --------------------------
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        pass
 
     def __enter__(self) -> "Engine":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.config.workers)
-        return self._pool
 
     # -- job execution -----------------------------------------------------
 
@@ -242,191 +186,64 @@ class Engine:
         partitions = spec.partitions if spec.partitions is not None else self.config.partitions
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
-        workers = self.config.workers
-        tasks = self._map_tasks(spec.inputs, workers)
-        threshold = self.config.spill_threshold
-        spilled: list[_SpilledValues] = []
-        max_group = 0
 
-        if (
-            len(tasks) <= 1
-            and partitions == 1
-            and spec.combiner is None
-            and threshold is None
-        ):
-            # serial single-partition jobs group while mapping: one pass
-            groups, map_in, map_out = self._map_and_group(
-                spec, tasks[0] if tasks else ()
-            )
-            groups_by_part = [groups]
+        mapper = spec.mapper
+        groups: dict = {}
+        map_in = 0
+        map_out = 0
+        for records in spec.inputs:
+            for record in records:
+                map_in += 1
+                try:
+                    emitted = mapper(record)
+                except Exception as exc:  # noqa: BLE001 - reported with the record
+                    raise JobError(spec.name, "map", record, exc) from exc
+                for out in emitted:
+                    map_out += 1
+                    key = out[0]
+                    existing = groups.get(key)
+                    if existing is None:
+                        groups[key] = [out[1]]
+                    else:
+                        existing.append(out[1])
+
+        # shuffle: each distinct key goes to one reduce task
+        if partitions == 1:
+            tasks = [groups.items()]
         else:
-            if workers > 1 and len(tasks) > 1:
-                futures = [
-                    self._executor().submit(self._run_map_task, spec, task, partitions)
-                    for task in tasks
-                ]
-                map_results = [f.result() for f in futures]
-            else:
-                map_results = [self._run_map_task(spec, task, partitions) for task in tasks]
+            tasks = [[] for _ in range(partitions)]
+            for item in groups.items():
+                tasks[partition_for(item[0], partitions)].append(item)
 
-            map_in = sum(r[1] for r in map_results)
-            map_out = sum(r[2] for r in map_results)
-
-            # barrier: group per partition, merging task buckets in task order
-            groups_by_part = [dict() for _ in range(partitions)]
-            for buckets, _, _ in map_results:
-                for part, bucket in enumerate(buckets):
-                    groups = groups_by_part[part]
-                    for key, value in bucket:
-                        existing = groups.get(key)
-                        if existing is None:
-                            groups[key] = [value]
-                        elif threshold is not None and len(existing) >= threshold:
-                            if isinstance(existing, _SpilledValues):
-                                existing.append(value)
-                            else:
-                                spill = _SpilledValues(existing, self.config.spill_dir)
-                                spill.append(value)
-                                groups[key] = spill
-                                spilled.append(spill)
-                        else:
-                            existing.append(value)
-            for spill in spilled:
-                spill.finish()
-
-        try:
-            if workers > 1 and partitions > 1:
-                futures = [
-                    self._executor().submit(self._run_reduce_task, spec, groups)
-                    for groups in groups_by_part
-                    if groups
-                ]
-                reduce_results = [f.result() for f in futures]
-            else:
-                reduce_results = [
-                    self._run_reduce_task(spec, groups) for groups in groups_by_part if groups
-                ]
-            output: set = set()
-            reduce_groups = 0
-            reduce_out = 0
-            for out, ngroups, biggest in reduce_results:
-                output.update(out)
-                reduce_groups += ngroups
-                reduce_out += len(out)
-                max_group = max(max_group, biggest)
-        finally:
-            for spill in spilled:
-                spill.cleanup()
+        reducer = spec.reducer
+        reduced: list = []
+        max_group = 0
+        for task in tasks:
+            for key, values in task:
+                if len(values) > max_group:
+                    max_group = len(values)
+                try:
+                    emitted = reducer(key, values)
+                except Exception as exc:  # noqa: BLE001 - reported with the key
+                    raise JobError(spec.name, "reduce", key, exc) from exc
+                if emitted:
+                    reduced.extend(emitted)
+        output = set(reduced)
 
         stats = JobStats(
             name=spec.name,
             map_in=map_in,
             map_out=map_out,
-            reduce_groups=reduce_groups,
-            reduce_out=reduce_out,
+            reduce_groups=len(groups),
+            reduce_out=len(reduced),
             wall_ms=(time.perf_counter() - start) * 1000.0,
             partitions=partitions,
             max_group=max_group,
-            spilled_groups=len(spilled),
             warnings=spec.warnings,
         )
         self.stats_log.append(stats)
         self.jobs_run += 1
         return output, stats
-
-    @staticmethod
-    def _map_tasks(inputs: Sequence[Iterable[Record]], workers: int) -> list:
-        if workers <= 1:
-            return list(inputs)
-        tasks = []
-        for stream in inputs:
-            data = stream if isinstance(stream, (list, tuple)) else list(stream)
-            if len(data) <= 1:
-                tasks.append(data)
-                continue
-            chunk = -(-len(data) // workers)  # ceil division
-            tasks.extend(data[i : i + chunk] for i in range(0, len(data), chunk))
-        return tasks
-
-    @staticmethod
-    def _map_and_group(spec: JobSpec, records: Iterable[Record]):
-        groups: dict = {}
-        n_in = 0
-        n_out = 0
-        for record in records:
-            n_in += 1
-            try:
-                emitted = spec.mapper(record)
-            except Exception as exc:  # noqa: BLE001 - reported with the record
-                raise JobError(spec.name, "map", record, exc) from exc
-            for out in emitted:
-                n_out += 1
-                key = out[0]
-                existing = groups.get(key)
-                if existing is None:
-                    groups[key] = [out[1]]
-                else:
-                    existing.append(out[1])
-        return groups, n_in, n_out
-
-    @staticmethod
-    def _run_map_task(spec: JobSpec, records: Iterable[Record], partitions: int):
-        buckets: list[list] = [[] for _ in range(partitions)]
-        n_in = 0
-        n_out = 0
-        if partitions == 1:
-            bucket = buckets[0]
-            for record in records:
-                n_in += 1
-                try:
-                    emitted = spec.mapper(record)
-                except Exception as exc:  # noqa: BLE001 - reported with the record
-                    raise JobError(spec.name, "map", record, exc) from exc
-                if emitted:
-                    bucket.extend(emitted)
-                    n_out += len(emitted)
-        else:
-            for record in records:
-                n_in += 1
-                try:
-                    emitted = spec.mapper(record)
-                except Exception as exc:  # noqa: BLE001
-                    raise JobError(spec.name, "map", record, exc) from exc
-                for out in emitted:
-                    buckets[partition_for(out[0], partitions)].append(out)
-                    n_out += 1
-        if spec.combiner is not None:
-            for part, bucket in enumerate(buckets):
-                if not bucket:
-                    continue
-                local: dict = {}
-                for key, value in bucket:
-                    local.setdefault(key, []).append(value)
-                combined = []
-                for key, values in local.items():
-                    try:
-                        for value in spec.combiner(key, values):
-                            combined.append((key, value))
-                    except Exception as exc:  # noqa: BLE001
-                        raise JobError(spec.name, "combine", key, exc) from exc
-                buckets[part] = combined
-        return buckets, n_in, n_out
-
-    @staticmethod
-    def _run_reduce_task(spec: JobSpec, groups: dict):
-        out: list = []
-        biggest = 0
-        for key, values in groups.items():
-            size = len(values)
-            if size > biggest:
-                biggest = size
-            try:
-                emitted = spec.reducer(key, values)
-            except Exception as exc:  # noqa: BLE001
-                raise JobError(spec.name, "reduce", key, exc) from exc
-            if emitted:
-                out.extend(emitted)
-        return out, len(groups), biggest
 
     def run_pipeline(
         self,
@@ -478,16 +295,12 @@ def wordcount_job(lines: Iterable[str], partitions: Optional[int] = None) -> Job
     def reducer(key, values) -> list:
         return [(key, sum(values))]
 
-    def combiner(key, values) -> list:
-        return [sum(values)]
-
     return JobSpec(
         name="wordcount",
         mapper=mapper,
         reducer=reducer,
         inputs=[records],
         partitions=partitions,
-        combiner=combiner,
     )
 
 

@@ -3,11 +3,10 @@
 Constants are interned once per solver session into dense integer ids, and
 all relations and operator jobs work on fixed-width tuples of those ids.
 A :class:`Database` groups tuples by predicate. Databases are mutated only
-by the fixpoint driver between jobs; operator jobs see them as read-only
-snapshots, so they are safe to share across workers. :class:`DatabaseView`
-presents several databases as one logical fact set without copying, which
-is how the driver feeds the union of its stored deltas to the negative side
-of anti-joins.
+by the fixpoint driver between jobs; operator jobs only read them.
+:class:`DatabaseView` presents several databases as one logical fact set
+without copying, which is how the driver feeds the union of its stored
+deltas to the negative side of anti-joins.
 """
 from __future__ import annotations
 

@@ -160,19 +160,11 @@ class TestBenchCommand:
 
 
 class TestEngineConfig:
-    def test_spill_dir_comes_from_environment(self, monkeypatch, tmp_path):
-        from wfsmr.cli import SPILL_ENV, _engine_config
+    def test_partitions_default_to_worker_count(self):
+        from wfsmr.cli import _engine_config
 
-        monkeypatch.setenv(SPILL_ENV, str(tmp_path))
-        config = _engine_config(workers=2, partitions=0)
-        assert config.spill_dir == str(tmp_path)
-        assert config.partitions == 2  # defaults to the worker count
-
-    def test_no_spill_dir_without_env(self, monkeypatch):
-        from wfsmr.cli import SPILL_ENV, _engine_config
-
-        monkeypatch.delenv(SPILL_ENV, raising=False)
-        assert _engine_config(workers=1, partitions=3).spill_dir is None
+        assert _engine_config(workers=2, partitions=0).partitions == 2
+        assert _engine_config(workers=1, partitions=3).partitions == 3
 
 
 class TestUsage:

@@ -363,6 +363,16 @@ class TestFactsHandling:
         with pytest.raises(ArityError):
             solve(parse_program(WIN), [Fact("move", (1, 2, 3))])
 
+    def test_external_fact_checked_against_derived_predicate(self):
+        with pytest.raises(ArityError) as err:
+            solve(parse_program(WIN), [Fact("move", (1, 2)), Fact("win", (1, 2))])
+        assert (err.value.predicate, err.value.seen, err.value.expected) == ("win", 2, 1)
+
+    def test_external_facts_of_one_predicate_share_an_arity(self):
+        with pytest.raises(ArityError) as err:
+            solve(parse_program(WIN), [Fact("e", (1,)), Fact("move", (1, 2)), Fact("e", (1, 2))])
+        assert (err.value.predicate, err.value.seen, err.value.expected) == ("e", 2, 1)
+
     def test_predicate_may_be_both_base_and_derived(self):
         text = "p(X) :- e(X), not q(X).\np(9).\n"
         result = solve(parse_program(text), [Fact("e", (1,)), Fact("q", (1,))])

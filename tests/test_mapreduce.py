@@ -99,20 +99,6 @@ class TestRunJob:
         assert err.value.phase == "reduce"
         assert err.value.item == "k"
 
-    def test_combiner_preaggregates(self):
-        seen = []
-
-        def combiner(key, values):
-            seen.append((key, len(values)))
-            return [sum(values)]
-
-        spec = wordcount_job(["a a a b", "a b"])
-        spec.combiner = combiner
-        with Engine() as engine:
-            output, _ = engine.run_job(spec)
-        assert dict(output) == {"a": 4, "b": 2}
-        assert seen  # the hook ran
-
     def test_partitions_must_be_positive(self):
         with pytest.raises(ValueError):
             Engine(EngineConfig(partitions=0))
@@ -142,11 +128,36 @@ class TestDeterminism:
     def test_output_independent_of_partitions_and_workers(self, seed):
         make_spec = self._random_spec(random.Random(seed))
         reference = serial_mapreduce(make_spec())
+        counts = set()
         for workers, partitions in [(1, 1), (1, 2), (1, 7), (4, 1), (4, 7)]:
             with Engine(EngineConfig(workers=workers, partitions=partitions)) as engine:
                 output, stats = engine.run_job(make_spec())
             assert output == reference, (workers, partitions)
             assert stats.partitions == partitions
+            counts.add(
+                (stats.map_in, stats.map_out, stats.reduce_groups, stats.reduce_out,
+                 stats.max_group)
+            )
+        assert len(counts) == 1, counts
+
+    def test_jobs_run_on_the_calling_thread(self):
+        threads = []
+
+        def mapper(record):
+            threads.append(threading.current_thread())
+            return [record]
+
+        def reducer(key, values):
+            threads.append(threading.current_thread())
+            return [(key, sum(values))]
+
+        records = [(i % 11, i) for i in range(60)]
+        spec = JobSpec("where", mapper, reducer, [records[:30], records[30:]])
+        with Engine(EngineConfig(workers=4, partitions=7)) as engine:
+            output, _ = engine.run_job(spec)
+        assert len(output) == 11
+        assert len(threads) == 60 + 11
+        assert set(threads) == {threading.current_thread()}
 
     def test_wordcount_across_configs(self):
         expected = {("Hello", 2), ("world", 1), ("MapReduce", 1)}
@@ -242,28 +253,6 @@ class TestPipeline:
         assert err.value.job == "bad"
 
 
-class TestSpill:
-    def test_groups_spill_to_disk(self, tmp_path):
-        config = EngineConfig(spill_threshold=4, spill_dir=str(tmp_path))
-        records = [("hot", i) for i in range(50)] + [("cold", 1)]
-
-        def reducer(key, values):
-            return [(key, sum(values))]
-
-        with Engine(config) as engine:
-            output, stats = engine.run_job(JobSpec("spill", identity_mapper, reducer, [records]))
-        assert dict(output) == {"hot": sum(range(50)), "cold": 1}
-        assert stats.spilled_groups == 1
-        assert stats.max_group == 50
-        assert list(tmp_path.iterdir()) == []  # spill files cleaned up
-
-    def test_no_spill_below_threshold(self, tmp_path):
-        config = EngineConfig(spill_threshold=100, spill_dir=str(tmp_path))
-        with Engine(config) as engine:
-            _, stats = engine.run_job(wordcount_job(DOCS))
-        assert stats.spilled_groups == 0
-
-
 class TestStats:
     def test_counts_and_lines(self):
         with Engine() as engine:
@@ -275,6 +264,17 @@ class TestStats:
         assert stats.reduce_out == 3
         assert len(lines) == 1
         assert "wordcount" in lines[0] and "groups=3" in lines[0]
+
+    def test_max_group_is_the_largest_reduce_group(self):
+        records = [("hot", i) for i in range(50)] + [("cold", 1)]
+
+        def reducer(key, values):
+            return [(key, sum(values))]
+
+        with Engine() as engine:
+            output, stats = engine.run_job(JobSpec("skew", identity_mapper, reducer, [records]))
+        assert dict(output) == {"hot": sum(range(50)), "cold": 1}
+        assert stats.max_group == 50
 
 
 class TestCollectorPause:
