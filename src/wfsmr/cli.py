@@ -126,6 +126,11 @@ def cmd_solve(args) -> int:
                 print(f"{mode}: {line}")
             for line in engine.stats_lines():
                 print(f"{mode}: job {line}")
+            stats = results[mode].stats
+            print(
+                f"{mode}: peak_facts={stats.peak_facts} peak_live_sets={stats.peak_live_sets} "
+                f"peak_cache_records={stats.peak_cache_records}"
+            )
     primary = results[modes[0]]
     out = Path(args.out)
     _write_atoms(out.with_name(out.name + ".true"), primary.true_facts)

@@ -19,7 +19,10 @@ partitions:
 
 Every least fixpoint round runs the rule set through the MapReduce operator
 pipelines; base facts are injected directly into each round instead of
-running trivial jobs for them. A broken invariant raises
+running trivial jobs for them. Job inputs that read only predicates no rule
+heads are the same in every round and step, so each solve keeps them in
+one :class:`~wfsmr.operators.InputCache`, grouped once and reused, and
+releases it when it returns. A broken invariant raises
 :class:`InvariantError`.
 """
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .mapreduce import Engine, EngineConfig, gc_paused
-from .operators import eval_rule
+from .operators import InputCache, eval_rule
 from .planner import RulePlan, compile_program
 from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
 from .store import Database, DatabaseView, FactSource, SymbolTable
@@ -99,13 +102,14 @@ class SolveStats:
     derived_facts: int = 0
     peak_facts: int = 0
     peak_live_sets: int = 0
+    peak_cache_records: int = 0  # records the solve's InputCache held at the end, its peak
     wall_ms: float = 0.0
 
     def __post_init__(self) -> None:
         self._live: dict[str, Database] = {}
 
-    # Live-set ledger: the named fact sets the driver keeps between jobs.
-    # Verification copies made for debug assertions are never registered.
+    # Live-set ledger: the named fact sets the driver keeps between jobs,
+    # including those kept only for debug checks.
     def register_live(self, name: str, db: Database) -> None:
         self._live[name] = db
         self.snapshot_live()
@@ -144,12 +148,13 @@ def immediate_consequences(
     neg: FactSource,
     base: Database,
     stats: Optional[SolveStats] = None,
+    cache: Optional[InputCache] = None,
 ) -> Database:
     """Heads of rules whose positive body lies in ``pos`` and whose negative
     body misses ``neg``, together with all base facts."""
     out = base.copy()
     for plan in plans:
-        rows = eval_rule(engine, plan, pos, neg)
+        rows = eval_rule(engine, plan, pos, neg, cache=cache)
         if stats is not None:
             stats.derived_facts += len(rows)
         out.add_encoded(plan.head_predicate, plan.head_arity, rows)
@@ -164,6 +169,7 @@ def _delta_consequences(
     delta: Database,
     stats: Optional[SolveStats],
     symbols: SymbolTable,
+    cache: Optional[InputCache],
 ) -> Database:
     """Semi-naive round: only rule instances that touch at least one fact of
     ``delta``. Sound because the accumulated set only grows and ``neg`` is
@@ -176,7 +182,7 @@ def _delta_consequences(
         for index, predicate in enumerate(subgoals):
             if next(delta.tuples(predicate), None) is None:
                 continue
-            rows = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=index)
+            rows = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=index, cache=cache)
             if stats is not None:
                 stats.derived_facts += len(rows)
             out.add_encoded(plan.head_predicate, plan.head_arity, rows)
@@ -212,6 +218,10 @@ class Session:
                 raise ArityError(predicate, arity, known)
         self.plans = compile_program(program)
         self.definite_plans = [p for p in self.plans if not p.anti_joins]
+        # set by solve for the drivers, whose sources hold none or all of
+        # the base facts of a predicate no rule heads; other callers of the
+        # least fixpoints may pass any facts, so they map every input
+        self.cache: Optional[InputCache] = None
         self.empty = Database(self.symbols)
         self.stats = SolveStats(mode=opts.mode)
 
@@ -248,7 +258,9 @@ def least_fixpoint(
     while True:
         inner += 1
         _check_cap(opts, inner, f"least fixpoint {label}")
-        nxt = immediate_consequences(engine, plans, current, neg, session.base, stats)
+        nxt = immediate_consequences(
+            engine, plans, current, neg, session.base, stats, session.cache
+        )
         if nxt.count() == current.count():
             # the chain is increasing, so equal counts mean equal sets
             if opts.debug_checks and not nxt.same_content(current):
@@ -299,10 +311,12 @@ def least_fixpoint_delta(
         accumulated = DatabaseView(*start, result) if start else DatabaseView(result)
         if delta_new is not None:
             derived = _delta_consequences(
-                engine, plans, accumulated, neg, delta_new, stats, session.symbols
+                engine, plans, accumulated, neg, delta_new, stats, session.symbols, session.cache
             )
         else:
-            derived = immediate_consequences(engine, plans, accumulated, neg, session.base, stats)
+            derived = immediate_consequences(
+                engine, plans, accumulated, neg, session.base, stats, session.cache
+            )
         new = derived.difference(accumulated)
         stats.snapshot_live()
         if new.count() == 0:
@@ -368,7 +382,9 @@ def solve_optimized(session: Session) -> FixpointResult:
     if opts.deep_checks:
         _assert_definite_start(session, known)
 
-    previous_u: Optional[Database] = None  # verification copy (debug only)
+    # debug checks keep the previous possible delta (as "U_prev") until the
+    # next one has passed the shrinkage check against it
+    previous: Optional[Database] = None
     i = 0
     while True:
         _check_cap(opts, i + 1, "alternating fixpoint")
@@ -384,13 +400,13 @@ def solve_optimized(session: Session) -> FixpointResult:
         if opts.debug_checks:
             if unknown.difference(known).count() != unknown.count():
                 raise InvariantError("possible delta overlaps the true set")
-            if previous_u is not None:
-                # Lemma-style shrinkage: U_i must be inside U_{i-1}
-                if not (known.issubset(previous_u) and unknown.issubset(previous_u)):
+            if previous is not None:
+                # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true
+                # set is, by the check on the K step before
+                if not unknown.issubset(DatabaseView(known, previous)):
                     raise InvariantError("possible set grew between inference steps")
-            tracked = known.copy()
-            tracked.update(unknown)
-            previous_u = tracked
+                stats.drop_live("U_prev")
+                previous = None
 
         grown = least_fixpoint_delta(
             session,
@@ -409,12 +425,18 @@ def solve_optimized(session: Session) -> FixpointResult:
                 _assert_stable_unknown(session, known, unknown)
             stats.drop_live("K_delta")
             break
+        if opts.debug_checks and not grown.issubset(DatabaseView(known, unknown)):
+            raise InvariantError("true set escaped the possible set")
         # fixpoint not reached: the possible delta is deleted before the
         # next round; new facts replace the prior true set in place
         stats.drop_live("U_delta")
+        if opts.debug_checks:
+            previous = unknown
+            stats.register_live("U_prev", previous)
         known.update(grown)
         stats.drop_live("K_delta")
         stats.snapshot_live()
+        del unknown, grown
 
     undefined = unknown
     stats.drop_live("U_delta")
@@ -515,11 +537,14 @@ def solve(
         engine = Engine(config or EngineConfig())
     started = time.perf_counter()
     session = Session(program, facts, engine, opts)
+    session.cache = InputCache(session.base, (plan.head_predicate for plan in session.plans))
     jobs_before = engine.jobs_run
     if opts.mode == "optimized":
         result = solve_optimized(session)
     else:
         result = solve_naive(session)
+    # nothing leaves the cache, so its size now is its peak
+    result.stats.peak_cache_records = session.cache.records()
     result.stats.jobs_total = engine.jobs_run - jobs_before
     result.stats.wall_ms = (time.perf_counter() - started) * 1000.0
     return result

@@ -9,6 +9,14 @@ routed to one of the job's partitions, and the partitions are reduced in
 turn as the reduce tasks of the job. Keys are routed with a
 platform-independent hash (crc32 over a canonical byte encoding), so runs
 are reproducible everywhere.
+
+A job may also name a :class:`GroupedInput`: inputs that do not change
+between the jobs that read them. The first such job maps and groups them
+like its other inputs and keeps the groups, split by reduce task; later
+jobs map only their other inputs and merge their groups into the kept ones
+key by key as they reduce (the reducer-input cache of HaLoop, Bu et al.,
+VLDB 2010). A job's ``map_in``/``map_out`` count only the records it
+mapped itself.
 """
 from __future__ import annotations
 
@@ -18,10 +26,11 @@ import time
 import zlib
 from contextlib import ContextDecorator
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Record",
+    "GroupedInput",
     "JobSpec",
     "JobStats",
     "JobError",
@@ -41,10 +50,15 @@ Reducer = Callable[[Any, Iterable], list]
 
 
 class _CollectorPause(ContextDecorator):
-    """Pauses the cycle collector (job data and fact sets are acyclic, so it
-    would only add full-heap scans). Overlapping users, nested or on other
-    threads, share one pause: the first to enter saves the collector's
-    state and the last to leave restores it."""
+    """Pauses the cycle collector (job data, parsed facts and fact sets are
+    acyclic, so it would only add full-heap scans). Overlapping users,
+    nested or on other threads, share one pause: the first to enter saves
+    the collector's state and the last to leave restores it. When the pause
+    held back a young-generation collection, the last to leave runs it
+    before it turns the collector back on, so the paused call pays for it
+    rather than the caller's next allocation. Only the young generation is
+    collected there, so a collection of older generations that allocations
+    made before the pause had made due does not land inside the call."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -62,6 +76,8 @@ class _CollectorPause(ContextDecorator):
         with self._lock:
             self._users -= 1
             if self._users == 0 and self._was_enabled:
+                if gc.get_count()[0] > gc.get_threshold()[0]:
+                    gc.collect(0)
                 gc.enable()
 
 
@@ -116,17 +132,38 @@ class JobStats:
     wall_ms: float = 0.0
     partitions: int = 1
     max_group: int = 0
+    cached_groups: int = 0  # reduce groups whose values came from a GroupedInput
     warnings: tuple[str, ...] = ()
 
     def line(self) -> str:
         text = (
             f"{self.name} in={self.map_in} out={self.map_out} "
-            f"groups={self.reduce_groups} reduced={self.reduce_out} "
-            f"ms={self.wall_ms:.1f}"
+            f"groups={self.reduce_groups} cached={self.cached_groups} "
+            f"reduced={self.reduce_out} ms={self.wall_ms:.1f}"
         )
         for note in self.warnings:
             text += f" [{note}]"
         return text
+
+
+class GroupedInput:
+    """Job inputs that are mapped and grouped once and then reused.
+
+    The first job run with it maps ``inputs`` and keeps the groups in
+    ``tasks``: per reduce task, one dict from key to its only value and one
+    from key to a list of two or more values, so a group of one value holds
+    no list. Later jobs reuse them as they are, so every job that names one
+    holder must have the same mapper and partition count; the owner keys
+    its holders by the job they serve.
+    """
+
+    __slots__ = ("inputs", "tasks", "groups", "records")
+
+    def __init__(self, inputs: Sequence[Iterable[Record]]):
+        self.inputs = inputs
+        self.tasks: Optional[list[tuple[dict, dict]]] = None
+        self.groups = 0  # distinct keys held
+        self.records = 0  # values held
 
 
 @dataclass
@@ -135,7 +172,9 @@ class JobSpec:
 
     ``mapper`` takes a record and returns a list of key/value records;
     ``reducer`` takes a key and the list of its values and returns a list of
-    output records. Both must be pure with respect to the job input.
+    output records. Both must be pure with respect to the job input, and the
+    reducer must not modify the values it is given: with ``grouped`` they
+    may be the held values themselves.
     """
 
     name: str
@@ -144,6 +183,7 @@ class JobSpec:
     inputs: Sequence[Iterable[Record]] = ()
     partitions: Optional[int] = None
     warnings: tuple[str, ...] = ()
+    grouped: Optional[GroupedInput] = None
 
 
 @dataclass
@@ -152,6 +192,69 @@ class EngineConfig:
     # partitions from it; jobs run on the calling thread either way.
     workers: int = 1
     partitions: int = 1
+
+
+def _map_and_group(spec: JobSpec, inputs: Iterable[Iterable[Record]], counts: list) -> dict:
+    """Map every record of ``inputs`` and group the emitted values by key;
+    adds the records mapped and the pairs emitted to ``counts``."""
+    mapper = spec.mapper
+    groups: dict = {}
+    map_in = 0
+    map_out = 0
+    for records in inputs:
+        for record in records:
+            map_in += 1
+            try:
+                emitted = mapper(record)
+            except Exception as exc:  # noqa: BLE001 - reported with the record
+                raise JobError(spec.name, "map", record, exc) from exc
+            for out in emitted:
+                map_out += 1
+                key = out[0]
+                existing = groups.get(key)
+                if existing is None:
+                    groups[key] = [out[1]]
+                else:
+                    existing.append(out[1])
+    counts[0] += map_in
+    counts[1] += map_out
+    return groups
+
+
+def _split(groups: dict, partitions: int) -> list[dict]:
+    """The shuffle: each distinct key goes to one reduce task."""
+    if partitions == 1:
+        return [groups]
+    tasks: list[dict] = [{} for _ in range(partitions)]
+    for key, values in groups.items():
+        tasks[partition_for(key, partitions)][key] = values
+    return tasks
+
+
+def _compact(groups: dict) -> tuple[dict, dict]:
+    """Groups split into (key -> its only value, key -> values)."""
+    single: dict = {}
+    multi: dict = {}
+    for key, values in groups.items():
+        if len(values) == 1:
+            single[key] = values[0]
+        else:
+            multi[key] = values
+    return single, multi
+
+
+def _merged(held: tuple[dict, dict], fresh: dict) -> Iterator[tuple[Any, list]]:
+    """The groups of one reduce task: each held group with the fresh values
+    of its key appended (in a list that lives for one reduce call), then the
+    fresh groups of keys not held. Consumes ``fresh``."""
+    single, multi = held
+    for key, value in single.items():
+        more = fresh.pop(key, None)
+        yield key, [value] if more is None else [value, *more]
+    for key, values in multi.items():
+        more = fresh.pop(key, None)
+        yield key, values if more is None else values + more
+    yield from fresh.items()
 
 
 class Engine:
@@ -187,39 +290,33 @@ class Engine:
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
 
-        mapper = spec.mapper
-        groups: dict = {}
-        map_in = 0
-        map_out = 0
-        for records in spec.inputs:
-            for record in records:
-                map_in += 1
-                try:
-                    emitted = mapper(record)
-                except Exception as exc:  # noqa: BLE001 - reported with the record
-                    raise JobError(spec.name, "map", record, exc) from exc
-                for out in emitted:
-                    map_out += 1
-                    key = out[0]
-                    existing = groups.get(key)
-                    if existing is None:
-                        groups[key] = [out[1]]
-                    else:
-                        existing.append(out[1])
-
-        # shuffle: each distinct key goes to one reduce task
-        if partitions == 1:
-            tasks = [groups.items()]
-        else:
-            tasks = [[] for _ in range(partitions)]
-            for item in groups.items():
-                tasks[partition_for(item[0], partitions)].append(item)
+        counts = [0, 0]  # records mapped, key/value pairs emitted
+        held = spec.grouped
+        cached_groups = 0
+        if held is not None:
+            if held.tasks is None:
+                groups = _map_and_group(spec, held.inputs, counts)
+                held.tasks = [_compact(task) for task in _split(groups, partitions)]
+                held.inputs = ()
+                held.groups = len(groups)
+                held.records = counts[1]
+            elif len(held.tasks) != partitions:
+                raise ValueError(
+                    f"job '{spec.name}': grouped input has {len(held.tasks)} reduce tasks, "
+                    f"the job {partitions}"
+                )
+            else:
+                cached_groups = held.groups
+        tasks = _split(_map_and_group(spec, spec.inputs, counts), partitions)
 
         reducer = spec.reducer
         reduced: list = []
+        reduce_groups = 0
         max_group = 0
-        for task in tasks:
-            for key, values in task:
+        for index, fresh in enumerate(tasks):
+            groups = fresh.items() if held is None else _merged(held.tasks[index], fresh)
+            for key, values in groups:
+                reduce_groups += 1
                 if len(values) > max_group:
                     max_group = len(values)
                 try:
@@ -232,13 +329,14 @@ class Engine:
 
         stats = JobStats(
             name=spec.name,
-            map_in=map_in,
-            map_out=map_out,
-            reduce_groups=len(groups),
+            map_in=counts[0],
+            map_out=counts[1],
+            reduce_groups=reduce_groups,
             reduce_out=len(reduced),
             wall_ms=(time.perf_counter() - start) * 1000.0,
             partitions=partitions,
             max_group=max_group,
+            cached_groups=cached_groups,
             warnings=spec.warnings,
         )
         self.stats_log.append(stats)

@@ -4,10 +4,12 @@ join, duplicate elimination, and anti-join, plus whole-rule evaluation.
 Records flowing through operator jobs have the shape ``(tag, cols)``
 where ``tag`` names the record's origin and ``cols`` is an encoded tuple.
 Map functions re-key records by the join or anti-join columns; join reduce
-functions cross-product the two tag groups of a key, anti-join reduce
-functions emit the positive group only when no negative tag is present (the
-whole group is scanned first, so value order never matters), and duplicate
-elimination keys each record by itself and emits it once.
+functions cross-product the two tag groups of a key. Anti-join map
+functions pass positive rows on without their tag and negative ones as the
+bare negative tag, and the reduce functions emit the positive rows of a key
+only when no negative tag is among them (the whole group is scanned first,
+so value order never matters). Duplicate elimination keys each record by
+itself and emits it once.
 
 Rule evaluation chains one job per join over the positive subgoals and one
 per anti-join over the negative subgoals. Job output is a set, so no job
@@ -16,6 +18,15 @@ positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reducer of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, so every
 rule evaluation runs ``max(1, joins + anti-joins)`` jobs.
+
+An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
+the length of one solve: subgoals over predicates that have base facts and
+head no rule, which no job can change. A job whose inputs are all
+invariant runs once per cache and its output is reused, and that output is
+an invariant input of the next job. In a job with other inputs too, the
+invariant inputs are mapped and grouped by the first job that reads them
+and later jobs map only the rest (see :class:`~wfsmr.mapreduce.GroupedInput`).
+So with a warm cache an evaluation runs at most as many jobs as without.
 """
 from __future__ import annotations
 
@@ -23,9 +34,10 @@ from dataclasses import replace
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .mapreduce import Engine, JobSpec, Record
+from .mapreduce import Engine, GroupedInput, JobSpec, Record
 from .planner import RulePlan, SubgoalAccess
-from .store import FactSource
+from .program import InvariantError
+from .store import Database, DatabaseView, FactSource
 
 __all__ = [
     "single_join",
@@ -34,9 +46,11 @@ __all__ = [
     "anti_join",
     "eval_rule",
     "rule_pipeline",
+    "InputCache",
 ]
 
 _NEG = "neg"  # bare tag for negative-side records in an anti-join
+_POS = "pos"  # tag of the rows an anti-join keeps
 
 
 def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tuple]:
@@ -55,6 +69,58 @@ def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tup
 # ---------------------------------------------------------------------------
 # Input streams
 # ---------------------------------------------------------------------------
+
+
+class InputCache:
+    """The loop-invariant job inputs of one solve.
+
+    A predicate is invariant when ``base`` holds facts of it and no rule
+    heads it. Every source the fixpoint drivers pass then holds either none
+    of those facts or all of them: its facts of such a predicate can only
+    be copies of base facts, so it holds all of them when one of its parts
+    holds as many as ``base``. :meth:`holds_base` checks which, and raises
+    :class:`InvariantError` for any other count. When a source holds all of
+    them, the subgoal streams from ``base`` and is an invariant input. So
+    are the unit relation of a rule without positive subgoals and the output
+    of a job whose inputs are all invariant.
+
+    ``outputs`` keeps the output of each rule whose jobs read only
+    invariant inputs, ``grouped`` the grouped invariant inputs of each job
+    with other inputs too, both keyed by rule index, job position and which
+    inputs are invariant. The output of a job with only invariant inputs
+    that feeds another job is not kept: the next job keeps it grouped, or
+    is such a job itself. Nothing is evicted. ``InputCache()`` knows no
+    invariant predicate, so across calls it never hits.
+    """
+
+    def __init__(self, base: Optional[Database] = None, heads: Iterable[str] = ()):
+        self.base = base
+        self.invariant = frozenset(base.predicates() if base is not None else ()).difference(heads)
+        self.outputs: dict[tuple, set] = {}
+        self.grouped: dict[tuple, GroupedInput] = {}
+
+    def holds_base(self, source: FactSource, predicate: str) -> bool:
+        """Whether ``source`` holds every base fact of an invariant
+        ``predicate``; False for a predicate that is not invariant."""
+        if predicate not in self.invariant:
+            return False
+        parts = source.parts if isinstance(source, DatabaseView) else (source,)
+        held = [len(rel) for rel in (part.relation(predicate) for part in parts) if rel]
+        if not held:
+            return False
+        want = len(self.base.relation(predicate))
+        if held != [want]:
+            raise InvariantError(
+                f"a job source holds {held} facts of '{predicate}', which heads no rule "
+                f"and has {want} base facts: expected none or all of them in one part"
+            )
+        return True
+
+    def records(self) -> int:
+        """Records held: kept job outputs plus grouped values."""
+        return sum(map(len, self.outputs.values())) + sum(
+            held.records for held in self.grouped.values()
+        )
 
 
 def _access_stream(
@@ -177,17 +243,15 @@ def _antijoin_spec(
         tag, cols = record
         if tag == _NEG:
             return [(cols, _NEG)]
-        return [(pos_get(cols), record)]
+        return [(pos_get(cols), cols)]  # bare rows: a row is never the marker
 
     def reducer(key, values) -> list:
-        kept = []
         for value in values:
-            if value is _NEG or value == _NEG:
+            if value is _NEG:
                 return []  # a negative match kills the whole group
-            kept.append(value)
         if pick is None:
-            return kept
-        return [(tag, pick(cols)) for tag, cols in kept]
+            return [(_POS, cols) for cols in values]
+        return [(_POS, pick(cols)) for cols in values]
 
     return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs), warnings=warnings)
 
@@ -252,15 +316,20 @@ def rule_pipeline(
     neg: FactSource,
     delta: Optional[FactSource] = None,
     delta_at: Optional[int] = None,
-) -> list[JobSpec]:
+    cache: Optional[InputCache] = None,
+) -> list[tuple[JobSpec, tuple[bool, ...]]]:
     """The jobs of one rule evaluation, the last of which emits head tuples.
 
+    Each job comes with one flag per input, true for the inputs that are
+    invariant under ``cache``. Every job after the first also reads the
+    output of the job before it, which is not among its inputs yet.
     Jobs are named ``r<rule index>:<head predicate>:<kind>``. With
     ``delta``/``delta_at`` the positive subgoal at that index streams from
     the delta source instead of ``pos`` (semi-naive evaluation).
     """
     prefix = f"r{plan.index}:{plan.head_predicate}"
     consts = tuple(pos.symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
+    cache = cache if cache is not None else InputCache()
 
     def head_pick(goal_at: Sequence[int], width: int) -> Callable[[tuple], tuple]:
         """Head projection of rows of ``width`` columns that hold goal column
@@ -269,17 +338,30 @@ def rule_pipeline(
         indices = [goal_at[v] if k == "v" else next(const_at) for k, v in plan.head_cols]
         return _picker(indices, consts)
 
+    def stream(
+        source: FactSource, access: SubgoalAccess, tag: str, cols: Optional[Sequence[int]] = None
+    ) -> tuple[Iterable[Record], bool]:
+        if cache.holds_base(source, access.atom.predicate):
+            return _access_stream(cache.base, access, tag, cols), True
+        return _access_stream(source, access, tag, cols), False
+
     def source_for(index: int) -> FactSource:
         return delta if delta is not None and index == delta_at else pos
 
+    def take() -> tuple[list[Iterable[Record]], tuple[bool, ...]]:
+        """The pending inputs and their flags; leaves none pending."""
+        inputs, fixed = zip(*pending)
+        pending.clear()
+        return list(inputs), fixed
+
     # inputs of the next job besides the output of the job before it
     if plan.base is None:
-        pending: list[Iterable[Record]] = [[("s0", ())]]  # no positive subgoals: unit relation
+        pending = [([("s0", ())], True)]  # no positive subgoals: unit relation
     else:
         cols = plan.base_cols if plan.joins else [plan.base_cols[g] for g in plan.goal_cols]
-        pending = [_access_stream(source_for(0), plan.base, "s0", cols=cols)]
+        pending = [stream(source_for(0), plan.base, "s0", cols=cols)]
 
-    specs: list[JobSpec] = []
+    jobs: list[tuple[JobSpec, tuple[bool, ...]]] = []
     left_tag = "s0"
     left_width = len(plan.base_schema)
     for i, step in enumerate(plan.joins, start=1):
@@ -293,14 +375,13 @@ def rule_pipeline(
             row_width = left_width + len(step.right.var_cols)
             pick = head_pick([flat[g] for g in plan.goal_cols], row_width)
         right_tag = f"r{i}"
-        pending.append(_access_stream(source_for(i), step.right, right_tag))
-        specs.append(
-            _join_spec(
-                f"{prefix}:join{i}", left_tag, right_tag, step.left_key, step.right_key,
-                pick, f"j{i}", pending,
-            )
-        )
-        pending = []
+        pending.append(stream(source_for(i), step.right, right_tag))
+        inputs, fixed = take()
+        jobs.append((
+            _join_spec(f"{prefix}:join{i}", left_tag, right_tag, step.left_key,
+                       step.right_key, pick, f"j{i}", inputs),
+            fixed,
+        ))
         left_tag = f"j{i}"
         left_width = len(flat)
 
@@ -308,13 +389,14 @@ def rule_pipeline(
     identity = range(width)
     for j, step in enumerate(plan.anti_joins, start=1):
         pick = head_pick(identity, width) if j == len(plan.anti_joins) else None
-        pending.append(_access_stream(neg, step.access, _NEG))
-        specs.append(_antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, pending, pick))
-        pending = []
+        pending.append(stream(neg, step.access, _NEG))
+        inputs, fixed = take()
+        jobs.append((_antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, inputs, pick), fixed))
 
-    if not specs:
-        specs.append(_dedup_spec(f"{prefix}:head", head_pick(identity, width), pending))
-    return specs
+    if not jobs:
+        inputs, fixed = take()
+        jobs.append((_dedup_spec(f"{prefix}:head", head_pick(identity, width), inputs), fixed))
+    return jobs
 
 
 def multi_join(engine: Engine, plan: RulePlan, pos: FactSource) -> set[tuple[int, ...]]:
@@ -331,8 +413,49 @@ def eval_rule(
     neg: FactSource,
     delta: Optional[FactSource] = None,
     delta_at: Optional[int] = None,
+    cache: Optional[InputCache] = None,
 ) -> set[tuple[int, ...]]:
     """Head tuples derivable from the rule with positive subgoals matched in
-    ``pos`` and negative subgoals absent from ``neg``."""
-    output, _ = engine.run_pipeline(rule_pipeline(plan, pos, neg, delta, delta_at))
+    ``pos`` and negative subgoals absent from ``neg``.
+
+    ``cache`` keeps the invariant inputs between the calls of one solve;
+    each call without one maps all of its inputs."""
+    cache = cache if cache is not None else InputCache()
+    jobs = rule_pipeline(plan, pos, neg, delta, delta_at, cache)
+    # each job's input flags, the output of the job before it last
+    flags: list[tuple[bool, ...]] = []
+    for position, (_, fixed) in enumerate(jobs):
+        flags.append(fixed + (all(flags[-1]),) if position else fixed)
+
+    # start after the last job whose result is kept, or at the last job that
+    # holds the kept output of the jobs before it
+    first, output = 0, None
+    for position in reversed(range(len(jobs))):
+        if position and not flags[position][-1]:
+            continue  # it reads the fresh output of the job before it
+        key = (plan.index, position, flags[position])
+        if key in cache.outputs:
+            first, output = position + 1, cache.outputs[key]
+            break
+        held = cache.grouped.get(key)
+        if held is not None and held.tasks is not None:
+            first = position
+            break
+
+    for position in range(first, len(jobs)):
+        spec, fixed = jobs[position][0], flags[position]
+        key = (plan.index, position, fixed)
+        inputs = [*spec.inputs, output] if position else list(spec.inputs)
+        if all(fixed):
+            output, _ = engine.run_job(replace(spec, inputs=inputs))
+            if position == len(jobs) - 1:
+                cache.outputs[key] = output
+            continue
+        held = None
+        if any(fixed):
+            held = cache.grouped.get(key)
+            if held is None or held.tasks is None:
+                held = cache.grouped[key] = GroupedInput([s for s, f in zip(inputs, fixed) if f])
+            inputs = [s for s, f in zip(inputs, fixed) if not f]
+        output, _ = engine.run_job(replace(spec, inputs=inputs, grouped=held))
     return {cols for _, cols in output}

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Union
 
+from .mapreduce import gc_paused
+
 __all__ = [
     "Variable",
     "Constant",
@@ -310,8 +312,10 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == "%":
+            start = i
             while i < n and text[i] != "\n":
                 i += 1
+            col += i - start
             continue
         two = text[i : i + 2]
         if two in _ARROWS:
@@ -432,6 +436,7 @@ class _Parser:
         return self.peek().kind == "eof"
 
 
+@gc_paused
 def parse_program(text: str) -> Program:
     """Parse program text into a validated :class:`Program`.
 
@@ -446,6 +451,7 @@ def parse_program(text: str) -> Program:
     return Program(rules)
 
 
+@gc_paused
 def parse_facts(text: str) -> tuple[Fact, ...]:
     """Parse a facts file (one ground atom per statement) into deduplicated Facts.
 

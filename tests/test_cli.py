@@ -72,6 +72,9 @@ class TestSolve:
         text = capsys.readouterr().out
         assert "step=K0" in text
         assert "job " in text
+        # move/2 is read from the cache: its 1 record, grouped once
+        assert "optimized: job r0:win:antijoin1 in=1 out=1 groups=1 cached=0 " in text
+        assert "optimized: peak_facts=" in text and " peak_cache_records=1\n" in text
 
     def test_broken_invariant_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         from wfsmr.store import Database

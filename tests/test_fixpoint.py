@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import threading
 
 import pytest
@@ -20,6 +21,7 @@ from wfsmr.fixpoint import (
 )
 from wfsmr.mapreduce import Engine
 from wfsmr.oracle import ground_afp
+from wfsmr.planner import compile_program
 from wfsmr.program import (
     ArityError,
     Fact,
@@ -282,6 +284,47 @@ class TestStats:
         assert sum(s.new_facts for s in stats.steps) <= stats.derived_facts
         if name == "win-not-win":
             assert stats.steps[0].new_facts == 0  # K0: no rule without negation
+
+    @pytest.mark.parametrize("mode", ["optimized", "naive"])
+    @pytest.mark.parametrize(
+        "name, facts",
+        [("win-not-win", gen_tree(15)), ("win-not-win", gen_cycle(6)), ("tc-neg", gen_chain(9, 3))],
+    )
+    def test_job_names_keep_the_benchmark_kinds(self, mode, name, facts):
+        # the benchmark's per-layer metrics are per job kind: join, antijoin, head
+        program = builtin_program(name)
+        heads = [plan.head_predicate for plan in compile_program(program)]
+        engine = Engine()
+        solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
+        assert engine.stats_log
+        for job in engine.stats_log:
+            match = re.fullmatch(r"r(\d+):(\w+):(join\d+|antijoin\d+|head)", job.name)
+            assert match and heads[int(match[1])] == match[2], job.name
+
+    def test_input_cache_is_reported(self):
+        engine = Engine()
+        stats = solve(builtin_program("tc-neg"), gen_chain(9, 3), engine=engine).stats
+        # b(X,Y) is the only base predicate; the b x b joins of rules 3 and 4
+        # run once, and later jobs read b from the cache
+        assert stats.peak_cache_records > 0
+        assert [job.name for job in engine.stats_log].count("r3:par:join1") == 1
+        assert any(job.cached_groups for job in engine.stats_log)
+
+    @pytest.mark.parametrize("debug_checks", [True, False])
+    def test_previous_possible_set_is_in_the_ledger(self, debug_checks, monkeypatch):
+        registered = []
+        original = fixpoint.SolveStats.register_live
+
+        def spy(stats, name, db):
+            registered.append(name)
+            original(stats, name, db)
+
+        monkeypatch.setattr(fixpoint.SolveStats, "register_live", spy)
+        options = SolveOptions(debug_checks=debug_checks)
+        result = solve(builtin_program("tc-neg"), gen_chain(9, 3), options=options)
+        assert result.stats.inference_steps > 2
+        assert ("U_prev" in registered) is debug_checks
+        assert result.stats.peak_live_sets <= 3
 
 
 class TestCollectorPause:

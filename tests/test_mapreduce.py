@@ -8,6 +8,7 @@ import pytest
 from wfsmr.mapreduce import (
     Engine,
     EngineConfig,
+    GroupedInput,
     JobError,
     JobSpec,
     PipelineError,
@@ -277,6 +278,41 @@ class TestStats:
         assert stats.max_group == 50
 
 
+
+class TestGroupedInput:
+    HELD = [("a", 1), ("b", 2), ("a", 3), ("c", 4)]
+
+    def jobs(self, held, fresh_inputs):
+        return [JobSpec("cached", identity_mapper, collect_reducer, [fresh], grouped=held)
+                for fresh in fresh_inputs]
+
+    @pytest.mark.parametrize("partitions", [1, 7])
+    def test_held_inputs_are_mapped_once(self, partitions):
+        fresh_inputs = [[("a", 5), ("d", 6)], [], [("b", 7), ("b", 8)]]
+        held = GroupedInput([iter(self.HELD)])  # a second read would find it empty
+        with Engine(EngineConfig(partitions=partitions)) as engine:
+            for index, spec in enumerate(self.jobs(held, fresh_inputs)):
+                output, stats = engine.run_job(spec)
+                # equal to one job over all records, held ones included
+                want = serial_mapreduce(JobSpec("all", identity_mapper, collect_reducer,
+                                                [self.HELD, fresh_inputs[index]]))
+                assert output == want
+                assert stats.reduce_groups == len(want)
+                fresh = len(fresh_inputs[index])
+                assert stats.map_in == (len(self.HELD) + fresh if index == 0 else fresh)
+                assert stats.cached_groups == (0 if index == 0 else 3)
+                assert f"cached={stats.cached_groups}" in stats.line()
+        assert (held.groups, held.records) == (3, 4)
+        assert stats.max_group == 3  # "b": held 2, fresh 7 and 8
+
+    def test_partition_count_must_match(self):
+        held = GroupedInput([self.HELD])
+        with Engine(EngineConfig(partitions=2)) as engine:
+            engine.run_job(self.jobs(held, [[]])[0])
+        with Engine(EngineConfig(partitions=3)) as engine, pytest.raises(ValueError):
+            engine.run_job(self.jobs(held, [[]])[0])
+
+
 class TestCollectorPause:
     def test_no_thread_sees_the_collector_on_inside_the_pause(self):
         seen_enabled = []
@@ -301,6 +337,20 @@ class TestCollectorPause:
         assert not any(thread.is_alive() for thread in threads)
         assert not seen_enabled
         assert gc.isenabled()
+
+    def test_the_held_back_young_collection_runs_on_the_way_out(self):
+        # so the paused call, not the caller's next allocation, pays for it
+        from wfsmr.program import parse_facts
+
+        threshold = gc.get_threshold()[0]
+        gc.enable()
+        with gc_paused:
+            kept = [[] for _ in range(2 * threshold)]
+            assert gc.get_count()[0] > threshold
+        assert gc.get_count()[0] < threshold
+        facts = parse_facts("".join(f"p({i}).\n" for i in range(threshold)))
+        assert gc.get_count()[0] < threshold
+        assert (len(kept), len(facts)) == (2 * threshold, threshold)
 
     def test_a_failing_job_restores_the_collector(self):
         def broken_mapper(record):

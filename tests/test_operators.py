@@ -4,11 +4,11 @@ import random
 import pytest
 
 from wfsmr.mapreduce import Engine, EngineConfig
-from wfsmr.operators import anti_join, dedup, eval_rule, multi_join, single_join
+from wfsmr.operators import InputCache, anti_join, dedup, eval_rule, multi_join, single_join
 from wfsmr.planner import compile_rule
 from wfsmr.bench import builtin_program
-from wfsmr.program import Atom, Fact, Literal, Rule, parse_facts, parse_program
-from wfsmr.store import Database, SymbolTable
+from wfsmr.program import Atom, Fact, InvariantError, Literal, Rule, parse_facts, parse_program
+from wfsmr.store import Database, DatabaseView, SymbolTable
 
 from tests.helpers import (
     brute_anti_join,
@@ -316,6 +316,63 @@ class TestRulePipelineShape:
                     _delta_renamed(rule, at), db_atoms(pos) | delta_atoms, db_atoms(neg)
                 )
                 assert decoded(sym, got) == {args for _, args in want}, at
+
+    @pytest.mark.parametrize("name,plan", _shape_cases(), ids=[n for n, _ in _shape_cases()])
+    def test_warm_cache_runs_no_more_jobs(self, name, plan):
+        # every body predicate but the head's is a base predicate here, held
+        # in full by pos, neg and delta, so the cache treats it as invariant
+        rng = random.Random(name)
+        rule = plan.rule
+        preds = {a.predicate: a.arity for a in (rule.head, *(lit.atom for lit in rule.body))}
+        sym = SymbolTable()
+        base, derived, negated, delta = (Database(sym) for _ in range(4))
+        for pred, arity in sorted(preds.items()):
+            for row in itertools.product(range(1, 4), repeat=arity):
+                if pred != plan.head_predicate:
+                    if rng.random() < 0.6:
+                        base.insert(Fact(pred, row))
+                    continue
+                if rng.random() < 0.6:
+                    derived.insert(Fact(pred, row))
+                    if rng.random() < 0.5:
+                        delta.insert(Fact(pred, row))
+                if rng.random() < 0.25:
+                    negated.insert(Fact(pred, row))
+        pos, neg = DatabaseView(base, derived), DatabaseView(base, negated)
+        pos_atoms = db_atoms(base) | db_atoms(derived)
+        neg_atoms = db_atoms(base) | db_atoms(negated)
+        cache = InputCache(base, [plan.head_predicate])
+        want_jobs = max(1, len(plan.joins) + len(plan.anti_joins))
+        cases = [(None, None, rule, pos_atoms)]
+        for at, atom in enumerate(rule.positive()):
+            source = base if atom.predicate != plan.head_predicate else delta
+            delta_atoms = {("delta", args) for p, args in db_atoms(source) if p == atom.predicate}
+            cases.append((source, at, _delta_renamed(rule, at), pos_atoms | delta_atoms))
+        with Engine() as engine:
+            for source, at, renamed, atoms in cases:
+                mapped = []
+                for _ in ("cold", "warm"):
+                    engine.stats_log.clear()
+                    got = eval_rule(engine, plan, pos, neg, delta=source, delta_at=at, cache=cache)
+                    assert len(engine.stats_log) <= want_jobs
+                    want = eval_rule_bruteforce(renamed, atoms, neg_atoms)
+                    assert decoded(sym, got) == {args for _, args in want}, at
+                    mapped.append(sum(s.map_in for s in engine.stats_log))
+                assert mapped[1] <= mapped[0], at
+
+    def test_source_with_some_base_facts_is_an_invariant_error(self):
+        plan = compile_rule(parse_program("p(X) :- e(X), not q(X).\n").rules[0])
+        sym = SymbolTable()
+        base = make_db([Fact("e", (1,)), Fact("e", (2,))], sym)
+        cache = InputCache(base, ["p"])
+        with Engine() as engine:
+            assert decoded(sym, eval_rule(engine, plan, base, Database(sym), cache=cache)) == {
+                (1,), (2,)
+            }
+            with pytest.raises(InvariantError):
+                eval_rule(engine, plan, make_db([Fact("e", (1,))], sym), base, cache=cache)
+            with pytest.raises(InvariantError):
+                eval_rule(engine, plan, DatabaseView(base, base), base, cache=cache)
 
     def test_job_names_carry_rule_index_and_kind(self):
         from wfsmr.planner import compile_program

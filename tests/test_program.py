@@ -226,6 +226,17 @@ class TestParseFactsAgainstTokenParser:
         assert (getattr(err.value, "line", None), getattr(err.value, "col", None)) == (line, col)
         assert str(err.value).endswith(message)
 
+    @pytest.mark.parametrize("parse", [parse_facts, parse_program])
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [("p(1) % c", 1, 9), ("p(1)      ", 1, 11), ("q(2).\np(1) %c %d", 2, 11)],
+    )
+    def test_error_at_the_end_after_a_comment(self, parse, text, line, col):
+        # a comment advances the column like any other characters
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_token_parser_never_supplies_the_facts(self, monkeypatch):
         monkeypatch.setattr(program_mod, "_FACT_RE", re.compile(r"(?!)()()"))
         with pytest.raises(InvariantError):
