@@ -2,8 +2,7 @@
 
 Subcommands: ``check`` validates a program (optionally dumping compiled
 plans), ``solve`` writes the true/undefined atom files, ``generate`` writes
-benchmark fact files, ``bench`` runs the timing harness, and ``wordcount``
-runs the engine smoke test.
+benchmark fact files, and ``wordcount`` runs the engine smoke test.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
 """
@@ -26,7 +25,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_WORKERS_HELP = "accepted, but jobs run on one thread whatever the value; default for --partitions"
+_PARTITIONS_HELP = "reduce tasks per job (default: 1)"
 
 
 class _UsageError(Exception):
@@ -36,6 +35,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); remap to 1
         raise _UsageError(message)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -51,8 +57,7 @@ def _build_parser() -> _Parser:
     solve_cmd.add_argument("--facts", action="append", default=[])
     solve_cmd.add_argument("--out", required=True, help="output path prefix")
     solve_cmd.add_argument("--mode", choices=["naive", "optimized", "both"], default="optimized")
-    solve_cmd.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    solve_cmd.add_argument("--partitions", type=int, default=0, help="default: workers")
+    solve_cmd.add_argument("--partitions", type=_positive, default=1, help=_PARTITIONS_HELP)
     solve_cmd.add_argument("--trace", action="store_true", help="print per-step trace lines")
 
     gen = sub.add_parser("generate", help="write a benchmark facts file")
@@ -61,29 +66,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--k", type=int, default=0, help="chain stride")
     gen.add_argument("--out", required=True)
 
-    bench = sub.add_parser("bench", help="run the timing harness")
-    bench.add_argument("--test", choices=sorted(bench_mod._TESTS), required=True)
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--k", type=int, default=0)
-    bench.add_argument("--mode", choices=["naive", "optimized"], default="optimized")
-    bench.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    bench.add_argument("--partitions", type=int, default=0, help="default: workers")
-    bench.add_argument("--reps", type=int, default=1)
-    bench.add_argument("--csv", required=True)
-    bench.add_argument("--summary", action="store_true", help="print aggregated means")
-
     wc = sub.add_parser("wordcount", help="word-frequency smoke test")
     wc.add_argument("files", nargs="+")
-    wc.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    wc.add_argument("--partitions", type=int, default=0, help="default: workers")
+    wc.add_argument("--partitions", type=_positive, default=1, help=_PARTITIONS_HELP)
     return parser
-
-
-def _engine_config(workers: int, partitions: int) -> EngineConfig:
-    return EngineConfig(
-        workers=workers,
-        partitions=partitions if partitions > 0 else workers,
-    )
 
 
 def _load_program(path: str) -> Program:
@@ -115,7 +101,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     program = _load_program(args.program)
     facts = _load_facts(args.facts)
-    config = _engine_config(args.workers, args.partitions)
+    config = EngineConfig(partitions=args.partitions)
     modes = ["optimized", "naive"] if args.mode == "both" else [args.mode]
     results = {}
     for mode in modes:
@@ -162,33 +148,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    config = bench_mod.BenchConfig(
-        test=args.test,
-        n=args.n,
-        k=args.k,
-        mode=args.mode,
-        workers=args.workers,
-        partitions=args.partitions if args.partitions > 0 else args.workers,
-        reps=args.reps,
-    )
-    rows = bench_mod.run_bench(config, csv_path=args.csv)
-    for row in rows:
-        print(
-            f"{row.test} n={row.n} k={row.k} {row.mode} rep={row.rep}: "
-            f"{row.wall_ms:.1f} ms, steps={row.steps}, jobs={row.jobs}, "
-            f"true={row.true_count}, undefined={row.undefined_count}"
-        )
-    if args.summary:
-        print(bench_mod.summarize(args.csv), end="")
-    return EXIT_OK
-
-
 def cmd_wordcount(args) -> int:
     lines: list[str] = []
     for path in args.files:
         lines.extend(Path(path).read_text(encoding="utf-8").splitlines())
-    counts = wordcount(Engine(_engine_config(args.workers, args.partitions)), lines)
+    counts = wordcount(Engine(EngineConfig(partitions=args.partitions)), lines)
     for word in sorted(counts):
         print(f"{word}\t{counts[word]}")
     return EXIT_OK
@@ -198,7 +162,6 @@ _COMMANDS = {
     "check": cmd_check,
     "solve": cmd_solve,
     "generate": cmd_generate,
-    "bench": cmd_bench,
     "wordcount": cmd_wordcount,
 }
 

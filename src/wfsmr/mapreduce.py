@@ -3,12 +3,12 @@
 A job applies a user map function to every input record, groups the emitted
 key/value pairs by key, and calls the user reduce function exactly once per
 distinct key. The output is the set of records emitted by all reduce calls,
-so it is independent of worker and partition counts. Jobs run serially on
-the calling thread: one loop maps and groups, then each distinct key is
-routed to one of the job's partitions, and the partitions are reduced in
-turn as the reduce tasks of the job. Keys are routed with a
-platform-independent hash (crc32 over a canonical byte encoding), so runs
-are reproducible everywhere.
+so it is independent of the partition count. Jobs run serially on the
+calling thread: one loop maps and groups, then each distinct key is routed
+to one of the engine's partitions by ``hash(key) % partitions``, and the
+partitions are reduced in turn as the reduce tasks of the job. String
+hashes are salted per process, so the routing, and with it the order of
+the reduce calls, may differ between runs; the output set does not.
 
 A job may also name a :class:`GroupedInput`: inputs that do not change
 between the jobs that read them. The first such job maps and groups them
@@ -23,9 +23,8 @@ from __future__ import annotations
 import gc
 import threading
 import time
-import zlib
 from contextlib import ContextDecorator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -34,11 +33,8 @@ __all__ = [
     "JobSpec",
     "JobStats",
     "JobError",
-    "PipelineError",
     "EngineConfig",
     "Engine",
-    "encode_key",
-    "partition_for",
     "wordcount_job",
     "wordcount",
     "gc_paused",
@@ -93,33 +89,6 @@ class JobError(RuntimeError):
         self.phase = phase
         self.item = item
         self.cause = cause
-
-
-class PipelineError(RuntimeError):
-    def __init__(self, stage: int, job: str, cause: BaseException):
-        super().__init__(f"pipeline stage {stage} (job '{job}') failed: {cause}")
-        self.stage = stage
-        self.job = job
-        self.cause = cause
-
-
-def encode_key(key: Any) -> bytes:
-    """Canonical byte encoding for shuffle keys (ints, strings, tuples, None)."""
-    if isinstance(key, int):
-        return b"i%d" % key
-    if isinstance(key, str):
-        return b"s" + key.encode("utf-8")
-    if isinstance(key, tuple):
-        return b"(" + b",".join(encode_key(k) for k in key) + b")"
-    if key is None:
-        return b"n"
-    if isinstance(key, bytes):
-        return b"b" + key
-    raise TypeError(f"unsupported key type: {type(key).__name__}")
-
-
-def partition_for(key: Any, partitions: int) -> int:
-    return zlib.crc32(encode_key(key)) % partitions
 
 
 @dataclass
@@ -181,15 +150,15 @@ class JobSpec:
     mapper: Mapper
     reducer: Reducer
     inputs: Sequence[Iterable[Record]] = ()
-    partitions: Optional[int] = None
     warnings: tuple[str, ...] = ()
     grouped: Optional[GroupedInput] = None
 
 
 @dataclass
 class EngineConfig:
-    # ``workers`` is validated and kept for callers that size their
-    # partitions from it; jobs run on the calling thread either way.
+    # ``workers`` is validated but changes nothing: jobs run on the calling
+    # thread. It stays only because the benchmark (perfbench/sample.py)
+    # passes it; removing it waits for the next change to the benchmark.
     workers: int = 1
     partitions: int = 1
 
@@ -222,12 +191,13 @@ def _map_and_group(spec: JobSpec, inputs: Iterable[Iterable[Record]], counts: li
 
 
 def _split(groups: dict, partitions: int) -> list[dict]:
-    """The shuffle: each distinct key goes to one reduce task."""
+    """The shuffle: each distinct key goes to one reduce task. Held and
+    fresh groups of a job are split in the same process, so equal keys meet."""
     if partitions == 1:
         return [groups]
     tasks: list[dict] = [{} for _ in range(partitions)]
     for key, values in groups.items():
-        tasks[partition_for(key, partitions)][key] = values
+        tasks[hash(key) % partitions][key] = values
     return tasks
 
 
@@ -286,10 +256,7 @@ class Engine:
     def run_job(self, spec: JobSpec) -> tuple[set, JobStats]:
         """Run one job; returns (output record set, stats)."""
         start = time.perf_counter()
-        partitions = spec.partitions if spec.partitions is not None else self.config.partitions
-        if partitions < 1:
-            raise ValueError("partitions must be >= 1")
-
+        partitions = self.config.partitions
         counts = [0, 0]  # records mapped, key/value pairs emitted
         held = spec.grouped
         cached_groups = 0
@@ -303,7 +270,7 @@ class Engine:
             elif len(held.tasks) != partitions:
                 raise ValueError(
                     f"job '{spec.name}': grouped input has {len(held.tasks)} reduce tasks, "
-                    f"the job {partitions}"
+                    f"the engine {partitions}"
                 )
             else:
                 cached_groups = held.groups
@@ -343,33 +310,6 @@ class Engine:
         self.jobs_run += 1
         return output, stats
 
-    def run_pipeline(
-        self,
-        specs: Sequence[JobSpec],
-        inputs: Optional[Iterable[Record]] = None,
-    ) -> tuple[set, list[JobStats]]:
-        """Run jobs left to right, feeding each stage's output record set to
-        the next stage alongside the stage's own declared inputs.
-
-        With no stages the seed input is returned unchanged (as a set).
-        """
-        stats: list[JobStats] = []
-        current: Optional[Iterable[Record]] = inputs
-        if not specs:
-            return set(current) if current is not None else set(), stats
-        result: set = set()
-        for index, spec in enumerate(specs):
-            job_inputs = list(spec.inputs)
-            if current is not None:
-                job_inputs.append(current)
-            try:
-                result, job_stats = self.run_job(replace(spec, inputs=job_inputs))
-            except JobError as exc:
-                raise PipelineError(index, spec.name, exc) from exc
-            stats.append(job_stats)
-            current = result
-        return result, stats
-
     def stats_lines(self) -> list[str]:
         return [stats.line() for stats in self.stats_log]
 
@@ -383,7 +323,7 @@ import re as _re
 _WORD_RE = _re.compile(r"[A-Za-z0-9_]+")
 
 
-def wordcount_job(lines: Iterable[str], partitions: Optional[int] = None) -> JobSpec:
+def wordcount_job(lines: Iterable[str]) -> JobSpec:
     """Word-frequency job over text lines: the canonical engine smoke test."""
     records = [(i, line) for i, line in enumerate(lines)]
 
@@ -398,7 +338,6 @@ def wordcount_job(lines: Iterable[str], partitions: Optional[int] = None) -> Job
         mapper=mapper,
         reducer=reducer,
         inputs=[records],
-        partitions=partitions,
     )
 
 

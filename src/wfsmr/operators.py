@@ -233,17 +233,24 @@ def _antijoin_spec(
     pos_key: Sequence[int],
     inputs: Sequence[Iterable[Record]],
     pick: Optional[Callable[[tuple], tuple]] = None,
+    width: Optional[int] = None,
 ) -> JobSpec:
     """Anti-join job; surviving positive rows are mapped through ``pick``
-    when given."""
+    when given. When ``pos_key`` covers all ``width`` columns of the positive
+    rows, each row is its own key and no key tuple is built."""
     pos_get = _picker(pos_key)
     warnings = ("empty anti-join key: ground negative subgoal",) if not pos_key else ()
 
-    def mapper(record: Record) -> list:
-        tag, cols = record
-        if tag == _NEG:
-            return [(cols, _NEG)]
-        return [(pos_get(cols), cols)]  # bare rows: a row is never the marker
+    if width and tuple(pos_key) == tuple(range(width)):
+        def mapper(record: Record) -> list:
+            tag, cols = record
+            return [(cols, _NEG if tag == _NEG else cols)]
+    else:
+        def mapper(record: Record) -> list:
+            tag, cols = record
+            if tag == _NEG:
+                return [(cols, _NEG)]
+            return [(pos_get(cols), cols)]  # bare rows: a row is never the marker
 
     def reducer(key, values) -> list:
         for value in values:
@@ -391,7 +398,8 @@ def rule_pipeline(
         pick = head_pick(identity, width) if j == len(plan.anti_joins) else None
         pending.append(stream(neg, step.access, _NEG))
         inputs, fixed = take()
-        jobs.append((_antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, inputs, pick), fixed))
+        spec = _antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, inputs, pick, width)
+        jobs.append((spec, fixed))
 
     if not jobs:
         inputs, fixed = take()

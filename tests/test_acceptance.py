@@ -19,7 +19,7 @@ from wfsmr.store import SymbolTable
 
 from tests.helpers import decoded, make_db, random_program, result_atoms
 
-WORKER_CONFIGS = [(1, 1), (4, 4), (4, 7)]
+PARTITIONS = [1, 4, 7]
 
 
 @contextlib.contextmanager
@@ -125,11 +125,11 @@ def test_criterion_5_transitive_closure_with_negation():
             ), (n, k, optimized.stats.derived_facts, naive.stats.derived_facts)
 
 
-def _solve_outputs(tmp_path, tag, program_text, facts_text, workers, partitions):
+def _solve_outputs(tmp_path, tag, program_text, facts_text, partitions):
     program = tmp_path / f"{tag}.lp"
     program.write_text(program_text, encoding="utf-8")
     args = ["solve", "--program", str(program), "--out", str(tmp_path / tag),
-            "--workers", str(workers), "--partitions", str(partitions)]
+            "--partitions", str(partitions)]
     if facts_text is not None:
         facts = tmp_path / f"{tag}.facts"
         facts.write_text(facts_text, encoding="utf-8")
@@ -162,8 +162,8 @@ def test_criterion_6_determinism_and_partition_independence(tmp_path):
             cases.append((f"rand{i}", random_program(rng).pretty(), None))
         for tag, program_text, facts_text in cases:
             outputs = [
-                _solve_outputs(tmp_path, f"{tag}-{w}x{p}", program_text, facts_text, w, p)
-                for w, p in WORKER_CONFIGS
+                _solve_outputs(tmp_path, f"{tag}-{p}", program_text, facts_text, p)
+                for p in PARTITIONS
             ]
             assert outputs[0] == outputs[1] == outputs[2], tag
 

@@ -1,18 +1,6 @@
-import csv
-
 import pytest
 
-from wfsmr.bench import (
-    BenchConfig,
-    CSV_HEADER,
-    builtin_program,
-    chain_levels,
-    gen_chain,
-    gen_cycle,
-    gen_tree,
-    run_bench,
-    summarize,
-)
+from wfsmr.bench import builtin_program, chain_levels, gen_chain, gen_cycle, gen_tree
 from wfsmr.program import Fact
 
 
@@ -95,46 +83,6 @@ class TestBuiltinPrograms:
             builtin_program("frobnicate")
 
 
-class TestRunBench:
-    def test_cycle_row_counts(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        rows = run_bench(BenchConfig(test="win-cycle", n=64), str(csv_path))
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.true_count == 64  # the move facts
-        assert row.undefined_count == 64  # every win atom
-        assert row.wall_ms > 0 and row.jobs > 0 and row.steps >= 1
-
-    def test_tree_has_no_undefined_atoms(self, tmp_path):
-        rows = run_bench(BenchConfig(test="win-tree", n=15), str(tmp_path / "b.csv"))
-        assert rows[0].undefined_count == 0
-        assert rows[0].true_count > 2 * 15  # moves plus some win atoms
-
-    def test_chain_naive_vs_optimized(self):
-        # three joins in the initial chain: optimized must rederive less
-        base = dict(test="tc-chain", n=16, k=4)
-        naive = run_bench(BenchConfig(mode="naive", **base))[0]
-        optimized = run_bench(BenchConfig(mode="optimized", **base))[0]
-        assert (naive.true_count, naive.undefined_count) == (
-            optimized.true_count,
-            optimized.undefined_count,
-        )
-
-    def test_repetitions_append_rows(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        run_bench(BenchConfig(test="win-cycle", n=8, reps=2), str(csv_path))
-        run_bench(BenchConfig(test="win-cycle", n=8, mode="naive"), str(csv_path))
-        with csv_path.open() as handle:
-            records = list(csv.reader(handle))
-        assert records[0] == CSV_HEADER
-        assert len(records) == 4  # header + 2 reps + 1 naive
-        assert [r[6] for r in records[1:3]] == ["0", "1"]
-
-    def test_unknown_test_rejected(self):
-        with pytest.raises(ValueError):
-            run_bench(BenchConfig(test="nope", n=4))
-
-
 class TestChainGrowth:
     def test_steps_and_output_grow_polynomially_with_levels(self):
         from wfsmr.fixpoint import solve
@@ -154,13 +102,3 @@ class TestChainGrowth:
         r2 = closure_sizes[2] / closure_sizes[1]
         assert r1 > 2 and r2 > 2  # superlinear in the level count
         assert r2 < r1**2  # consecutive ratios stay polynomial, not exponential
-
-
-class TestSummarize:
-    def test_gnuplot_friendly_output(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        run_bench(BenchConfig(test="win-cycle", n=8, reps=2), str(csv_path))
-        text = summarize(str(csv_path))
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1].startswith("win-cycle 8 0 optimized 2 ")

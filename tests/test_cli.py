@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import wfsmr
+from wfsmr.bench import TC_NEG, gen_chain
 from wfsmr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from wfsmr.program import facts_to_text
 
 SECTION3_PROGRAM = "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).\n"
 SECTION3_FACTS = "a(1,2).\na(1,3).\nb(2,4).\nb(3,5).\nc(1,2).\nd(2,3).\n"
@@ -149,27 +155,6 @@ class TestWordcount:
         assert capsys.readouterr().out == "ho\t5\n"
 
 
-class TestBenchCommand:
-    def test_bench_appends_csv_and_summarizes(self, tmp_path, capsys):
-        csv_path = str(tmp_path / "bench.csv")
-        code = main(
-            ["bench", "--test", "win-cycle", "--n", "16", "--csv", csv_path, "--summary"]
-        )
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "win-cycle n=16" in out
-        assert "# test n k mode runs mean_wall_ms" in out
-        assert Path(csv_path).exists()
-
-
-class TestEngineConfig:
-    def test_partitions_default_to_worker_count(self):
-        from wfsmr.cli import _engine_config
-
-        assert _engine_config(workers=2, partitions=0).partitions == 2
-        assert _engine_config(workers=1, partitions=3).partitions == 3
-
-
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == EXIT_USAGE
@@ -182,7 +167,7 @@ class TestUsage:
         program = write(tmp_path, "win.lp", WIN)
         facts = write(tmp_path, "m.facts", "".join(f"move({i},{i + 1}).\n" for i in range(1, 40)))
         outputs = []
-        for i, (workers, partitions) in enumerate([(1, 1), (4, 4), (4, 7)]):
+        for i, partitions in enumerate([1, 4, 7]):
             out = str(tmp_path / f"r{i}")
             code = main(
                 [
@@ -193,8 +178,6 @@ class TestUsage:
                     facts,
                     "--out",
                     out,
-                    "--workers",
-                    str(workers),
                     "--partitions",
                     str(partitions),
                 ]
@@ -204,3 +187,34 @@ class TestUsage:
                 (Path(out + ".true").read_bytes(), Path(out + ".undef").read_bytes())
             )
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_partitions_must_be_positive(self, tmp_path, capsys):
+        program = write(tmp_path, "win.lp", WIN)
+        docs = write(tmp_path, "docs.txt", "ho ho\n")
+        out = str(tmp_path / "r")
+        for value in ("-3", "0", "two"):
+            for argv in (["solve", "--program", program, "--out", out], ["wordcount", docs]):
+                assert main(argv + ["--partitions", value]) == EXIT_USAGE, (argv[0], value)
+                assert "argument --partitions" in capsys.readouterr().err
+        assert not Path(out + ".true").exists()
+
+    def test_routing_does_not_leak_into_results_across_processes(self, tmp_path):
+        # keys route by hash(key), and the str tags in keys hash differently
+        # under each PYTHONHASHSEED, so the two runs reduce in different
+        # orders; their files must still be byte-identical
+        program = write(tmp_path, "tc.lp", TC_NEG)
+        facts = write(tmp_path, "chain.facts", facts_to_text(gen_chain(500, 100)))
+        src = str(Path(wfsmr.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            out = str(tmp_path / f"r{seed}")
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run(
+                [sys.executable, "-m", "wfsmr.cli", "solve", "--program", program,
+                 "--facts", facts, "--out", out, "--partitions", "7"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append((Path(out + ".true").read_bytes(), Path(out + ".undef").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") > 500  # the chain and its closure

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from wfsmr.mapreduce import Engine, EngineConfig
-from wfsmr.operators import InputCache, anti_join, dedup, eval_rule, multi_join, single_join
+from wfsmr.operators import (
+    InputCache, anti_join, dedup, eval_rule, multi_join, rule_pipeline, single_join,
+)
 from wfsmr.planner import compile_rule
 from wfsmr.bench import builtin_program
 from wfsmr.program import Atom, Fact, InvariantError, Literal, Rule, parse_facts, parse_program
@@ -393,6 +395,18 @@ class TestRulePipelineShape:
             "r4:q:join1",
             "r4:q:antijoin1",
         ]
+
+
+    def test_whole_row_antijoin_keys_each_row_by_itself(self):
+        sym = SymbolTable()
+        row = (1, 2)
+        for text, key_is_row in (("p(X,Y) :- b(X,Y), not q(X,Y).", True),
+                                 ("p(X,Y) :- b(X,Y), not q(Y).", False)):
+            plan = compile_rule(parse_program(text + "\n").rules[0])
+            [(spec, _)] = rule_pipeline(plan, Database(sym), Database(sym))
+            [(key, value)] = spec.mapper(("s0", row))
+            assert value is row and (key is row) == key_is_row, text
+            assert key == (row if key_is_row else (2,))
 
 
 class TestPartitionIndependence:
