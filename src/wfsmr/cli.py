@@ -62,8 +62,8 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="write a benchmark facts file")
     gen.add_argument("--dist", choices=["cycle", "tree", "chain"], required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--k", type=int, default=0, help="chain stride")
+    gen.add_argument("--n", type=_positive, required=True)
+    gen.add_argument("--k", type=int, help="chain stride, 1 <= k < n (chain only)")
     gen.add_argument("--out", required=True)
 
     wc = sub.add_parser("wordcount", help="word-frequency smoke test")
@@ -170,6 +170,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "generate" and args.dist == "chain" and not 1 <= (args.k or 0) < args.n:
+            parser.error(f"--dist chain needs --k with 1 <= k < n, got k={args.k} n={args.n}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,15 +18,18 @@ partitions:
   subgoal reading only those facts.
 
 Every least fixpoint round runs the rule set through the MapReduce operator
-pipelines; base facts are injected directly into each round instead of
-running trivial jobs for them. Job inputs that read only predicates no rule
-heads are the same in every round and step, so each solve keeps them in
-one :class:`~wfsmr.operators.InputCache`, grouped once and reused, and
-releases it when it returns. A broken invariant raises
-:class:`InvariantError`.
+pipelines. The base facts are one fixed, read-only part of every source a
+round reads, positive and negative, and are never copied into a derived
+set: every stored set holds rule output only, and :func:`solve` adds the
+base facts to the true set once, when it returns. Job inputs that read only
+predicates with base facts and no rule are the same in every round and
+step, so each solve keeps them in one :class:`~wfsmr.operators.InputCache`,
+grouped once and reused, and releases it when it returns. A broken
+invariant raises :class:`InvariantError`.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import time
 from dataclasses import dataclass, field
@@ -79,9 +82,9 @@ class SolveOptions:
 @dataclass
 class StepStat:
     label: str  # K0, U0, K1, ...
-    k_size: int = 0
+    k_size: int = 0  # the whole true set, base facts included
     u_extra: int = 0
-    new_facts: int = 0  # facts the step's rules inferred beyond the base facts
+    new_facts: int = 0  # facts the step's rules added to its stored set
     inner_iterations: int = 0
     jobs: int = 0
 
@@ -100,9 +103,10 @@ class SolveStats:
     steps: list[StepStat] = field(default_factory=list)
     jobs_total: int = 0
     derived_facts: int = 0
-    peak_facts: int = 0
+    peak_facts: int = 0  # base facts counted once, plus the live sets
     peak_live_sets: int = 0
     peak_cache_records: int = 0  # records the solve's InputCache held at the end, its peak
+    base_facts: int = 0  # the fixed part of every source, not a live set
     wall_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -120,7 +124,7 @@ class SolveStats:
     def snapshot_live(self) -> None:
         if len(self._live) > self.peak_live_sets:
             self.peak_live_sets = len(self._live)
-        total = sum(db.count() for db in self._live.values())
+        total = self.base_facts + sum(db.count() for db in self._live.values())
         if total > self.peak_facts:
             self.peak_facts = total
 
@@ -146,43 +150,28 @@ def immediate_consequences(
     plans: Sequence[RulePlan],
     pos: FactSource,
     neg: FactSource,
-    base: Database,
     stats: Optional[SolveStats] = None,
     cache: Optional[InputCache] = None,
+    delta: Optional[Database] = None,
 ) -> Database:
     """Heads of rules whose positive body lies in ``pos`` and whose negative
-    body misses ``neg``, together with all base facts."""
-    out = base.copy()
-    for plan in plans:
-        rows = eval_rule(engine, plan, pos, neg, cache=cache)
-        if stats is not None:
-            stats.derived_facts += len(rows)
-        out.add_encoded(plan.head_predicate, plan.head_arity, rows)
-    return out
+    body misses ``neg``.
 
-
-def _delta_consequences(
-    engine: Engine,
-    plans: Sequence[RulePlan],
-    pos: FactSource,
-    neg: FactSource,
-    delta: Database,
-    stats: Optional[SolveStats],
-    symbols: SymbolTable,
-    cache: Optional[InputCache],
-) -> Database:
-    """Semi-naive round: only rule instances that touch at least one fact of
-    ``delta``. Sound because the accumulated set only grows and ``neg`` is
-    fixed during a least-fixpoint computation."""
-    out = Database(symbols)
+    With ``delta``, a semi-naive round: only the rule instances that match a
+    fact of ``delta`` in some positive subgoal, one evaluation per subgoal
+    whose predicate ``delta`` holds. Sound because the accumulated set only
+    grows and ``neg`` is fixed during a least-fixpoint computation."""
+    out = Database(pos.symbols)
     for plan in plans:
-        if plan.base is None:
+        if delta is None:
+            positions: Sequence[Optional[int]] = (None,)
+        elif plan.base is None:
             continue  # no positive dependencies: fired in the full first round
-        subgoals = [plan.base.atom.predicate] + [s.right.atom.predicate for s in plan.joins]
-        for index, predicate in enumerate(subgoals):
-            if next(delta.tuples(predicate), None) is None:
-                continue
-            rows = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=index, cache=cache)
+        else:
+            subgoals = [plan.base.atom.predicate] + [s.right.atom.predicate for s in plan.joins]
+            positions = [i for i, p in enumerate(subgoals) if delta.relation(p)]
+        for at in positions:
+            rows = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=at, cache=cache)
             if stats is not None:
                 stats.derived_facts += len(rows)
             out.add_encoded(plan.head_predicate, plan.head_arity, rows)
@@ -218,12 +207,13 @@ class Session:
                 raise ArityError(predicate, arity, known)
         self.plans = compile_program(program)
         self.definite_plans = [p for p in self.plans if not p.anti_joins]
-        # set by solve for the drivers, whose sources hold none or all of
-        # the base facts of a predicate no rule heads; other callers of the
-        # least fixpoints may pass any facts, so they map every input
+        # set by solve for the drivers, whose sets hold rule output only, so
+        # a predicate with base facts and no rule has no facts but the base
+        # ones in their sources; other callers of the least fixpoints may
+        # pass any facts, so they map every input
         self.cache: Optional[InputCache] = None
         self.empty = Database(self.symbols)
-        self.stats = SolveStats(mode=opts.mode)
+        self.stats = SolveStats(mode=opts.mode, base_facts=self.base.count())
 
     def empty_view(self) -> DatabaseView:
         return DatabaseView(self.empty)
@@ -249,9 +239,11 @@ def least_fixpoint(
     label: str,
     live_as: str,
 ) -> Database:
-    """lfp of the consequence operator from the empty set (naive driver)."""
+    """lfp of the consequence operator from the empty set (naive driver),
+    without the base facts, which every round reads from ``session.base``."""
     engine, opts, stats = session.engine, session.opts, session.stats
     jobs_before = engine.jobs_run
+    neg = DatabaseView(session.base, neg)
     current = Database(session.symbols)
     stats.register_live(live_as, current)
     inner = 0
@@ -259,8 +251,8 @@ def least_fixpoint(
         inner += 1
         _check_cap(opts, inner, f"least fixpoint {label}")
         nxt = immediate_consequences(
-            engine, plans, current, neg, session.base, stats, session.cache
-        )
+            engine, plans, DatabaseView(session.base, current), neg, stats, session.cache
+        ).difference(session.base)  # rules may derive base facts again
         if nxt.count() == current.count():
             # the chain is increasing, so equal counts mean equal sets
             if opts.debug_checks and not nxt.same_content(current):
@@ -274,7 +266,7 @@ def least_fixpoint(
     stats.steps.append(
         StepStat(
             label=label,
-            new_facts=current.count() - session.base.count(),
+            new_facts=current.count(),
             inner_iterations=inner,
             jobs=engine.jobs_run - jobs_before,
         )
@@ -289,34 +281,28 @@ def least_fixpoint_delta(
     neg: FactSource,
     label: str,
     live_as: str,
-    track: bool = True,
 ) -> Database:
     """Delta least fixpoint: extend ``start`` to the least fixpoint under
-    ``neg`` and return only the newly inferred facts. ``start`` is left
-    unchanged and must already be contained in that fixpoint (the caller's
-    obligation; verified under deep checks)."""
-    engine, opts = session.engine, session.opts
-    stats = session.stats if track else SolveStats()
-    if opts.deep_checks and track:
+    ``neg`` and return only the newly inferred facts, none of them a base
+    fact. ``start`` is left unchanged and must already be contained in that
+    fixpoint (the caller's obligation; verified under deep checks)."""
+    engine, opts, stats = session.engine, session.opts, session.stats
+    if opts.deep_checks:
         _assert_delta_precondition(session, plans, start, neg, label)
     jobs_before = engine.jobs_run
-    delta_new: Optional[Database] = None
+    neg = DatabaseView(session.base, neg)
     result = Database(session.symbols)
+    accumulated = DatabaseView(session.base, *start, result)
     stats.register_live(live_as, result)
+    delta_new: Optional[Database] = None
     inner = 0
     new_total = 0
     while True:
         inner += 1
         _check_cap(opts, inner, f"delta least fixpoint {label}")
-        accumulated = DatabaseView(*start, result) if start else DatabaseView(result)
-        if delta_new is not None:
-            derived = _delta_consequences(
-                engine, plans, accumulated, neg, delta_new, stats, session.symbols, session.cache
-            )
-        else:
-            derived = immediate_consequences(
-                engine, plans, accumulated, neg, session.base, stats, session.cache
-            )
+        derived = immediate_consequences(
+            engine, plans, accumulated, neg, stats, session.cache, delta=delta_new
+        )
         new = derived.difference(accumulated)
         stats.snapshot_live()
         if new.count() == 0:
@@ -332,13 +318,19 @@ def least_fixpoint_delta(
     stats.steps.append(
         StepStat(
             label=label,
-            # only the first round of an lfp without a start copies in the base facts
-            new_facts=result.count() - (0 if start else session.base.count()),
+            new_facts=result.count(),
             inner_iterations=inner,
             jobs=engine.jobs_run - jobs_before,
         )
     )
     return result
+
+
+def _probe(session: Session) -> Session:
+    """The session with a throwaway stats sink, for deep checks."""
+    probe = copy.copy(session)
+    probe.stats = SolveStats()
+    return probe
 
 
 def _assert_delta_precondition(
@@ -349,13 +341,10 @@ def _assert_delta_precondition(
     label: str,
 ) -> None:
     """Deep check: the starting set must be inside the fixpoint computed from
-    scratch. Runs a full least fixpoint on a throwaway stats sink."""
-    probe = Session.__new__(Session)
-    probe.__dict__.update(session.__dict__)
-    probe.stats = SolveStats()
-    full = least_fixpoint(probe, plans, neg, label=f"{label}:precheck", live_as="precheck")
+    scratch."""
+    full = least_fixpoint(_probe(session), plans, neg, label=f"{label}:precheck", live_as="precheck")
     for part in start:
-        if not part.issubset(full):
+        if not part.issubset(DatabaseView(session.base, full)):
             raise InvariantError(f"{label}: starting set is not contained in the least fixpoint")
 
 
@@ -364,8 +353,10 @@ def _assert_delta_precondition(
 # ---------------------------------------------------------------------------
 
 
-def _finish_step(stats: SolveStats, k_size: int, u_extra: int) -> None:
-    stats.steps[-1].k_size = k_size
+def _finish_step(stats: SolveStats, k_derived: int, u_extra: int) -> None:
+    """Record the last step's set sizes; ``k_derived`` counts the true facts
+    beyond the base ones."""
+    stats.steps[-1].k_size = stats.base_facts + k_derived
     stats.steps[-1].u_extra = u_extra
 
 
@@ -447,22 +438,18 @@ def solve_optimized(session: Session) -> FixpointResult:
 def _assert_definite_start(session: Session, known: Database) -> None:
     """Deep check: the definite fixpoint is contained in the first possible
     set, which justifies seeding that computation with it."""
-    probe = Session.__new__(Session)
-    probe.__dict__.update(session.__dict__)
-    probe.stats = SolveStats()
-    u0 = least_fixpoint(probe, session.plans, DatabaseView(known), label="U0:precheck", live_as="precheck")
+    u0 = least_fixpoint(
+        _probe(session), session.plans, DatabaseView(known), label="U0:precheck", live_as="precheck"
+    )
     if not known.issubset(u0):
         raise InvariantError("definite facts fell outside the first possible set")
 
 
 def _assert_stable_unknown(session: Session, known: Database, unknown: Database) -> None:
     """Deep check at termination: recomputing the possible delta reproduces it."""
-    probe = Session.__new__(Session)
-    probe.__dict__.update(session.__dict__)
-    probe.stats = SolveStats()
     again = least_fixpoint_delta(
-        probe, session.plans, (known,), DatabaseView(known), label="U:recheck", live_as="recheck",
-        track=False,
+        _probe(session), session.plans, (known,), DatabaseView(known), label="U:recheck",
+        live_as="recheck",
     )
     if not again.same_content(unknown):
         raise InvariantError("possible delta changed after the true set stabilized")
@@ -543,6 +530,7 @@ def solve(
         result = solve_optimized(session)
     else:
         result = solve_naive(session)
+    result.true_facts.update(session.base)
     # nothing leaves the cache, so its size now is its peak
     result.stats.peak_cache_records = session.cache.records()
     result.stats.jobs_total = engine.jobs_run - jobs_before

@@ -21,11 +21,12 @@ rule evaluation runs ``max(1, joins + anti-joins)`` jobs.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
 the length of one solve: subgoals over predicates that have base facts and
-head no rule, which no job can change. A job whose inputs are all
-invariant runs once per cache and its output is reused, and that output is
-an invariant input of the next job. In a job with other inputs too, the
-invariant inputs are mapped and grouped by the first job that reads them
-and later jobs map only the rest (see :class:`~wfsmr.mapreduce.GroupedInput`).
+head no rule, which no job can change and which stream from the base facts
+alone. A job whose inputs are all invariant runs once per cache and its
+output is reused, and that output is an invariant input of the next job.
+In a job with other inputs too, the invariant inputs are mapped and
+grouped by the first job that reads them and later jobs map only the rest
+(see :class:`~wfsmr.mapreduce.GroupedInput`).
 So with a warm cache an evaluation runs at most as many jobs as without.
 """
 from __future__ import annotations
@@ -36,8 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .mapreduce import Engine, GroupedInput, JobSpec, Record
 from .planner import RulePlan, SubgoalAccess
-from .program import InvariantError
-from .store import Database, DatabaseView, FactSource
+from .store import Database, FactSource
 
 __all__ = [
     "single_join",
@@ -75,14 +75,12 @@ class InputCache:
     """The loop-invariant job inputs of one solve.
 
     A predicate is invariant when ``base`` holds facts of it and no rule
-    heads it. Every source the fixpoint drivers pass then holds either none
-    of those facts or all of them: its facts of such a predicate can only
-    be copies of base facts, so it holds all of them when one of its parts
-    holds as many as ``base``. :meth:`holds_base` checks which, and raises
-    :class:`InvariantError` for any other count. When a source holds all of
-    them, the subgoal streams from ``base`` and is an invariant input. So
-    are the unit relation of a rule without positive subgoals and the output
-    of a job whose inputs are all invariant.
+    heads it. The fixpoint drivers put ``base`` in every source they pass and
+    store rule output only, so a source's facts of such a predicate are
+    exactly the base ones: a subgoal over it streams from ``base``, whatever
+    the source, and is an invariant input. So are the unit relation of a
+    rule without positive subgoals and the output of a job whose inputs are
+    all invariant.
 
     ``outputs`` keeps the output of each rule whose jobs read only
     invariant inputs, ``grouped`` the grouped invariant inputs of each job
@@ -98,23 +96,6 @@ class InputCache:
         self.invariant = frozenset(base.predicates() if base is not None else ()).difference(heads)
         self.outputs: dict[tuple, set] = {}
         self.grouped: dict[tuple, GroupedInput] = {}
-
-    def holds_base(self, source: FactSource, predicate: str) -> bool:
-        """Whether ``source`` holds every base fact of an invariant
-        ``predicate``; False for a predicate that is not invariant."""
-        if predicate not in self.invariant:
-            return False
-        parts = source.parts if isinstance(source, DatabaseView) else (source,)
-        held = [len(rel) for rel in (part.relation(predicate) for part in parts) if rel]
-        if not held:
-            return False
-        want = len(self.base.relation(predicate))
-        if held != [want]:
-            raise InvariantError(
-                f"a job source holds {held} facts of '{predicate}', which heads no rule "
-                f"and has {want} base facts: expected none or all of them in one part"
-            )
-        return True
 
     def records(self) -> int:
         """Records held: kept job outputs plus grouped values."""
@@ -348,7 +329,7 @@ def rule_pipeline(
     def stream(
         source: FactSource, access: SubgoalAccess, tag: str, cols: Optional[Sequence[int]] = None
     ) -> tuple[Iterable[Record], bool]:
-        if cache.holds_base(source, access.atom.predicate):
+        if access.atom.predicate in cache.invariant:
             return _access_stream(cache.base, access, tag, cols), True
         return _access_stream(source, access, tag, cols), False
 

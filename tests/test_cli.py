@@ -133,8 +133,9 @@ class TestGenerate:
         out = str(tmp_path / "b.facts")
         assert (
             main(["generate", "--dist", "chain", "--n", "2", "--k", "5", "--out", out])
-            == EXIT_RUNTIME
+            == EXIT_USAGE
         )
+        assert not Path(out).exists()
 
 
 class TestWordcount:
@@ -197,6 +198,20 @@ class TestUsage:
                 assert main(argv + ["--partitions", value]) == EXIT_USAGE, (argv[0], value)
                 assert "argument --partitions" in capsys.readouterr().err
         assert not Path(out + ".true").exists()
+
+    def test_generate_sizes_are_checked_at_parse_time(self, tmp_path, capsys):
+        out = str(tmp_path / "g.facts")
+        cases = [
+            (["--dist", "cycle", "--n", "0"], "argument --n"),
+            (["--dist", "tree", "--n", "-3"], "argument --n"),
+            (["--dist", "chain", "--n", "5"], "--dist chain needs --k"),
+            (["--dist", "chain", "--n", "5", "--k", "0"], "--dist chain needs --k"),
+            (["--dist", "chain", "--n", "5", "--k", "5"], "--dist chain needs --k"),
+        ]
+        for flags, message in cases:
+            assert main(["generate", *flags, "--out", out]) == EXIT_USAGE, flags
+            assert message in capsys.readouterr().err, flags
+        assert not Path(out).exists()
 
     def test_routing_does_not_leak_into_results_across_processes(self, tmp_path):
         # keys route by hash(key), and the str tags in keys hash differently

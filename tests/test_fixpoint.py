@@ -51,11 +51,14 @@ def new_session(program_text, facts=(), **opt_kwargs):
 
 class TestImmediateConsequences:
     def test_facts_only_program_fires_unconditionally(self):
-        session = new_session("e(1,2).\nf(3).\n")
+        # the facts are the base, which the operator reads but never returns;
+        # a rule without positive subgoals fires on the empty source
+        session = new_session("e(1,2).\nf(3).\ng(1) :- not h(1).\n")
         out = immediate_consequences(
-            session.engine, session.plans, session.empty, session.empty_view(), session.base
+            session.engine, session.plans, session.empty, session.empty_view()
         )
-        assert db_atoms(out) == {("e", (1, 2)), ("f", (3,))}
+        assert db_atoms(session.base) == {("e", (1, 2)), ("f", (3,))}
+        assert db_atoms(out) == {("g", (1,))}
 
     def test_worked_example_adds_final_goal(self):
         session = new_session(
@@ -63,20 +66,16 @@ class TestImmediateConsequences:
             parse_facts("a(1,2).\na(1,3).\nb(2,4).\nb(3,5)."),
         )
         neg = make_db(parse_facts("c(1,2).\nd(2,3)."), session.symbols)
-        out = immediate_consequences(
-            session.engine, session.plans, session.base, neg, session.base
-        )
-        assert db_atoms(out) == db_atoms(session.base) | {("p", (1, 5))}
+        out = immediate_consequences(session.engine, session.plans, session.base, neg)
+        assert db_atoms(out) == {("p", (1, 5))}
 
     def test_game_rule_with_one_blocked_instance(self):
         session = new_session(WIN, [Fact("move", (1, 2)), Fact("move", (2, 1))])
         blocked = make_db([Fact("win", (1,))], session.symbols)
-        out = immediate_consequences(
-            session.engine, session.plans, session.base, blocked, session.base
-        )
+        out = immediate_consequences(session.engine, session.plans, session.base, blocked)
         # win(1) derivable because win(2) is not in the blocking set;
         # win(2) blocked because win(1) is
-        assert db_atoms(out) == db_atoms(session.base) | {("win", (1,))}
+        assert db_atoms(out) == {("win", (1,))}
 
 
 class TestLeastFixpoint:
@@ -85,7 +84,9 @@ class TestLeastFixpoint:
         out = least_fixpoint(
             session, session.definite_plans, session.empty_view(), "K0", "work"
         )
-        assert db_atoms(out) == {("move", (1, 2)), ("move", (2, 1))}
+        # the game has no definite rule: the definite fixpoint is the base alone
+        assert db_atoms(session.base) == {("move", (1, 2)), ("move", (2, 1))}
+        assert out.count() == 0
 
     def test_possible_set_on_two_cycle(self):
         session = new_session(WIN, gen_cycle(2))
@@ -93,7 +94,8 @@ class TestLeastFixpoint:
             session, session.definite_plans, session.empty_view(), "K0", "work"
         )
         possible = least_fixpoint(session, session.plans, DatabaseView(known), "U0", "work")
-        assert db_atoms(possible) == db_atoms(known) | {("win", (1,)), ("win", (2,))}
+        assert known.count() == 0
+        assert db_atoms(possible) == {("win", (1,)), ("win", (2,))}
 
     def test_empty_program(self):
         session = new_session("")
@@ -133,7 +135,8 @@ class TestLeastFixpointDelta:
     @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
     def test_delta_soundness_on_random_programs(self):
         # starting from any subset of the fixpoint (here: the base facts or
-        # the fixpoint itself), start + delta equals the from-scratch fixpoint
+        # the fixpoint itself), base + start + delta equals base + the
+        # from-scratch fixpoint
         rng = random.Random(90210)
         for _ in range(10):
             program = random_program(rng)
@@ -151,11 +154,11 @@ class TestLeastFixpointDelta:
                 delta = least_fixpoint_delta(
                     session, session.plans, start, DatabaseView(neg), "d", "d"
                 )
-                combined = Database(session.symbols)
+                combined = session.base.copy()
                 for part in start:
                     combined.update(part)
                 combined.update(delta)
-                assert combined.same_content(full)
+                assert combined.same_content(full.union(session.base))
             session.engine.close()
 
 
@@ -415,6 +418,41 @@ class TestFactsHandling:
         with pytest.raises(ArityError) as err:
             solve(parse_program(WIN), [Fact("e", (1,)), Fact("move", (1, 2)), Fact("e", (1, 2))])
         assert (err.value.predicate, err.value.seen, err.value.expected) == ("e", 2, 1)
+
+    @pytest.mark.parametrize("mode", ["optimized", "naive"])
+    @pytest.mark.parametrize(
+        "text, facts, true_atoms, undef_atoms",
+        [
+            # the base fact p(1) blocks its own derivation; p(2) has no other
+            (
+                "p(X) :- e(X), not p(X).\n",
+                "p(1).\ne(1).\ne(2).",
+                {("p", (1,)), ("e", (1,)), ("e", (2,))},
+                {("p", (2,))},
+            ),
+            # p(1) is derived again only while r(1) is possibly true, so only
+            # the possible set holds its copy; the base keeps it true
+            (
+                "p(X) :- e(X), not r(X).\nr(X) :- e(X), not r(X).\n",
+                "p(1).\ne(1).",
+                {("p", (1,)), ("e", (1,))},
+                {("r", (1,))},
+            ),
+            # f has base facts only, and they block the negative subgoal
+            (
+                "r(X) :- e(X), not f(X).\n",
+                "e(1).\ne(2).\nf(1).",
+                {("e", (1,)), ("e", (2,)), ("f", (1,)), ("r", (2,))},
+                set(),
+            ),
+        ],
+    )
+    def test_base_and_derived_facts(self, mode, text, facts, true_atoms, undef_atoms):
+        program = parse_program(text)
+        base = parse_facts(facts)
+        result = solve(program, base, options=SolveOptions(mode=mode, deep_checks=True))
+        assert result_atoms(result) == (true_atoms, undef_atoms)
+        assert result_atoms(result) == ground_afp(program, base)
 
     def test_predicate_may_be_both_base_and_derived(self):
         text = "p(X) :- e(X), not q(X).\np(9).\n"

@@ -9,7 +9,7 @@ from wfsmr.operators import (
 )
 from wfsmr.planner import compile_rule
 from wfsmr.bench import builtin_program
-from wfsmr.program import Atom, Fact, InvariantError, Literal, Rule, parse_facts, parse_program
+from wfsmr.program import Atom, Fact, Literal, Rule, parse_facts, parse_program
 from wfsmr.store import Database, DatabaseView, SymbolTable
 
 from tests.helpers import (
@@ -321,8 +321,8 @@ class TestRulePipelineShape:
 
     @pytest.mark.parametrize("name,plan", _shape_cases(), ids=[n for n, _ in _shape_cases()])
     def test_warm_cache_runs_no_more_jobs(self, name, plan):
-        # every body predicate but the head's is a base predicate here, held
-        # in full by pos, neg and delta, so the cache treats it as invariant
+        # every body predicate but the head's is a base predicate here, so
+        # the cache treats it as invariant and streams it from the base
         rng = random.Random(name)
         rule = plan.rule
         preds = {a.predicate: a.arity for a in (rule.head, *(lit.atom for lit in rule.body))}
@@ -362,19 +362,18 @@ class TestRulePipelineShape:
                     mapped.append(sum(s.map_in for s in engine.stats_log))
                 assert mapped[1] <= mapped[0], at
 
-    def test_source_with_some_base_facts_is_an_invariant_error(self):
+    def test_invariant_subgoal_streams_from_the_base(self):
+        # e has base facts and heads no rule: its subgoals read the base,
+        # whatever the source holds
         plan = compile_rule(parse_program("p(X) :- e(X), not q(X).\n").rules[0])
         sym = SymbolTable()
         base = make_db([Fact("e", (1,)), Fact("e", (2,))], sym)
         cache = InputCache(base, ["p"])
         with Engine() as engine:
-            assert decoded(sym, eval_rule(engine, plan, base, Database(sym), cache=cache)) == {
-                (1,), (2,)
-            }
-            with pytest.raises(InvariantError):
-                eval_rule(engine, plan, make_db([Fact("e", (1,))], sym), base, cache=cache)
-            with pytest.raises(InvariantError):
-                eval_rule(engine, plan, DatabaseView(base, base), base, cache=cache)
+            for pos in (base, Database(sym), DatabaseView(base, base)):
+                assert decoded(sym, eval_rule(engine, plan, pos, Database(sym), cache=cache)) == {
+                    (1,), (2,)
+                }
 
     def test_job_names_carry_rule_index_and_kind(self):
         from wfsmr.planner import compile_program
