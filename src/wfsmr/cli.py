@@ -38,9 +38,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
 
 

@@ -24,8 +24,14 @@ set: every stored set holds rule output only, and :func:`solve` adds the
 base facts to the true set once, when it returns. Job inputs that read only
 predicates with base facts and no rule are the same in every round and
 step, so each solve keeps them in one :class:`~wfsmr.operators.InputCache`,
-grouped once and reused, and releases it when it returns. A broken
-invariant raises :class:`InvariantError`.
+grouped once and reused, and releases it when it returns.
+
+The per-step checks always run, and a broken invariant raises
+:class:`InvariantError`. No loop has an iteration cap: every round of every
+loop either stops or checks that a stored set grew (a least fixpoint's
+round, the optimized driver's true set) or that the naive true set grew or
+its possible set shrank. Each such set lies within the finite set of ground
+atoms over the input's constants, so every loop ends.
 """
 from __future__ import annotations
 
@@ -50,16 +56,11 @@ __all__ = [
     "Session",
     "least_fixpoint",
     "least_fixpoint_delta",
-    "IterationLimitError",
     "InvariantError",
     "immediate_consequences",
     "solve",
     "classify",
 ]
-
-
-class IterationLimitError(RuntimeError):
-    """The configured iteration cap was hit; termination theory says this is a bug."""
 
 
 class TruthValue(enum.Enum):
@@ -74,8 +75,6 @@ class TruthValue(enum.Enum):
 @dataclass
 class SolveOptions:
     mode: str = "optimized"  # "optimized" | "naive"
-    max_steps: int = 10_000
-    debug_checks: bool = True  # cheap per-step invariant assertions
     deep_checks: bool = False  # oracle-grade assertions (recompute fixpoints)
 
 
@@ -113,7 +112,7 @@ class SolveStats:
         self._live: dict[str, Database] = {}
 
     # Live-set ledger: the named fact sets the driver keeps between jobs,
-    # including those kept only for debug checks.
+    # including those kept only for the per-step checks.
     def register_live(self, name: str, db: Database) -> None:
         self._live[name] = db
         self.snapshot_live()
@@ -219,14 +218,6 @@ class Session:
         return DatabaseView(self.empty)
 
 
-def _check_cap(opts: SolveOptions, count: int, where: str) -> None:
-    if count > opts.max_steps:
-        raise IterationLimitError(
-            f"{where} exceeded {opts.max_steps} iterations; "
-            "this indicates an evaluation bug, not a non-terminating program"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Least fixpoints
 # ---------------------------------------------------------------------------
@@ -241,7 +232,7 @@ def least_fixpoint(
 ) -> Database:
     """lfp of the consequence operator from the empty set (naive driver),
     without the base facts, which every round reads from ``session.base``."""
-    engine, opts, stats = session.engine, session.opts, session.stats
+    engine, stats = session.engine, session.stats
     jobs_before = engine.jobs_run
     neg = DatabaseView(session.base, neg)
     current = Database(session.symbols)
@@ -249,16 +240,16 @@ def least_fixpoint(
     inner = 0
     while True:
         inner += 1
-        _check_cap(opts, inner, f"least fixpoint {label}")
         nxt = immediate_consequences(
             engine, plans, DatabaseView(session.base, current), neg, stats, session.cache
         ).difference(session.base)  # rules may derive base facts again
         if nxt.count() == current.count():
             # the chain is increasing, so equal counts mean equal sets
-            if opts.debug_checks and not nxt.same_content(current):
+            if not nxt.same_content(current):
                 raise InvariantError(f"{label}: size-based fixpoint test disagrees with set equality")
             break
-        if opts.debug_checks and not current.issubset(nxt):
+        # so the chain grows strictly and ends within the finite atom space
+        if not current.issubset(nxt):
             raise InvariantError(f"{label}: consequence chain is not increasing")
         current = nxt
         stats.register_live(live_as, current)
@@ -299,7 +290,6 @@ def least_fixpoint_delta(
     new_total = 0
     while True:
         inner += 1
-        _check_cap(opts, inner, f"delta least fixpoint {label}")
         derived = immediate_consequences(
             engine, plans, accumulated, neg, stats, session.cache, delta=delta_new
         )
@@ -309,11 +299,12 @@ def least_fixpoint_delta(
             break
         result.update(new)
         new_total += new.count()
+        if new_total != result.count():
+            # every fact must enter the delta exactly once, so the delta
+            # grows in every round and the loop ends within the atom space
+            raise InvariantError(f"{label}: delta set received duplicate facts")
         delta_new = new
         stats.snapshot_live()
-    if opts.debug_checks and new_total != result.count():
-        # every fact must enter the delta exactly once
-        raise InvariantError(f"{label}: delta set received duplicate facts")
     stats.lfp_calls += 1
     stats.steps.append(
         StepStat(
@@ -373,12 +364,11 @@ def solve_optimized(session: Session) -> FixpointResult:
     if opts.deep_checks:
         _assert_definite_start(session, known)
 
-    # debug checks keep the previous possible delta (as "U_prev") until the
-    # next one has passed the shrinkage check against it
+    # the previous possible delta stays (as "U_prev") until the next one has
+    # passed the shrinkage check against it
     previous: Optional[Database] = None
     i = 0
     while True:
-        _check_cap(opts, i + 1, "alternating fixpoint")
         unknown = least_fixpoint_delta(
             session,
             session.plans,
@@ -388,16 +378,15 @@ def solve_optimized(session: Session) -> FixpointResult:
             live_as="U_delta",
         )
         _finish_step(stats, known.count(), unknown.count())
-        if opts.debug_checks:
-            if unknown.difference(known).count() != unknown.count():
-                raise InvariantError("possible delta overlaps the true set")
-            if previous is not None:
-                # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true
-                # set is, by the check on the K step before
-                if not unknown.issubset(DatabaseView(known, previous)):
-                    raise InvariantError("possible set grew between inference steps")
-                stats.drop_live("U_prev")
-                previous = None
+        if unknown.difference(known).count() != unknown.count():
+            raise InvariantError("possible delta overlaps the true set")
+        if previous is not None:
+            # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true
+            # set is, by the check on the K step before
+            if not unknown.issubset(DatabaseView(known, previous)):
+                raise InvariantError("possible set grew between inference steps")
+            stats.drop_live("U_prev")
+            previous = None
 
         grown = least_fixpoint_delta(
             session,
@@ -416,15 +405,19 @@ def solve_optimized(session: Session) -> FixpointResult:
                 _assert_stable_unknown(session, known, unknown)
             stats.drop_live("K_delta")
             break
-        if opts.debug_checks and not grown.issubset(DatabaseView(known, unknown)):
+        if not grown.issubset(DatabaseView(known, unknown)):
             raise InvariantError("true set escaped the possible set")
         # fixpoint not reached: the possible delta is deleted before the
         # next round; new facts replace the prior true set in place
         stats.drop_live("U_delta")
-        if opts.debug_checks:
-            previous = unknown
-            stats.register_live("U_prev", previous)
+        previous = unknown
+        stats.register_live("U_prev", previous)
+        before = known.count()
         known.update(grown)
+        if known.count() != before + grown.count():
+            # the true set grows in every round, so the loop ends within
+            # the atom space
+            raise InvariantError("true delta overlaps the true set")
         stats.drop_live("K_delta")
         stats.snapshot_live()
         del unknown, grown
@@ -456,7 +449,7 @@ def _assert_stable_unknown(session: Session, known: Database, unknown: Database)
 
 
 def solve_naive(session: Session) -> FixpointResult:
-    opts, stats = session.opts, session.stats
+    stats = session.stats
     known = least_fixpoint(session, session.definite_plans, session.empty_view(), "K0", "K")
     _finish_step(stats, known.count(), 0)
     possible = least_fixpoint(session, session.plans, DatabaseView(known), "U0", "U")
@@ -464,26 +457,27 @@ def solve_naive(session: Session) -> FixpointResult:
     stats.inference_steps = 2
     i = 1
     while True:
-        _check_cap(opts, i, "alternating fixpoint")
         known_next = least_fixpoint(session, session.plans, DatabaseView(possible), f"K{i}", "K'")
         _finish_step(stats, known_next.count(), possible.count() - known_next.count())
         possible_next = least_fixpoint(session, session.plans, DatabaseView(known_next), f"U{i}", "U'")
         stats.inference_steps += 2
         _finish_step(stats, known_next.count(), possible_next.count() - known_next.count())
-        if opts.debug_checks:
-            if not known.issubset(known_next):
-                raise InvariantError("true set shrank between rounds")
-            if not possible_next.issubset(possible):
-                raise InvariantError("possible set grew between rounds")
-            if not known_next.issubset(possible_next):
-                raise InvariantError("true set escaped the possible set")
+        # K only grows and U only shrinks, so until both stand still one of
+        # them moves, and the loop ends within the atom space
+        if not known.issubset(known_next):
+            raise InvariantError("true set shrank between rounds")
+        if not possible_next.issubset(possible):
+            raise InvariantError("possible set grew between rounds")
+        if not known_next.issubset(possible_next):
+            raise InvariantError("true set escaped the possible set")
         stationary = (
             known_next.count() == known.count()
             and possible_next.count() == possible.count()
         )
-        if opts.debug_checks and stationary:
-            if not (known_next.same_content(known) and possible_next.same_content(possible)):
-                raise InvariantError("size-based stationarity test disagrees with set equality")
+        if stationary and not (
+            known_next.same_content(known) and possible_next.same_content(possible)
+        ):
+            raise InvariantError("size-based stationarity test disagrees with set equality")
         stats.drop_live("K'")
         stats.drop_live("U'")
         stats.drop_live("K")

@@ -1,5 +1,5 @@
-"""Relational operators as MapReduce jobs: hash join, chained multi-way
-join, duplicate elimination, and anti-join, plus whole-rule evaluation.
+"""Relational operators as MapReduce jobs, hash join and anti-join, and
+whole-rule evaluation.
 
 Records flowing through operator jobs have the shape ``(tag, cols)``
 where ``tag`` names the record's origin and ``cols`` is an encoded tuple.
@@ -8,16 +8,16 @@ functions cross-product the two tag groups of a key. Anti-join map
 functions pass positive rows on without their tag and negative ones as the
 bare negative tag, and the reduce functions emit the positive rows of a key
 only when no negative tag is among them (the whole group is scanned first,
-so value order never matters). Duplicate elimination keys each record by
-itself and emits it once.
+so value order never matters).
 
 Rule evaluation chains one job per join over the positive subgoals and one
 per anti-join over the negative subgoals. Job output is a set, so no job
 between them removes duplicates. Projections run inside these jobs: the
 positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reducer of the last job. A rule
-with neither joins nor anti-joins runs a single projection job, so every
-rule evaluation runs ``max(1, joins + anti-joins)`` jobs.
+with neither joins nor anti-joins runs a single projection job, which keys
+each projected record by itself and emits it once, so every rule evaluation
+runs ``max(1, joins + anti-joins)`` jobs.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
 the length of one solve: subgoals over predicates that have base facts and
@@ -27,7 +27,9 @@ output is reused, and that output is an invariant input of the next job.
 In a job with other inputs too, the invariant inputs are mapped and
 grouped by the first job that reads them and later jobs map only the rest
 (see :class:`~wfsmr.mapreduce.GroupedInput`).
-So with a warm cache an evaluation runs at most as many jobs as without.
+So with a warm cache an evaluation runs at most as many jobs as without:
+it resumes at the first job with an input that is not invariant, or runs
+no job when every input is.
 """
 from __future__ import annotations
 
@@ -41,8 +43,6 @@ from .store import Database, FactSource
 
 __all__ = [
     "single_join",
-    "multi_join",
-    "dedup",
     "anti_join",
     "eval_rule",
     "rule_pipeline",
@@ -193,12 +193,11 @@ def _join_spec(
     return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs), warnings=warnings)
 
 
-def _dedup_spec(
-    name: str,
-    pick: Callable[[tuple], tuple] = tuple,  # tuple() of a tuple is the identity
-    inputs: Sequence[Iterable[Record]] = (),
+def _project_spec(
+    name: str, pick: Callable[[tuple], tuple], inputs: Sequence[Iterable[Record]]
 ) -> JobSpec:
-    """Record-as-key duplicate elimination, optionally projecting columns."""
+    """Projection job: each record, mapped through ``pick``, becomes its own
+    key and is emitted once."""
 
     def mapper(record: Record) -> list:
         return [((record[0], pick(record[1])), "")]
@@ -272,15 +271,6 @@ def single_join(
     return {cols for _, cols in output}
 
 
-def dedup(
-    engine: Engine, rows: Iterable[tuple[int, ...]], name: str = "dedup"
-) -> set[tuple[int, ...]]:
-    """Duplicate elimination as a job: each record becomes its own key."""
-    spec = _dedup_spec(name, inputs=[_tagged(rows, "out")])
-    output, _ = engine.run_job(spec)
-    return {cols for _, cols in output}
-
-
 def anti_join(
     engine: Engine,
     positive: Iterable[tuple[int, ...]],
@@ -346,8 +336,7 @@ def rule_pipeline(
     if plan.base is None:
         pending = [([("s0", ())], True)]  # no positive subgoals: unit relation
     else:
-        cols = plan.base_cols if plan.joins else [plan.base_cols[g] for g in plan.goal_cols]
-        pending = [stream(source_for(0), plan.base, "s0", cols=cols)]
+        pending = [stream(source_for(0), plan.base, "s0", cols=plan.base_cols)]
 
     jobs: list[tuple[JobSpec, tuple[bool, ...]]] = []
     left_tag = "s0"
@@ -355,13 +344,10 @@ def rule_pipeline(
     for i, step in enumerate(plan.joins, start=1):
         # output columns as indices into the left row followed by the right row
         flat = [c if side == "l" else left_width + c for side, c in step.out_cols]
-        if i < len(plan.joins):
+        if i < len(plan.joins) or plan.anti_joins:
             pick = _picker(flat)
-        elif plan.anti_joins:
-            pick = _picker([flat[g] for g in plan.goal_cols])
         else:
-            row_width = left_width + len(step.right.var_cols)
-            pick = head_pick([flat[g] for g in plan.goal_cols], row_width)
+            pick = head_pick(flat, left_width + len(step.right.var_cols))
         right_tag = f"r{i}"
         pending.append(stream(source_for(i), step.right, right_tag))
         inputs, fixed = take()
@@ -384,15 +370,8 @@ def rule_pipeline(
 
     if not jobs:
         inputs, fixed = take()
-        jobs.append((_dedup_spec(f"{prefix}:head", head_pick(identity, width), inputs), fixed))
+        jobs.append((_project_spec(f"{prefix}:head", head_pick(identity, width), inputs), fixed))
     return jobs
-
-
-def multi_join(engine: Engine, plan: RulePlan, pos: FactSource) -> set[tuple[int, ...]]:
-    """Compute the positive goal: the natural join of all positive subgoals
-    projected onto the goal schema."""
-    goal_head = tuple(("v", g) for g in range(len(plan.goal_schema)))
-    return eval_rule(engine, replace(plan, anti_joins=(), head_cols=goal_head), pos, pos)
 
 
 def eval_rule(
@@ -416,20 +395,19 @@ def eval_rule(
     for position, (_, fixed) in enumerate(jobs):
         flags.append(fixed + (all(flags[-1]),) if position else fixed)
 
-    # start after the last job whose result is kept, or at the last job that
-    # holds the kept output of the jobs before it
-    first, output = 0, None
-    for position in reversed(range(len(jobs))):
-        if position and not flags[position][-1]:
-            continue  # it reads the fresh output of the job before it
-        key = (plan.index, position, flags[position])
-        if key in cache.outputs:
-            first, output = position + 1, cache.outputs[key]
-            break
-        held = cache.grouped.get(key)
-        if held is not None and held.tasks is not None:
-            first = position
-            break
+    # resume at the first job with an input that is not invariant, whose
+    # held groups take in the output of the all-invariant jobs before it;
+    # when every job is invariant, the rule's kept output stands for them all
+    first = next((position for position, fixed in enumerate(flags) if not all(fixed)), len(jobs))
+    output = None
+    if first == len(jobs):
+        output = cache.outputs.get((plan.index, first - 1, flags[-1]))
+        if output is None:
+            first = 0
+    else:
+        held = cache.grouped.get((plan.index, first, flags[first]))
+        if held is None or held.tasks is None:
+            first = 0
 
     for position in range(first, len(jobs)):
         spec, fixed = jobs[position][0], flags[position]

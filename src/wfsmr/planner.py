@@ -118,7 +118,6 @@ class RulePlan:
     base_cols: tuple[int, ...]
     base_schema: tuple[str, ...]
     joins: tuple[JoinStep, ...]
-    goal_cols: tuple[int, ...]
     goal_schema: tuple[str, ...]
     anti_joins: tuple[AntiJoinStep, ...]
     head_cols: tuple[HeadCol, ...]
@@ -162,10 +161,8 @@ def _ordered_vars(atoms: Iterable[Atom]) -> list[str]:
     return seen
 
 
-def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
-    """Compile one safe rule. With ``prune=False`` every variable seen so far
-    is carried through the join chain (used to test projection minimality).
-    """
+def compile_rule(rule: Rule) -> RulePlan:
+    """Compile one safe rule."""
     offending = check_safety(rule)
     if offending:
         raise SafetyError([(rule, offending)])
@@ -181,7 +178,6 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
     base_cols: tuple[int, ...] = ()
     base_schema: tuple[str, ...] = ()
     joins: list[JoinStep] = []
-    schema: tuple[str, ...] = ()
 
     if base is not None:
         # variables needed after consuming subgoal i: later subgoals + final schema
@@ -193,8 +189,7 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
         needed_after.append(set(running))  # position 0
         needed_after.reverse()
 
-        keep0 = needed_after[0] if prune else set(base.vars)
-        base_schema = tuple(v for v in base.vars if v in keep0)
+        base_schema = tuple(v for v in base.vars if v in needed_after[0])
         base_cols = tuple(dict(base.var_cols)[v] for v in base_schema)
         schema = base_schema
 
@@ -209,8 +204,7 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
                     stacklevel=2,
                 )
             combined = list(schema) + [v for v in access.vars if v not in schema]
-            keep = needed_after[i] if prune else set(combined)
-            output = tuple(v for v in combined if v in keep)
+            output = tuple(v for v in combined if v in needed_after[i])
             out_cols = tuple(
                 ("l", schema.index(v)) if v in schema else ("r", right_vars.index(v))
                 for v in output
@@ -230,15 +224,10 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
         missing = final_set - set(schema)
         if missing:  # cannot happen for safe rules
             raise InvariantError(f"schema lost variables {sorted(missing)} in rule '{rule}'")
-        if prune and schema != goal_schema:
-            raise InvariantError(
-                f"pruned schema {schema} differs from goal schema {goal_schema}"
-            )
-        goal_cols = tuple(schema.index(v) for v in goal_schema)
-    else:
-        if final_set:  # cannot happen: safety forces ground head and negatives
-            raise InvariantError(f"rule '{rule}' has variables but no positive subgoal")
-        goal_cols = ()
+        if schema != goal_schema:  # cannot happen either
+            raise InvariantError(f"join schema {schema} differs from goal schema {goal_schema}")
+    elif final_set:  # cannot happen: safety forces ground head and negatives
+        raise InvariantError(f"rule '{rule}' has variables but no positive subgoal")
 
     anti_joins = []
     for access in negatives:
@@ -269,16 +258,15 @@ def compile_rule(rule: Rule, prune: bool = True) -> RulePlan:
         base_cols=base_cols,
         base_schema=base_schema,
         joins=tuple(joins),
-        goal_cols=goal_cols,
         goal_schema=goal_schema,
         anti_joins=tuple(anti_joins),
         head_cols=tuple(head_cols),
     )
 
 
-def compile_program(program: Program, prune: bool = True) -> list[RulePlan]:
+def compile_program(program: Program) -> list[RulePlan]:
     """One plan per non-fact rule; facts are loaded as base insertions."""
     return [
-        replace(compile_rule(rule, prune=prune), index=index)
+        replace(compile_rule(rule), index=index)
         for index, rule in enumerate(program.proper_rules())
     ]

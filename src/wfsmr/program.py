@@ -205,8 +205,7 @@ class Program:
     """A validated set of rules with consistent predicate signatures.
 
     Ground rules with an empty body are kept in ``rules`` and are also
-    available as :meth:`facts`. ``edb_predicates`` holds the predicates that
-    never occur in the head of a proper (non-fact) rule.
+    available as :meth:`facts`.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -222,9 +221,6 @@ class Program:
                 violations.append((rule, names))
         if violations:
             raise SafetyError(violations)
-        idb = {rule.head.predicate for rule in self.rules if not rule.is_fact}
-        referenced = set(self.signatures)
-        self.edb_predicates: frozenset[str] = frozenset(referenced - idb)
 
     def _check_arity(self, atom: Atom) -> None:
         known = self.signatures.get(atom.predicate)
@@ -241,13 +237,6 @@ class Program:
 
     def proper_rules(self) -> tuple[Rule, ...]:
         return tuple(rule for rule in self.rules if not rule.is_fact)
-
-    def definite_subprogram(self) -> "Program":
-        """The subprogram of rules without negative subgoals (facts included)."""
-        return Program(
-            rule for rule in self.rules
-            if not any(lit.negated for lit in rule.body)
-        )
 
     def pretty(self) -> str:
         return "".join(f"{rule}\n" for rule in self.rules)

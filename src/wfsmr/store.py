@@ -52,20 +52,8 @@ class Relation:
         self.arity = arity
         self.tuples: set[tuple[int, ...]] = set()
 
-    def add(self, row: tuple[int, ...]) -> bool:
-        if row in self.tuples:
-            return False
-        self.tuples.add(row)
-        return True
-
-    def __contains__(self, row: tuple[int, ...]) -> bool:
-        return row in self.tuples
-
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.tuples)
 
 
 class Database:
@@ -85,11 +73,6 @@ class Database:
         elif rel.arity != arity:
             raise ArityError(predicate, arity, rel.arity)
         return rel
-
-    def insert(self, fact: Fact) -> bool:
-        """Insert one fact; True iff it was not already present."""
-        row = tuple(self.symbols.intern(a) for a in fact.args)
-        return self._relation_for(fact.predicate, fact.arity).add(row)
 
     def insert_many(self, facts: Iterable[Fact]) -> None:
         """Bulk insert; one relation lookup per predicate run, not per fact."""
@@ -145,31 +128,24 @@ class Database:
         if other.symbols is not self.symbols:
             raise ValueError("databases must share one symbol table")
 
-    def union(self, other: "Database") -> "Database":
-        self._require_shared_symbols(other)
-        out = self.copy()
-        out.update(other)
-        return out
-
     @staticmethod
     def _parts(other: "FactSource") -> tuple["Database", ...]:
         return other.parts if isinstance(other, DatabaseView) else (other,)
 
+    @staticmethod
+    def _part_sets(parts: tuple["Database", ...], predicate: str) -> list[set[tuple[int, ...]]]:
+        return [part._relations[predicate].tuples for part in parts if predicate in part._relations]
+
     def difference(self, other: "FactSource") -> "Database":
-        """Facts present here and absent from ``other`` (database or view)."""
+        """Facts present here and absent from ``other`` (database or view).
+        The result owns its sets: changing it leaves both inputs alone."""
         self._require_shared_symbols(other)
         parts = self._parts(other)
         out = Database(self.symbols)
         for rel in self._relations.values():
-            kept = rel.tuples
-            for part in parts:
-                part_rel = part._relations.get(rel.predicate)
-                if part_rel is not None and part_rel.tuples:
-                    kept = kept - part_rel.tuples
-                    if not kept:
-                        break
+            kept = rel.tuples.difference(*self._part_sets(parts, rel.predicate))
             if kept:
-                out._relation_for(rel.predicate, rel.arity).tuples.update(kept)
+                out._relation_for(rel.predicate, rel.arity).tuples = kept
         return out
 
     def copy(self) -> "Database":
@@ -188,19 +164,10 @@ class Database:
     def issubset(self, other: "FactSource") -> bool:
         self._require_shared_symbols(other)
         parts = self._parts(other)
-        for rel in self._relations.values():
-            if not rel.tuples:
-                continue
-            remaining = rel.tuples
-            for part in parts:
-                part_rel = part._relations.get(rel.predicate)
-                if part_rel is not None and part_rel.tuples:
-                    remaining = remaining - part_rel.tuples
-                    if not remaining:
-                        break
-            if remaining:
-                return False
-        return True
+        return not any(
+            rel.tuples.difference(*self._part_sets(parts, rel.predicate))
+            for rel in self._relations.values()
+        )
 
     # -- export ------------------------------------------------------------
 
@@ -244,24 +211,6 @@ class DatabaseView:
     def tuples(self, predicate: str) -> Iterator[tuple[int, ...]]:
         for db in self.parts:
             yield from db.tuples(predicate)
-
-    def contains(self, predicate: str, row: tuple[int, ...]) -> bool:
-        return any(db.contains(predicate, row) for db in self.parts)
-
-    def predicates(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for db in self.parts:
-            for predicate in db.predicates():
-                if predicate not in seen:
-                    seen.append(predicate)
-        return tuple(seen)
-
-    def arity_of(self, predicate: str) -> Optional[int]:
-        for db in self.parts:
-            arity = db.arity_of(predicate)
-            if arity is not None:
-                return arity
-        return None
 
 
 FactSource = Union[Database, DatabaseView]

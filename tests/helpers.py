@@ -29,8 +29,7 @@ GroundAtom = tuple[str, tuple]
 
 def make_db(facts: Iterable[Fact], symbols: SymbolTable | None = None) -> Database:
     db = Database(symbols)
-    for fact in facts:
-        db.insert(fact)
+    db.insert_many(facts)
     return db
 
 

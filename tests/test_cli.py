@@ -196,7 +196,9 @@ class TestUsage:
         for value in ("-3", "0", "two"):
             for argv in (["solve", "--program", program, "--out", out], ["wordcount", docs]):
                 assert main(argv + ["--partitions", value]) == EXIT_USAGE, (argv[0], value)
-                assert "argument --partitions" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert "argument --partitions" in err
+                assert "an integer >= 1" in err and "_positive" not in err, (argv[0], value)
         assert not Path(out + ".true").exists()
 
     def test_generate_sizes_are_checked_at_parse_time(self, tmp_path, capsys):
@@ -204,13 +206,15 @@ class TestUsage:
         cases = [
             (["--dist", "cycle", "--n", "0"], "argument --n"),
             (["--dist", "tree", "--n", "-3"], "argument --n"),
+            (["--dist", "cycle", "--n", "x"], "argument --n: expected an integer >= 1, got 'x'"),
             (["--dist", "chain", "--n", "5"], "--dist chain needs --k"),
             (["--dist", "chain", "--n", "5", "--k", "0"], "--dist chain needs --k"),
             (["--dist", "chain", "--n", "5", "--k", "5"], "--dist chain needs --k"),
         ]
         for flags, message in cases:
             assert main(["generate", *flags, "--out", out]) == EXIT_USAGE, flags
-            assert message in capsys.readouterr().err, flags
+            err = capsys.readouterr().err
+            assert message in err and "_positive" not in err, flags
         assert not Path(out).exists()
 
     def test_routing_does_not_leak_into_results_across_processes(self, tmp_path):

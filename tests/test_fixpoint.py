@@ -8,7 +8,6 @@ import pytest
 from wfsmr import fixpoint
 from wfsmr.bench import builtin_program, gen_chain, gen_cycle, gen_tree
 from wfsmr.fixpoint import (
-    IterationLimitError,
     Session,
     SolveOptions,
     TruthValue,
@@ -25,6 +24,7 @@ from wfsmr.planner import compile_program
 from wfsmr.program import (
     ArityError,
     Fact,
+    InvariantError,
     UnknownPredicateError,
     parse_facts,
     parse_program,
@@ -158,7 +158,8 @@ class TestLeastFixpointDelta:
                 for part in start:
                     combined.update(part)
                 combined.update(delta)
-                assert combined.same_content(full.union(session.base))
+                full.update(session.base)
+                assert combined.same_content(full)
             session.engine.close()
 
 
@@ -269,9 +270,40 @@ class TestStats:
         u_sizes = [s.u_extra for s in result.stats.steps if s.label.startswith("U")]
         assert u_sizes == sorted(u_sizes, reverse=True)
 
-    def test_iteration_cap_is_an_error(self):
-        with pytest.raises(IterationLimitError):
-            solve(parse_program("e(1).\n"), options=SolveOptions(max_steps=0))
+    def test_optimized_loop_ends_without_a_cap(self, monkeypatch):
+        # with a difference that removes nothing, U0's second round takes in
+        # a fact it already holds; the delta stops growing and the loop stops
+        program = parse_program("reach(Y) :- reach(X), e(X,Y).\nreach(X) :- s(X), not b(X).\n")
+        rounds = []
+        consequences = fixpoint.immediate_consequences
+
+        def counted(*args, **kwargs):
+            rounds.append(1)
+            return consequences(*args, **kwargs)
+
+        monkeypatch.setattr(fixpoint, "immediate_consequences", counted)
+        monkeypatch.setattr(Database, "difference", lambda self, other: self)
+        with pytest.raises(InvariantError, match="U0: delta set received duplicate facts"):
+            solve(program, [Fact("s", (1,)), Fact("e", (1, 1))])
+        assert len(rounds) == 3  # K0's one round, then U0's two
+
+    def test_naive_loop_ends_without_a_cap(self, monkeypatch):
+        # a round that drops a fact of the round before it is caught at once
+        program = parse_program("reach(1).\nreach(Y) :- reach(X), e(X,Y).\n")
+        facts = [Fact("e", (1, 2)), Fact("e", (2, 3)), Fact("e", (2, 4))]
+        consequences = fixpoint.immediate_consequences
+        rounds = []
+
+        def dropping(engine, plans, pos, *args, **kwargs):
+            out = consequences(engine, plans, pos, *args, **kwargs)
+            rounds.append(1)
+            if len(rounds) == 2:  # K0's second round loses reach(2)
+                out = out.difference(make_db([Fact("reach", (2,))], pos.symbols))
+            return out
+
+        monkeypatch.setattr(fixpoint, "immediate_consequences", dropping)
+        with pytest.raises(InvariantError, match="K0: consequence chain is not increasing"):
+            solve(program, facts, options=SolveOptions(mode="naive"))
 
     def test_derived_volume_counted(self):
         result = solve(parse_program(WIN), gen_cycle(4))
@@ -313,8 +345,7 @@ class TestStats:
         assert [job.name for job in engine.stats_log].count("r3:par:join1") == 1
         assert any(job.cached_groups for job in engine.stats_log)
 
-    @pytest.mark.parametrize("debug_checks", [True, False])
-    def test_previous_possible_set_is_in_the_ledger(self, debug_checks, monkeypatch):
+    def test_previous_possible_set_is_in_the_ledger(self, monkeypatch):
         registered = []
         original = fixpoint.SolveStats.register_live
 
@@ -323,10 +354,9 @@ class TestStats:
             original(stats, name, db)
 
         monkeypatch.setattr(fixpoint.SolveStats, "register_live", spy)
-        options = SolveOptions(debug_checks=debug_checks)
-        result = solve(builtin_program("tc-neg"), gen_chain(9, 3), options=options)
+        result = solve(builtin_program("tc-neg"), gen_chain(9, 3))
         assert result.stats.inference_steps > 2
-        assert ("U_prev" in registered) is debug_checks
+        assert "U_prev" in registered
         assert result.stats.peak_live_sets <= 3
 
 

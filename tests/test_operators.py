@@ -5,9 +5,10 @@ import pytest
 
 from wfsmr.mapreduce import Engine, EngineConfig
 from wfsmr.operators import (
-    InputCache, anti_join, dedup, eval_rule, multi_join, rule_pipeline, single_join,
+    InputCache, anti_join, eval_rule, rule_pipeline, single_join,
 )
-from wfsmr.planner import compile_rule
+from wfsmr.fixpoint import immediate_consequences
+from wfsmr.planner import compile_program, compile_rule
 from wfsmr.bench import builtin_program
 from wfsmr.program import Atom, Fact, Literal, Rule, parse_facts, parse_program
 from wfsmr.store import Database, DatabaseView, SymbolTable
@@ -81,35 +82,34 @@ class TestSingleJoin:
         assert engine.stats_log[-1].warnings  # skew note in stats
 
 
+def positive_goal(engine, text, pos):
+    """The rule's positive goal: its head lists the goal schema and nothing
+    is negated away."""
+    plan = compile_rule(parse_program(text + "\n").rules[0])
+    assert [("v", g) for g in range(len(plan.goal_schema))] == list(plan.head_cols)
+    return decoded(pos.symbols, eval_rule(engine, plan, pos, Database(pos.symbols)))
+
+
 class TestMultiJoin:
     def test_three_relation_chain(self, engine):
-        rule = parse_program("q(X,Y) <- a(X,Z), b(Z,W), c(W,Y), not d(X,W).\n").rules[0]
-        plan = compile_rule(rule)
-        sym = SymbolTable()
-        pos = make_db(parse_facts("a(1,2).\nb(2,3).\nb(2,4).\nc(3,7).\nc(4,9)."), sym)
-        got = decoded(sym, multi_join(engine, plan, pos))
+        pos = make_db(parse_facts("a(1,2).\nb(2,3).\nb(2,4).\nc(3,7).\nc(4,9)."))
+        got = positive_goal(engine, "q(X,W,Y) <- a(X,Z), b(Z,W), c(W,Y), not d(X,W).", pos)
         # positive goal abc over schema (X, W, Y)
         assert got == {(1, 3, 7), (1, 4, 9)}
 
     def test_single_subgoal_is_projection(self, engine):
-        rule = parse_program("p(Y) <- a(X,Y), not b(Y).\n").rules[0]
-        plan = compile_rule(rule)
         pos = make_db(parse_facts("a(1,5).\na(2,5).\na(2,6)."))
-        assert decoded(pos.symbols, multi_join(engine, plan, pos)) == {(5,), (6,)}
+        assert positive_goal(engine, "p(Y) <- a(X,Y), not b(Y).", pos) == {(5,), (6,)}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_triple_loop(self, engine, seed):
         rng = random.Random(100 + seed)
         # W stays in the goal schema because the negative subgoal shares it
-        rule = parse_program("h(X,Y) <- a(X,Z), b(Z,W), c(W,Y), not d(X,W).\n").rules[0]
-        plan = compile_rule(rule)
-        sym = SymbolTable()
-        pos = Database(sym)
+        pos = Database()
         rels = {}
         for pred in ("a", "b", "c"):
             rels[pred] = random_relation(rng, 2, max_rows=5, domain=3)
-            for row in rels[pred]:
-                pos.insert(Fact(pred, row))
+            pos.insert_many(Fact(pred, row) for row in rels[pred])
         want = {
             (x, w, y)
             for (x, z) in rels["a"]
@@ -117,21 +117,34 @@ class TestMultiJoin:
             for (w2, y) in rels["c"]
             if z == z2 and w == w2
         }
-        assert decoded(sym, multi_join(engine, plan, pos)) == want
+        got = positive_goal(engine, "h(X,W,Y) <- a(X,Z), b(Z,W), c(W,Y), not d(X,W).", pos)
+        assert got == want
+
+
+def project(engine, rows, text="p(X) <- q(X,Y).") -> set:
+    """Rows of ``q`` through the one projection job of a rule without joins
+    or anti-joins, which keys each projected row by itself."""
+    plan = compile_rule(parse_program(text + "\n").rules[0])
+    pos = make_db(Fact("q", row) for row in rows)
+    jobs_before = len(engine.stats_log)
+    out = decoded(pos.symbols, eval_rule(engine, plan, pos, pos))
+    assert [job.name for job in engine.stats_log[jobs_before:]] == ["r0:p:head"]
+    return out
 
 
 class TestDedup:
     def test_collapses_duplicates(self, engine):
-        assert dedup(engine, [(1,), (1,), (2,)]) == {(1,), (2,)}
+        assert project(engine, [(1, 7), (1, 8), (2, 7)]) == {(1,), (2,)}
+        assert engine.stats_log[-1].reduce_groups == 2
 
     def test_identity_on_unique_input(self, engine):
         rows = {(1, 2), (3, 4)}
-        assert dedup(engine, rows) == rows
+        assert project(engine, rows, "p(X,Y) <- q(X,Y).") == rows
 
     def test_idempotent(self, engine):
-        rows = [(1,), (1,), (2,), (2,), (2,)]
-        once = dedup(engine, rows)
-        assert dedup(engine, once) == once
+        rows = [(1, 5), (1, 6), (2, 5), (2, 6), (2, 7)]
+        once = project(engine, rows)
+        assert project(engine, [(x, 0) for (x,) in once]) == once
         assert len(once) <= len(rows)
 
     def test_duplicate_derivations_collapse(self, engine):
@@ -140,11 +153,8 @@ class TestDedup:
             "ab(X,Z,Y) :- a1(X,Z), b(Z,Y).\nab(X,Z,Y) :- a2(X,Z), b(Z,Y).\n"
         )
         pos = make_db(parse_facts("a1(1,2).\na2(1,2).\nb(2,4)."))
-        neg = Database(pos.symbols)
-        rows = set()
-        for rule in program.proper_rules():
-            rows |= eval_rule(engine, compile_rule(rule), pos, neg)
-        assert decoded(pos.symbols, dedup(engine, rows)) == {(1, 2, 4)}
+        out = immediate_consequences(engine, compile_program(program), pos, pos)
+        assert db_atoms(out) == {("ab", (1, 2, 4))}
 
 
 class TestAntiJoin:
@@ -238,10 +248,8 @@ class TestEvalRule:
             pos = Database(sym)
             neg = Database(sym)
             for pred, arity in program.signatures.items():
-                for row in random_relation(rng, arity, max_rows=6, domain=4):
-                    pos.insert(Fact(pred, row))
-                for row in random_relation(rng, arity, max_rows=4, domain=4):
-                    neg.insert(Fact(pred, row))
+                pos.insert_many(Fact(pred, row) for row in random_relation(rng, arity, max_rows=6, domain=4))
+                neg.insert_many(Fact(pred, row) for row in random_relation(rng, arity, max_rows=4, domain=4))
             for rule in program.proper_rules():
                 plan = compile_rule(rule)
                 got = decoded(sym, eval_rule(engine, plan, pos, neg))
@@ -275,15 +283,11 @@ def _shape_cases():
         "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).",
         "h(X,9) <- a(X,Z), b(Z,Y), not c(Y,X).",
         "p <- not q(1).",
-    ):
-        cases.append((text, compile_rule(parse_program(text + "\n").rules[0])))
-    for text in (
+        # the joins or the scan drop columns the goal does not need
         "h(X,Y) <- a(X,Z), b(Z,W), c(W,Y), not d(X,W).",
         "h(Y) <- a(X,Y), not b(Y).",
     ):
-        plan = compile_rule(parse_program(text + "\n").rules[0], prune=False)
-        assert plan.goal_cols != tuple(range(len(plan.goal_cols)))
-        cases.append((f"{text} unpruned", plan))
+        cases.append((text, compile_rule(parse_program(text + "\n").rules[0])))
     return cases
 
 
@@ -298,11 +302,11 @@ class TestRulePipelineShape:
         for pred, arity in sorted(preds.items()):
             for row in itertools.product(range(1, 4), repeat=arity):
                 if rng.random() < 0.6:
-                    pos.insert(Fact(pred, row))
+                    pos.insert_many([Fact(pred, row)])
                     if rng.random() < 0.5:
-                        delta.insert(Fact(pred, row))
+                        delta.insert_many([Fact(pred, row)])
                 if rng.random() < 0.25:
-                    neg.insert(Fact(pred, row))
+                    neg.insert_many([Fact(pred, row)])
         want_jobs = max(1, len(plan.joins) + len(plan.anti_joins))
         with Engine() as engine:
             got = eval_rule(engine, plan, pos, neg)
@@ -332,14 +336,14 @@ class TestRulePipelineShape:
             for row in itertools.product(range(1, 4), repeat=arity):
                 if pred != plan.head_predicate:
                     if rng.random() < 0.6:
-                        base.insert(Fact(pred, row))
+                        base.insert_many([Fact(pred, row)])
                     continue
                 if rng.random() < 0.6:
-                    derived.insert(Fact(pred, row))
+                    derived.insert_many([Fact(pred, row)])
                     if rng.random() < 0.5:
-                        delta.insert(Fact(pred, row))
+                        delta.insert_many([Fact(pred, row)])
                 if rng.random() < 0.25:
-                    negated.insert(Fact(pred, row))
+                    negated.insert_many([Fact(pred, row)])
         pos, neg = DatabaseView(base, derived), DatabaseView(base, negated)
         pos_atoms = db_atoms(base) | db_atoms(derived)
         neg_atoms = db_atoms(base) | db_atoms(negated)
@@ -421,4 +425,3 @@ class TestPartitionIndependence:
         with Engine(EngineConfig(workers=workers, partitions=partitions)) as eng:
             assert single_join(eng, left, right, [1], [0], out_cols) == want_join
             assert anti_join(eng, left, negative, [0]) == want_anti
-            assert dedup(eng, list(left) + list(left)) == left

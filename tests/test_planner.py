@@ -151,26 +151,10 @@ class TestProjectionMinimality:
         neg = Database(sym)
         for pred, arity in program.signatures.items():
             for _ in range(rng.randrange(6)):
-                pos.insert(Fact(pred, tuple(rng.randrange(1, 5) for _ in range(arity))))
+                pos.insert_many([Fact(pred, tuple(rng.randrange(1, 5) for _ in range(arity)))])
             for _ in range(rng.randrange(4)):
-                neg.insert(Fact(pred, tuple(rng.randrange(1, 5) for _ in range(arity))))
+                neg.insert_many([Fact(pred, tuple(rng.randrange(1, 5) for _ in range(arity)))])
         return pos, neg
-
-    def test_pruned_and_full_width_plans_agree(self):
-        rng = random.Random(3021)
-        checked = 0
-        with Engine() as engine:
-            for _ in range(40):
-                program = random_program(rng, with_facts=False)
-                pos, neg = self._random_io(rng, program)
-                for rule in program.proper_rules():
-                    pruned = compile_rule(rule, prune=True)
-                    full = compile_rule(rule, prune=False)
-                    out_pruned = eval_rule(engine, pruned, pos, neg)
-                    out_full = eval_rule(engine, full, pos, neg)
-                    assert out_pruned == out_full, str(rule)
-                    checked += 1
-        assert checked > 30
 
     def test_plan_matches_ground_semantics(self):
         rng = random.Random(77)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsmr import program as program_mod
+from wfsmr.fixpoint import Session, SolveOptions
+from wfsmr.mapreduce import Engine
 from wfsmr.program import (
     ArityError,
     Atom,
@@ -88,10 +90,6 @@ class TestParseProgram:
         program = parse_program("p :- q, not r.\nq.\n")
         assert program.signatures == {"p": 0, "q": 0, "r": 0}
         assert program.rules[0].head.arity == 0
-
-    def test_edb_predicates(self):
-        program = parse_program("win(X) :- move(X,Y), not win(Y).\nmove(1,2).\n")
-        assert program.edb_predicates == {"move"}
 
     def test_numeric_constants_canonicalized(self):
         program = parse_program("e(1,02).\n")
@@ -267,10 +265,16 @@ class TestCheckSafety:
         assert check_safety(rule) == ()
 
 
+def _definite_rules(program):
+    """The rules of the definite fixpoint that starts a solve."""
+    session = Session(program, (), Engine(), SolveOptions())
+    return [plan.rule for plan in session.definite_plans]
+
+
 class TestDefiniteSubprogram:
     def test_game_program_has_no_definite_rules(self):
         program = parse_program("win(X) :- move(X,Y), not win(Y).\n")
-        assert len(program.definite_subprogram().rules) == 0
+        assert _definite_rules(program) == []
 
     def test_closure_program_keeps_only_positive_rules(self):
         text = (
@@ -280,18 +284,12 @@ class TestDefiniteSubprogram:
             "par(X,Y) :- b(X,Y), b(Y,Z), not q(Y,Z).\n"
             "q(X,Y) :- b(Z,X), b(X,Y), not q(Z,X).\n"
         )
-        definite = parse_program(text).definite_subprogram()
-        assert [r.head.predicate for r in definite.rules] == ["tc", "tc"]
+        program = parse_program(text)
+        assert _definite_rules(program) == list(program.proper_rules()[:2])
 
     def test_horn_program_is_identity(self):
-        program = parse_program("p(X) :- e(X).\ne(1).\n")
-        assert program.definite_subprogram() == program
-
-    def test_idempotent_and_negation_free(self):
-        program = parse_program(SECTION3_RULE + "a(1,2).\n")
-        once = program.definite_subprogram()
-        assert once.definite_subprogram() == once
-        assert all(not lit.negated for r in once.rules for lit in r.body)
+        program = parse_program("p(X) :- e(X).\nq(X) :- p(X), e(X).\ne(1).\n")
+        assert _definite_rules(program) == list(program.proper_rules())
 
 
 class TestRoundTrip:
