@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .mapreduce import Engine, EngineConfig, gc_paused
+from .mapreduce import Engine, gc_paused
 from .operators import InputCache, eval_rule
 from .planner import RulePlan, compile_program
 from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
@@ -233,7 +233,7 @@ def least_fixpoint(
     """lfp of the consequence operator from the empty set (naive driver),
     without the base facts, which every round reads from ``session.base``."""
     engine, stats = session.engine, session.stats
-    jobs_before = engine.jobs_run
+    jobs_before = len(engine.stats_log)
     neg = DatabaseView(session.base, neg)
     current = Database(session.symbols)
     stats.register_live(live_as, current)
@@ -259,7 +259,7 @@ def least_fixpoint(
             label=label,
             new_facts=current.count(),
             inner_iterations=inner,
-            jobs=engine.jobs_run - jobs_before,
+            jobs=len(engine.stats_log) - jobs_before,
         )
     )
     return current
@@ -280,7 +280,7 @@ def least_fixpoint_delta(
     engine, opts, stats = session.engine, session.opts, session.stats
     if opts.deep_checks:
         _assert_delta_precondition(session, plans, start, neg, label)
-    jobs_before = engine.jobs_run
+    jobs_before = len(engine.stats_log)
     neg = DatabaseView(session.base, neg)
     result = Database(session.symbols)
     accumulated = DatabaseView(session.base, *start, result)
@@ -311,7 +311,7 @@ def least_fixpoint_delta(
             label=label,
             new_facts=result.count(),
             inner_iterations=inner,
-            jobs=engine.jobs_run - jobs_before,
+            jobs=len(engine.stats_log) - jobs_before,
         )
     )
     return result
@@ -505,7 +505,6 @@ def solve(
     facts: Iterable[Fact] = (),
     options: Optional[SolveOptions] = None,
     engine: Optional[Engine] = None,
-    config: Optional[EngineConfig] = None,
 ) -> FixpointResult:
     """Compute the well-founded model of ``program`` plus ``facts``.
 
@@ -515,11 +514,11 @@ def solve(
     if opts.mode not in ("optimized", "naive"):
         raise ValueError(f"unknown mode {opts.mode!r}")
     if engine is None:
-        engine = Engine(config or EngineConfig())
+        engine = Engine()
     started = time.perf_counter()
     session = Session(program, facts, engine, opts)
     session.cache = InputCache(session.base, (plan.head_predicate for plan in session.plans))
-    jobs_before = engine.jobs_run
+    jobs_before = len(engine.stats_log)
     if opts.mode == "optimized":
         result = solve_optimized(session)
     else:
@@ -527,7 +526,7 @@ def solve(
     result.true_facts.update(session.base)
     # nothing leaves the cache, so its size now is its peak
     result.stats.peak_cache_records = session.cache.records()
-    result.stats.jobs_total = engine.jobs_run - jobs_before
+    result.stats.jobs_total = len(engine.stats_log) - jobs_before
     result.stats.wall_ms = (time.perf_counter() - started) * 1000.0
     return result
 

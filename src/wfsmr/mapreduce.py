@@ -1,22 +1,32 @@
-"""Embedded MapReduce engine: map over record streams, group by key, reduce.
+"""Embedded MapReduce engine: map each input, co-group by key, reduce.
 
-A job applies a user map function to every input record, groups the emitted
-key/value pairs by key, and calls the user reduce function exactly once per
-distinct key. The output is the set of records emitted by all reduce calls,
-so it is independent of the partition count. Jobs run serially on the
-calling thread: one loop maps and groups, then each distinct key is routed
-to one of the engine's partitions by ``hash(key) % partitions``, and the
-partitions are reduced in turn as the reduce tasks of the job. String
-hashes are salted per process, so the routing, and with it the order of
-the reduce calls, may differ between runs; the output set does not.
+A job reads one or more inputs, each a record stream with its own map
+function. The engine maps every record, groups the emitted key/value pairs
+by key separately for each input, and calls the user reduce function
+exactly once per distinct key as ``reducer(key, groups)``: ``groups[i]``
+holds the values input ``i`` emitted under the key and is empty when that
+input emitted none (a co-group). The output is the set of records emitted
+by all reduce calls, so it is independent of the partition count. Jobs run
+serially on the calling thread: one loop maps and groups, then each
+distinct key is routed to one of the engine's partitions by
+``hash(key) % partitions``, and the partitions are reduced in turn as the
+reduce tasks of the job. String hashes are salted per process, so the
+routing, and with it the order of the reduce calls, may differ between
+runs; the output set does not.
 
-A job may also name a :class:`GroupedInput`: inputs that do not change
-between the jobs that read them. The first such job maps and groups them
-like its other inputs and keeps the groups, split by reduce task; later
-jobs map only their other inputs and merge their groups into the kept ones
-key by key as they reduce (the reducer-input cache of HaLoop, Bu et al.,
-VLDB 2010). A job's ``map_in``/``map_out`` count only the records it
-mapped itself.
+This departs from the reduce-side joins of Hadoop that the source paper
+runs, where all inputs share one map function and each record carries a
+tag naming its relation, so that the reducer can split a key's values by
+tag. The engine knows which input each value came from, so no record is
+tagged and no reducer splits its values.
+
+An input may also be a :class:`GroupedInput`: one that does not change
+between the jobs that read it. The first such job maps and groups it like
+any other input and keeps its groups, split by reduce task; later jobs
+reuse them without mapping it again (the reducer-input cache of HaLoop, Bu
+et al., VLDB 2010). Held values form their own input's groups, so they are
+never copied or appended to. A job's ``map_in``/``map_out`` count only the
+records it mapped itself.
 """
 from __future__ import annotations
 
@@ -25,10 +35,10 @@ import threading
 import time
 from contextlib import ContextDecorator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
-    "Record",
     "GroupedInput",
     "JobSpec",
     "JobStats",
@@ -40,9 +50,10 @@ __all__ = [
     "gc_paused",
 ]
 
-Record = tuple  # (key, value)
-Mapper = Callable[[Record], list]
-Reducer = Callable[[Any, Iterable], list]
+Mapper = Callable[[Any], list]
+# an input's groups: (key -> its only value, key -> its two or more values)
+Groups = tuple[dict, dict]
+Reducer = Callable[[Any, Sequence[Sequence]], Iterable]
 
 
 class _CollectorPause(ContextDecorator):
@@ -116,42 +127,46 @@ class JobStats:
 
 
 class GroupedInput:
-    """Job inputs that are mapped and grouped once and then reused.
+    """One job input that is mapped and grouped once and then reused.
 
-    The first job run with it maps ``inputs`` and keeps the groups in
-    ``tasks``: per reduce task, one dict from key to its only value and one
-    from key to a list of two or more values, so a group of one value holds
-    no list. Later jobs reuse them as they are, so every job that names one
-    holder must have the same mapper and partition count; the owner keys
-    its holders by the job they serve.
+    The first job run with it maps ``records`` through ``mapper`` and keeps
+    the groups in ``tasks``: per reduce task, one dict from key to its only
+    value and one from key to a list of two or more values, so a group of
+    one value holds no list. Later jobs reuse them as they are, so every job
+    that names one holder must have the same partition count; the owner
+    keys its holders by the job input they serve.
     """
 
-    __slots__ = ("inputs", "tasks", "groups", "records")
+    __slots__ = ("mapper", "records", "tasks", "groups", "values")
 
-    def __init__(self, inputs: Sequence[Iterable[Record]]):
-        self.inputs = inputs
-        self.tasks: Optional[list[tuple[dict, dict]]] = None
+    def __init__(self, mapper: Mapper, records: Iterable):
+        self.mapper = mapper
+        self.records = records
+        self.tasks: Optional[list[Groups]] = None
         self.groups = 0  # distinct keys held
-        self.records = 0  # values held
+        self.values = 0  # values held
+
+
+Input = Union[tuple[Mapper, Iterable], GroupedInput]
 
 
 @dataclass
 class JobSpec:
     """One map/shuffle/reduce job.
 
-    ``mapper`` takes a record and returns a list of key/value records;
-    ``reducer`` takes a key and the list of its values and returns a list of
-    output records. Both must be pure with respect to the job input, and the
-    reducer must not modify the values it is given: with ``grouped`` they
-    may be the held values themselves.
+    Each input is a ``(mapper, records)`` pair or a :class:`GroupedInput`.
+    A mapper takes a record and returns a list of key/value records;
+    ``reducer`` takes a key and, per input, the sequence of values that
+    input emitted under it, and returns an iterable of output records.
+    Both must be pure with respect to the job input, and the reducer must
+    not modify the sequences it is given: those of a ``GroupedInput`` are
+    the held ones.
     """
 
     name: str
-    mapper: Mapper
     reducer: Reducer
-    inputs: Sequence[Iterable[Record]] = ()
+    inputs: Sequence[Input] = ()
     warnings: tuple[str, ...] = ()
-    grouped: Optional[GroupedInput] = None
 
 
 @dataclass
@@ -163,68 +178,49 @@ class EngineConfig:
     partitions: int = 1
 
 
-def _map_and_group(spec: JobSpec, inputs: Iterable[Iterable[Record]], counts: list) -> dict:
-    """Map every record of ``inputs`` and group the emitted values by key;
+_MISSING = object()
+
+
+def _map_and_group(name: str, mapper: Mapper, records: Iterable, counts: list) -> Groups:
+    """Map every record of one input and group the emitted values by key;
     adds the records mapped and the pairs emitted to ``counts``."""
-    mapper = spec.mapper
-    groups: dict = {}
-    map_in = 0
-    map_out = 0
-    for records in inputs:
-        for record in records:
-            map_in += 1
-            try:
-                emitted = mapper(record)
-            except Exception as exc:  # noqa: BLE001 - reported with the record
-                raise JobError(spec.name, "map", record, exc) from exc
-            for out in emitted:
-                map_out += 1
-                key = out[0]
-                existing = groups.get(key)
-                if existing is None:
-                    groups[key] = [out[1]]
-                else:
-                    existing.append(out[1])
-    counts[0] += map_in
-    counts[1] += map_out
-    return groups
-
-
-def _split(groups: dict, partitions: int) -> list[dict]:
-    """The shuffle: each distinct key goes to one reduce task. Held and
-    fresh groups of a job are split in the same process, so equal keys meet."""
-    if partitions == 1:
-        return [groups]
-    tasks: list[dict] = [{} for _ in range(partitions)]
-    for key, values in groups.items():
-        tasks[hash(key) % partitions][key] = values
-    return tasks
-
-
-def _compact(groups: dict) -> tuple[dict, dict]:
-    """Groups split into (key -> its only value, key -> values)."""
     single: dict = {}
     multi: dict = {}
-    for key, values in groups.items():
-        if len(values) == 1:
-            single[key] = values[0]
-        else:
-            multi[key] = values
+    map_in = 0
+    map_out = 0
+    for record in records:
+        map_in += 1
+        try:
+            emitted = mapper(record)
+        except Exception as exc:  # noqa: BLE001 - reported with the record
+            raise JobError(name, "map", record, exc) from exc
+        for key, value in emitted:
+            map_out += 1
+            values = multi.get(key)
+            if values is not None:
+                values.append(value)
+            elif key in single:
+                multi[key] = [single.pop(key), value]
+            else:
+                single[key] = value
+    counts[0] += map_in
+    counts[1] += map_out
     return single, multi
 
 
-def _merged(held: tuple[dict, dict], fresh: dict) -> Iterator[tuple[Any, list]]:
-    """The groups of one reduce task: each held group with the fresh values
-    of its key appended (in a list that lives for one reduce call), then the
-    fresh groups of keys not held. Consumes ``fresh``."""
-    single, multi = held
+def _split(groups: Groups, partitions: int) -> list[Groups]:
+    """The shuffle: each distinct key goes to one reduce task. All inputs of
+    a job, held ones included, are split in the same process, so equal keys
+    meet."""
+    if partitions == 1:
+        return [groups]
+    tasks: list[Groups] = [({}, {}) for _ in range(partitions)]
+    single, multi = groups
     for key, value in single.items():
-        more = fresh.pop(key, None)
-        yield key, [value] if more is None else [value, *more]
+        tasks[hash(key) % partitions][0][key] = value
     for key, values in multi.items():
-        more = fresh.pop(key, None)
-        yield key, values if more is None else values + more
-    yield from fresh.items()
+        tasks[hash(key) % partitions][1][key] = values
+    return tasks
 
 
 class Engine:
@@ -237,7 +233,6 @@ class Engine:
         if self.config.partitions < 1:
             raise ValueError("partitions must be >= 1")
         self.stats_log: list[JobStats] = []
-        self.jobs_run = 0
 
     # -- lifecycle: the engine holds no resources --------------------------
 
@@ -258,40 +253,57 @@ class Engine:
         start = time.perf_counter()
         partitions = self.config.partitions
         counts = [0, 0]  # records mapped, key/value pairs emitted
-        held = spec.grouped
         cached_groups = 0
-        if held is not None:
-            if held.tasks is None:
-                groups = _map_and_group(spec, held.inputs, counts)
-                held.tasks = [_compact(task) for task in _split(groups, partitions)]
-                held.inputs = ()
-                held.groups = len(groups)
-                held.records = counts[1]
-            elif len(held.tasks) != partitions:
+        sides: list[list[Groups]] = []  # per input, per reduce task
+        for source in spec.inputs:
+            if not isinstance(source, GroupedInput):
+                sides.append(_split(_map_and_group(spec.name, *source, counts), partitions))
+                continue
+            if source.tasks is None:
+                before = counts[1]
+                single, multi = _map_and_group(spec.name, source.mapper, source.records, counts)
+                source.tasks = _split((single, multi), partitions)
+                source.records = ()
+                source.groups = len(single) + len(multi)
+                source.values = counts[1] - before
+            elif len(source.tasks) != partitions:
                 raise ValueError(
-                    f"job '{spec.name}': grouped input has {len(held.tasks)} reduce tasks, "
+                    f"job '{spec.name}': grouped input has {len(source.tasks)} reduce tasks, "
                     f"the engine {partitions}"
                 )
             else:
-                cached_groups = held.groups
-        tasks = _split(_map_and_group(spec, spec.inputs, counts), partitions)
+                cached_groups += source.groups
+            sides.append(source.tasks)
 
         reducer = spec.reducer
         reduced: list = []
         reduce_groups = 0
         max_group = 0
-        for index, fresh in enumerate(tasks):
-            groups = fresh.items() if held is None else _merged(held.tasks[index], fresh)
-            for key, values in groups:
-                reduce_groups += 1
-                if len(values) > max_group:
-                    max_group = len(values)
-                try:
-                    emitted = reducer(key, values)
-                except Exception as exc:  # noqa: BLE001 - reported with the key
-                    raise JobError(spec.name, "reduce", key, exc) from exc
-                if emitted:
-                    reduced.extend(emitted)
+        for index in range(partitions):
+            parts = [side[index] for side in sides]
+            for at, (single, multi) in enumerate(parts):
+                earlier, later = parts[:at], parts[at + 1:]
+                lead = [()] * at
+                # a single value comes as a 1-tuple, made by zip
+                for key, own in chain(zip(single, zip(single.values())), multi.items()):
+                    for one, many in earlier:
+                        if key in one or key in many:
+                            break  # reduced with the keys of that input
+                    else:
+                        groups = [*lead, own]
+                        size = len(own)
+                        for one, many in later:
+                            value = one.get(key, _MISSING)
+                            values = many.get(key, ()) if value is _MISSING else (value,)
+                            groups.append(values)
+                            size += len(values)
+                        reduce_groups += 1
+                        if size > max_group:
+                            max_group = size
+                        try:
+                            reduced.extend(reducer(key, groups))
+                        except Exception as exc:  # noqa: BLE001 - reported with the key
+                            raise JobError(spec.name, "reduce", key, exc) from exc
         output = set(reduced)
 
         stats = JobStats(
@@ -307,7 +319,6 @@ class Engine:
             warnings=spec.warnings,
         )
         self.stats_log.append(stats)
-        self.jobs_run += 1
         return output, stats
 
     def stats_lines(self) -> list[str]:
@@ -325,20 +336,14 @@ _WORD_RE = _re.compile(r"[A-Za-z0-9_]+")
 
 def wordcount_job(lines: Iterable[str]) -> JobSpec:
     """Word-frequency job over text lines: the canonical engine smoke test."""
-    records = [(i, line) for i, line in enumerate(lines)]
 
-    def mapper(record: Record) -> list:
-        return [(word, 1) for word in _WORD_RE.findall(record[1])]
+    def mapper(line: str) -> list:
+        return [(word, 1) for word in _WORD_RE.findall(line)]
 
-    def reducer(key, values) -> list:
-        return [(key, sum(values))]
+    def reducer(key, groups) -> list:
+        return [(key, sum(groups[0]))]
 
-    return JobSpec(
-        name="wordcount",
-        mapper=mapper,
-        reducer=reducer,
-        inputs=[records],
-    )
+    return JobSpec(name="wordcount", reducer=reducer, inputs=[(mapper, lines)])
 
 
 def wordcount(engine: Engine, lines: Iterable[str]) -> dict[str, int]:

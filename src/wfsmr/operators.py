@@ -1,22 +1,26 @@
 """Relational operators as MapReduce jobs, hash join and anti-join, and
 whole-rule evaluation.
 
-Records flowing through operator jobs have the shape ``(tag, cols)``
-where ``tag`` names the record's origin and ``cols`` is an encoded tuple.
-Map functions re-key records by the join or anti-join columns; join reduce
-functions cross-product the two tag groups of a key. Anti-join map
-functions pass positive rows on without their tag and negative ones as the
-bare negative tag, and the reduce functions emit the positive rows of a key
-only when no negative tag is among them (the whole group is scanned first,
-so value order never matters).
+Operator jobs read encoded rows (tuples of symbol ids) from two inputs,
+which the engine co-groups by key (see :mod:`wfsmr.mapreduce`); slot 0
+holds the left or positive side. A join maps each side by its join
+columns and crosses the left rows of a key with its right rows. An
+anti-join maps the positive rows by the anti-join columns and the negative
+rows, which hold exactly those columns, by themselves; it emits the
+positive rows of a key when no negative row arrived under it. Every
+reducer emits bare rows, so a job's output is its result as is. The source
+paper's Hadoop jobs instead tag each record with its relation and split
+each key's values by tag in the reducer; here each relation is its own
+input, so no record carries a tag.
 
 Rule evaluation chains one job per join over the positive subgoals and one
-per anti-join over the negative subgoals. Job output is a set, so no job
+per anti-join over the negative subgoals; slot 0 of every job after the
+first reads the output of the job before it. Job output is a set, so no job
 between them removes duplicates. Projections run inside these jobs: the
 positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reducer of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, which keys
-each projected record by itself and emits it once, so every rule evaluation
+each projected row by itself and emits it once, so every rule evaluation
 runs ``max(1, joins + anti-joins)`` jobs.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
@@ -24,9 +28,9 @@ the length of one solve: subgoals over predicates that have base facts and
 head no rule, which no job can change and which stream from the base facts
 alone. A job whose inputs are all invariant runs once per cache and its
 output is reused, and that output is an invariant input of the next job.
-In a job with other inputs too, the invariant inputs are mapped and
-grouped by the first job that reads them and later jobs map only the rest
-(see :class:`~wfsmr.mapreduce.GroupedInput`).
+In a job with other inputs too, each invariant input is mapped and grouped
+by the first job that reads it and later jobs map only the rest (see
+:class:`~wfsmr.mapreduce.GroupedInput`).
 So with a warm cache an evaluation runs at most as many jobs as without:
 it resumes at the first job with an input that is not invariant, or runs
 no job when every input is.
@@ -35,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .mapreduce import Engine, GroupedInput, JobSpec, Record
+from .mapreduce import Engine, GroupedInput, JobSpec, Mapper
 from .planner import RulePlan, SubgoalAccess
 from .store import Database, FactSource
 
@@ -49,8 +53,7 @@ __all__ = [
     "InputCache",
 ]
 
-_NEG = "neg"  # bare tag for negative-side records in an anti-join
-_POS = "pos"  # tag of the rows an anti-join keeps
+Row = tuple[int, ...]
 
 
 def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tuple]:
@@ -83,35 +86,32 @@ class InputCache:
     all invariant.
 
     ``outputs`` keeps the output of each rule whose jobs read only
-    invariant inputs, ``grouped`` the grouped invariant inputs of each job
-    with other inputs too, both keyed by rule index, job position and which
-    inputs are invariant. The output of a job with only invariant inputs
-    that feeds another job is not kept: the next job keeps it grouped, or
-    is such a job itself. Nothing is evicted. ``InputCache()`` knows no
-    invariant predicate, so across calls it never hits.
+    invariant inputs, keyed by rule index, and ``grouped`` each grouped
+    invariant input of a job with other inputs too, keyed by rule index,
+    job position and input slot. The output of a job with only invariant
+    inputs that feeds another job is not kept: the next job keeps it
+    grouped, or is such a job itself. Nothing is evicted. ``InputCache()``
+    knows no invariant predicate, so across calls it never hits.
     """
 
     def __init__(self, base: Optional[Database] = None, heads: Iterable[str] = ()):
         self.base = base
         self.invariant = frozenset(base.predicates() if base is not None else ()).difference(heads)
-        self.outputs: dict[tuple, set] = {}
-        self.grouped: dict[tuple, GroupedInput] = {}
+        self.outputs: dict[int, set] = {}
+        self.grouped: dict[tuple[int, int, int], GroupedInput] = {}
 
     def records(self) -> int:
         """Records held: kept job outputs plus grouped values."""
         return sum(map(len, self.outputs.values())) + sum(
-            held.records for held in self.grouped.values()
+            held.values for held in self.grouped.values()
         )
 
 
 def _access_stream(
-    source: FactSource,
-    access: SubgoalAccess,
-    tag: str,
-    cols: Optional[Sequence[int]] = None,
-) -> Iterator[Record]:
-    """Stream a subgoal's relation with its selection filters and variable
-    projection applied map-side.
+    source: FactSource, access: SubgoalAccess, cols: Optional[Sequence[int]] = None
+) -> Iterable[Row]:
+    """A subgoal's rows with its selection filters and variable projection
+    applied map-side; the relation's own stream when neither changes a row.
 
     ``cols`` overrides the projected atom columns (defaults to the first
     occurrence of each distinct variable, i.e. the access variable layout).
@@ -123,28 +123,21 @@ def _access_stream(
         and not access.const_cols
         and out_cols == tuple(range(access.atom.arity))
     ):
-        for row in tuples:
-            yield (tag, row)
-        return
+        return tuples
     const_cols = []
     for col, symbol in access.const_cols:
         sid = source.symbols.lookup(symbol)
         if sid is None:  # constant never interned: nothing can match
-            return
+            return ()
         const_cols.append((col, sid))
     eq_cols = access.eq_cols
     project = _picker(out_cols)
-    for row in tuples:
-        if any(row[c] != sid for c, sid in const_cols):
-            continue
-        if any(row[a] != row[b] for a, b in eq_cols):
-            continue
-        yield (tag, project(row))
-
-
-def _tagged(rows: Iterable[tuple[int, ...]], tag: str) -> Iterator[Record]:
-    for row in rows:
-        yield (tag, row)
+    return (
+        project(row)
+        for row in tuples
+        if not any(row[c] != sid for c, sid in const_cols)
+        and not any(row[a] != row[b] for a, b in eq_cols)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,95 +145,75 @@ def _tagged(rows: Iterable[tuple[int, ...]], tag: str) -> Iterator[Record]:
 # ---------------------------------------------------------------------------
 
 
+def _keyed(get: Callable[[Row], tuple]) -> Mapper:
+    """Mapper that emits each row under ``get(row)``."""
+    return lambda row: [(get(row), row)]
+
+
+def _self_keyed(row: Row) -> list:
+    return [(row, row)]
+
+
 def _join_spec(
     name: str,
-    left_tag: str,
-    right_tag: str,
     left_key: Sequence[int],
     right_key: Sequence[int],
     pick: Callable[[tuple], tuple],
-    out_tag: str,
-    inputs: Sequence[Iterable[Record]] = (),
+    left: Optional[Iterable[Row]],
+    right: Iterable[Row],
 ) -> JobSpec:
     """Join job; ``pick`` maps a left row concatenated with a right row to
     the output row."""
-    left_get = _picker(left_key)
-    right_get = _picker(right_key)
     warnings = ("empty join key: all records meet in one reduce group",) if not left_key else ()
 
-    def mapper(record: Record) -> list:
-        tag, cols = record
-        if tag == left_tag:
-            return [(left_get(cols), record)]
-        if tag == right_tag:
-            return [(right_get(cols), record)]
-        raise ValueError(f"unexpected record tag {tag!r}")
-
-    def reducer(key, values) -> list:
-        lefts = []
-        rights = []
-        for tag, cols in values:
-            if tag == left_tag:
-                lefts.append(cols)
-            else:
-                rights.append(cols)
+    def reducer(key, groups) -> Iterable[Row]:
+        lefts, rights = groups
         if not lefts or not rights:
-            return []
+            return ()
         # duplicates are pruned inside the group before emission
-        rows = {pick(lcols + rcols) for lcols in lefts for rcols in rights}
-        return [(out_tag, row) for row in rows]
+        return {pick(lrow + rrow) for lrow in lefts for rrow in rights}
 
-    return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs), warnings=warnings)
+    inputs = [(_keyed(_picker(left_key)), left), (_keyed(_picker(right_key)), right)]
+    return JobSpec(name, reducer, inputs, warnings)
 
 
-def _project_spec(
-    name: str, pick: Callable[[tuple], tuple], inputs: Sequence[Iterable[Record]]
-) -> JobSpec:
-    """Projection job: each record, mapped through ``pick``, becomes its own
-    key and is emitted once."""
+def _project_spec(name: str, pick: Callable[[tuple], tuple], rows: Iterable[Row]) -> JobSpec:
+    """Projection job: each row, mapped through ``pick``, becomes its own key
+    and is emitted once."""
 
-    def mapper(record: Record) -> list:
-        return [((record[0], pick(record[1])), "")]
+    def mapper(row: Row) -> list:
+        return [(pick(row), None)]
 
-    def reducer(key, values) -> list:
+    def reducer(key, groups) -> list:
         return [key]
 
-    return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs))
+    return JobSpec(name, reducer, [(mapper, rows)])
 
 
 def _antijoin_spec(
     name: str,
     pos_key: Sequence[int],
-    inputs: Sequence[Iterable[Record]],
+    positive: Optional[Iterable[Row]],
+    negative: Iterable[Row],
     pick: Optional[Callable[[tuple], tuple]] = None,
     width: Optional[int] = None,
 ) -> JobSpec:
     """Anti-join job; surviving positive rows are mapped through ``pick``
     when given. When ``pos_key`` covers all ``width`` columns of the positive
     rows, each row is its own key and no key tuple is built."""
-    pos_get = _picker(pos_key)
     warnings = ("empty anti-join key: ground negative subgoal",) if not pos_key else ()
+    whole_row = width and tuple(pos_key) == tuple(range(width))
 
-    if width and tuple(pos_key) == tuple(range(width)):
-        def mapper(record: Record) -> list:
-            tag, cols = record
-            return [(cols, _NEG if tag == _NEG else cols)]
-    else:
-        def mapper(record: Record) -> list:
-            tag, cols = record
-            if tag == _NEG:
-                return [(cols, _NEG)]
-            return [(pos_get(cols), cols)]  # bare rows: a row is never the marker
-
-    def reducer(key, values) -> list:
-        for value in values:
-            if value is _NEG:
-                return []  # a negative match kills the whole group
+    def reducer(key, groups) -> Iterable[Row]:
+        positives, negatives = groups
+        if negatives:
+            return ()  # a negative match kills the whole group
         if pick is None:
-            return [(_POS, cols) for cols in values]
-        return [(_POS, pick(cols)) for cols in values]
+            return positives
+        return map(pick, positives)
 
-    return JobSpec(name=name, mapper=mapper, reducer=reducer, inputs=list(inputs), warnings=warnings)
+    pos_mapper = _self_keyed if whole_row else _keyed(_picker(pos_key))
+    return JobSpec(name, reducer, [(pos_mapper, positive), (_self_keyed, negative)], warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +223,13 @@ def _antijoin_spec(
 
 def single_join(
     engine: Engine,
-    left: Iterable[tuple[int, ...]],
-    right: Iterable[tuple[int, ...]],
+    left: Iterable[Row],
+    right: Iterable[Row],
     left_key: Sequence[int],
     right_key: Sequence[int],
     out_cols: Sequence[tuple[str, int]],
     name: str = "join",
-) -> set[tuple[int, ...]]:
+) -> set[Row]:
     """Hash-join two tuple streams on the given key columns.
 
     ``out_cols`` selects output columns as ("l", i) or ("r", i) pairs.
@@ -264,28 +237,24 @@ def single_join(
     left = list(left)
     width = len(left[0]) if left else 0
     pick = _picker([i if side == "l" else width + i for side, i in out_cols])
-    spec = _join_spec(
-        name, "L", "R", left_key, right_key, pick, "out", [_tagged(left, "L"), _tagged(right, "R")]
-    )
-    output, _ = engine.run_job(spec)
-    return {cols for _, cols in output}
+    output, _ = engine.run_job(_join_spec(name, left_key, right_key, pick, left, right))
+    return output
 
 
 def anti_join(
     engine: Engine,
-    positive: Iterable[tuple[int, ...]],
-    negative: Iterable[tuple[int, ...]],
+    positive: Iterable[Row],
+    negative: Iterable[Row],
     key: Sequence[int],
     name: str = "antijoin",
-) -> set[tuple[int, ...]]:
+) -> set[Row]:
     """Keep positive tuples whose key columns match no negative tuple.
 
     ``negative`` holds bare key tuples (safety guarantees the key covers
     every column of the negative relation).
     """
-    spec = _antijoin_spec(name, key, [_tagged(negative, _NEG), _tagged(positive, "P")])
-    output, _ = engine.run_job(spec)
-    return {cols for _, cols in output}
+    output, _ = engine.run_job(_antijoin_spec(name, key, positive, negative))
+    return output
 
 
 def rule_pipeline(
@@ -299,8 +268,9 @@ def rule_pipeline(
     """The jobs of one rule evaluation, the last of which emits head tuples.
 
     Each job comes with one flag per input, true for the inputs that are
-    invariant under ``cache``. Every job after the first also reads the
-    output of the job before it, which is not among its inputs yet.
+    invariant under ``cache``. Slot 0 of every job after the first reads
+    the output of the job before it, so its records are left ``None`` and
+    its flag is true when that job's inputs all are.
     Jobs are named ``r<rule index>:<head predicate>:<kind>``. With
     ``delta``/``delta_at`` the positive subgoal at that index streams from
     the delta source instead of ``pos`` (semi-naive evaluation).
@@ -317,29 +287,23 @@ def rule_pipeline(
         return _picker(indices, consts)
 
     def stream(
-        source: FactSource, access: SubgoalAccess, tag: str, cols: Optional[Sequence[int]] = None
-    ) -> tuple[Iterable[Record], bool]:
+        source: FactSource, access: SubgoalAccess, cols: Optional[Sequence[int]] = None
+    ) -> tuple[Iterable[Row], bool]:
         if access.atom.predicate in cache.invariant:
-            return _access_stream(cache.base, access, tag, cols), True
-        return _access_stream(source, access, tag, cols), False
+            return _access_stream(cache.base, access, cols), True
+        return _access_stream(source, access, cols), False
 
     def source_for(index: int) -> FactSource:
         return delta if delta is not None and index == delta_at else pos
 
-    def take() -> tuple[list[Iterable[Record]], tuple[bool, ...]]:
-        """The pending inputs and their flags; leaves none pending."""
-        inputs, fixed = zip(*pending)
-        pending.clear()
-        return list(inputs), fixed
-
-    # inputs of the next job besides the output of the job before it
+    # slot 0 of the next job: the base subgoal, then each job's output
+    left: Optional[Iterable[Row]]
     if plan.base is None:
-        pending = [([("s0", ())], True)]  # no positive subgoals: unit relation
+        left, left_fixed = [()], True  # no positive subgoals: unit relation
     else:
-        pending = [stream(source_for(0), plan.base, "s0", cols=plan.base_cols)]
+        left, left_fixed = stream(source_for(0), plan.base, cols=plan.base_cols)
 
     jobs: list[tuple[JobSpec, tuple[bool, ...]]] = []
-    left_tag = "s0"
     left_width = len(plan.base_schema)
     for i, step in enumerate(plan.joins, start=1):
         # output columns as indices into the left row followed by the right row
@@ -348,29 +312,23 @@ def rule_pipeline(
             pick = _picker(flat)
         else:
             pick = head_pick(flat, left_width + len(step.right.var_cols))
-        right_tag = f"r{i}"
-        pending.append(stream(source_for(i), step.right, right_tag))
-        inputs, fixed = take()
-        jobs.append((
-            _join_spec(f"{prefix}:join{i}", left_tag, right_tag, step.left_key,
-                       step.right_key, pick, f"j{i}", inputs),
-            fixed,
-        ))
-        left_tag = f"j{i}"
-        left_width = len(flat)
+        right, right_fixed = stream(source_for(i), step.right)
+        spec = _join_spec(f"{prefix}:join{i}", step.left_key, step.right_key, pick, left, right)
+        jobs.append((spec, (left_fixed, right_fixed)))
+        left, left_fixed, left_width = None, left_fixed and right_fixed, len(flat)
 
     width = len(plan.goal_schema)
     identity = range(width)
     for j, step in enumerate(plan.anti_joins, start=1):
         pick = head_pick(identity, width) if j == len(plan.anti_joins) else None
-        pending.append(stream(neg, step.access, _NEG))
-        inputs, fixed = take()
-        spec = _antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, inputs, pick, width)
-        jobs.append((spec, fixed))
+        negative, negative_fixed = stream(neg, step.access)
+        spec = _antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, left, negative, pick, width)
+        jobs.append((spec, (left_fixed, negative_fixed)))
+        left, left_fixed = None, left_fixed and negative_fixed
 
     if not jobs:
-        inputs, fixed = take()
-        jobs.append((_project_spec(f"{prefix}:head", head_pick(identity, width), inputs), fixed))
+        spec = _project_spec(f"{prefix}:head", head_pick(identity, width), left)
+        jobs.append((spec, (left_fixed,)))
     return jobs
 
 
@@ -382,47 +340,44 @@ def eval_rule(
     delta: Optional[FactSource] = None,
     delta_at: Optional[int] = None,
     cache: Optional[InputCache] = None,
-) -> set[tuple[int, ...]]:
+) -> set[Row]:
     """Head tuples derivable from the rule with positive subgoals matched in
     ``pos`` and negative subgoals absent from ``neg``.
 
     ``cache`` keeps the invariant inputs between the calls of one solve;
-    each call without one maps all of its inputs."""
+    each call without one maps all of its inputs. The returned set is the
+    last job's output, which ``cache`` may keep: it must not be modified."""
     cache = cache if cache is not None else InputCache()
     jobs = rule_pipeline(plan, pos, neg, delta, delta_at, cache)
-    # each job's input flags, the output of the job before it last
-    flags: list[tuple[bool, ...]] = []
-    for position, (_, fixed) in enumerate(jobs):
-        flags.append(fixed + (all(flags[-1]),) if position else fixed)
 
     # resume at the first job with an input that is not invariant, whose
-    # held groups take in the output of the all-invariant jobs before it;
+    # held slot 0 took in the output of the all-invariant jobs before it;
     # when every job is invariant, the rule's kept output stands for them all
-    first = next((position for position, fixed in enumerate(flags) if not all(fixed)), len(jobs))
+    first = next((at for at, (_, fixed) in enumerate(jobs) if not all(fixed)), len(jobs))
     output = None
     if first == len(jobs):
-        output = cache.outputs.get((plan.index, first - 1, flags[-1]))
+        output = cache.outputs.get(plan.index)
         if output is None:
             first = 0
-    else:
-        held = cache.grouped.get((plan.index, first, flags[first]))
+    elif first:
+        held = cache.grouped.get((plan.index, first, 0))
         if held is None or held.tasks is None:
             first = 0
 
     for position in range(first, len(jobs)):
-        spec, fixed = jobs[position][0], flags[position]
-        key = (plan.index, position, fixed)
-        inputs = [*spec.inputs, output] if position else list(spec.inputs)
-        if all(fixed):
-            output, _ = engine.run_job(replace(spec, inputs=inputs))
-            if position == len(jobs) - 1:
-                cache.outputs[key] = output
-            continue
-        held = None
-        if any(fixed):
-            held = cache.grouped.get(key)
-            if held is None or held.tasks is None:
-                held = cache.grouped[key] = GroupedInput([s for s, f in zip(inputs, fixed) if f])
-            inputs = [s for s, f in zip(inputs, fixed) if not f]
-        output, _ = engine.run_job(replace(spec, inputs=inputs, grouped=held))
-    return {cols for _, cols in output}
+        spec, fixed = jobs[position]
+        inputs = list(spec.inputs)
+        if position:
+            inputs[0] = (inputs[0][0], output)
+        if not all(fixed):
+            for slot, invariant in enumerate(fixed):
+                if invariant:
+                    key = (plan.index, position, slot)
+                    held = cache.grouped.get(key)
+                    if held is None or held.tasks is None:
+                        held = cache.grouped[key] = GroupedInput(*inputs[slot])
+                    inputs[slot] = held
+        output, _ = engine.run_job(replace(spec, inputs=inputs))
+        if position == len(jobs) - 1 and all(fixed):
+            cache.outputs[plan.index] = output
+    return output

@@ -55,12 +55,13 @@ def result_atoms(result) -> tuple[set[GroundAtom], set[GroundAtom]]:
 
 
 def serial_mapreduce(spec: JobSpec) -> set:
-    """Naive single-threaded map, hash-group, reduce reference run."""
+    """Naive single-threaded map, co-group, reduce reference run over
+    ``(mapper, records)`` inputs."""
     groups: dict = {}
-    for stream in spec.inputs:
-        for record in stream:
-            for key, value in spec.mapper(record):
-                groups.setdefault(key, []).append(value)
+    for slot, (mapper, records) in enumerate(spec.inputs):
+        for record in records:
+            for key, value in mapper(record):
+                groups.setdefault(key, [[] for _ in spec.inputs])[slot].append(value)
     out: set = set()
     for key, values in groups.items():
         out.update(spec.reducer(key, values))

@@ -199,18 +199,20 @@ def test_criterion_8_scaling_shape():
     with report("8 scaling shape on cycles"):
         started = time.perf_counter()
         program = builtin_program("win-not-win")
+        sizes = (10**3, 10**4, 10**5)
+        # input generation is not loading/inference
+        facts = {n: gen_cycle(n) for n in sizes}
         step_jobs = {}
-        wall = {}
-        solve(program, gen_cycle(10**3))  # warm-up
-        for n in (10**3, 10**4, 10**5):
-            facts = gen_cycle(n)  # input generation is not loading/inference
-            times = []
-            for _ in range(3):
+        times = {n: [] for n in sizes}
+        solve(program, facts[10**3])  # warm-up
+        for _ in range(3):
+            # the sizes take turns, so a drift in CPU speed slows them alike
+            for n in sizes:
                 t0 = time.perf_counter()
-                result = solve(program, facts)
-                times.append(time.perf_counter() - t0)
-            wall[n] = sorted(times)[1]  # median of 3
-            step_jobs[n] = [(s.label, s.jobs) for s in result.stats.steps]
+                result = solve(program, facts[n])
+                times[n].append(time.perf_counter() - t0)
+                step_jobs[n] = [(s.label, s.jobs) for s in result.stats.steps]
+        wall = {n: sorted(t)[1] for n, t in times.items()}  # median of 3
         # job count per inference step is independent of n
         assert step_jobs[10**3] == step_jobs[10**4] == step_jobs[10**5]
         # at most linear growth on the largest step, within a factor of 2

@@ -74,7 +74,7 @@ class TestDriversAgainstOracle:
         for workers, partitions in ((1, 1), (4, 7)):
             config = EngineConfig(workers=workers, partitions=partitions)
             results = [
-                solve(program, facts, options=SolveOptions(mode=mode), config=config)
+                solve(program, facts, options=SolveOptions(mode=mode), engine=Engine(config))
                 for mode in ("naive", "optimized")
             ]
             for result in results:

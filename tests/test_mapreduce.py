@@ -1,7 +1,9 @@
+import copy
 import gc
 import random
 import sys
 import threading
+from itertools import chain
 
 import pytest
 
@@ -25,8 +27,8 @@ def identity_mapper(record):
     return [record]
 
 
-def collect_reducer(key, values):
-    return [(key, tuple(sorted(values)))]
+def collect_reducer(key, groups):
+    return [(key, tuple(sorted(chain.from_iterable(groups))))]
 
 
 class TestRunJob:
@@ -45,14 +47,34 @@ class TestRunJob:
     def test_grouping_contract(self):
         spec = JobSpec(
             name="group",
-            mapper=identity_mapper,
             reducer=collect_reducer,
-            inputs=[[("k", "v1"), ("k", "v2")]],
+            inputs=[(identity_mapper, [("k", "v1"), ("k", "v2")])],
         )
         with Engine() as engine:
             output, stats = engine.run_job(spec)
         assert output == {("k", ("v1", "v2"))}
         assert stats.reduce_groups == 1
+
+    @pytest.mark.parametrize("held_at", [None, 0, 1])
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_a_key_of_one_input_gets_an_empty_group_for_the_other(self, partitions, held_at):
+        seen = {}
+
+        def reducer(key, groups):
+            seen[key] = [list(values) for values in groups]
+            return []
+
+        left = [("both", 1), ("left", 2), ("both", 5)]
+        right = [("both", 3), ("right", 4)]
+        inputs = [(identity_mapper, left), (identity_mapper, right)]
+        if held_at is not None:
+            inputs[held_at] = GroupedInput(*inputs[held_at])
+        with Engine(EngineConfig(partitions=partitions)) as engine:
+            for _ in range(2):  # the second job reads a held input from its groups
+                seen.clear()
+                _, stats = engine.run_job(JobSpec("cogroup", reducer, inputs))
+                assert seen == {"both": [[1, 5], [3]], "left": [[2], []], "right": [[], [4]]}
+                assert (stats.reduce_groups, stats.max_group) == (3, 3)
 
     def test_repeated_word(self):
         with Engine() as engine:
@@ -62,12 +84,13 @@ class TestRunJob:
     def test_each_key_reduced_exactly_once(self):
         calls = []
 
-        def reducer(key, values):
+        def reducer(key, groups):
             calls.append(key)
-            return [(key, sum(values))]
+            return [(key, sum(groups[0]) + sum(groups[1]))]
 
         records = [(i % 5, 1) for i in range(40)]
-        spec = JobSpec("once", identity_mapper, reducer, [records])
+        spec = JobSpec("once", reducer, [(identity_mapper, records[:25]),
+                                         (identity_mapper, records[25:])])
         with Engine(EngineConfig(partitions=3)) as engine:
             _, stats = engine.run_job(spec)
         assert sorted(calls) == [0, 1, 2, 3, 4]
@@ -79,7 +102,7 @@ class TestRunJob:
                 raise ValueError("boom")
             return [record]
 
-        spec = JobSpec("bad", bad_mapper, collect_reducer, [[(i, i) for i in range(5)]])
+        spec = JobSpec("bad", collect_reducer, [(bad_mapper, [(i, i) for i in range(5)])])
         with Engine() as engine:
             with pytest.raises(JobError) as err:
                 engine.run_job(spec)
@@ -87,10 +110,10 @@ class TestRunJob:
         assert err.value.item == (3, 3)
 
     def test_reducer_failure_identifies_key(self):
-        def bad_reducer(key, values):
+        def bad_reducer(key, groups):
             raise RuntimeError("nope")
 
-        spec = JobSpec("bad", identity_mapper, bad_reducer, [[("k", 1)]])
+        spec = JobSpec("bad", bad_reducer, [(identity_mapper, [("k", 1)])])
         with Engine() as engine:
             with pytest.raises(JobError) as err:
                 engine.run_job(spec)
@@ -112,10 +135,11 @@ class TestDeterminism:
             key = (record[1] * a + b) % m
             return [(key, record[1]), ((key + 1) % m, 1)]
 
-        def reducer(key, values):
-            return [(key, sum(values) * a)]
+        def reducer(key, groups):
+            return [(key, (sum(groups[0]) + 2 * sum(groups[1])) * a)]
 
-        return lambda: JobSpec("arith", mapper, reducer, [list(records)])
+        cut = rng.randrange(len(records) + 1)
+        return lambda: JobSpec("arith", reducer, [(mapper, records[:cut]), (mapper, records[cut:])])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_output_independent_of_partitions_and_workers(self, seed):
@@ -140,12 +164,12 @@ class TestDeterminism:
             threads.append(threading.current_thread())
             return [record]
 
-        def reducer(key, values):
+        def reducer(key, groups):
             threads.append(threading.current_thread())
-            return [(key, sum(values))]
+            return [(key, sum(map(sum, groups)))]
 
         records = [(i % 11, i) for i in range(60)]
-        spec = JobSpec("where", mapper, reducer, [records[:30], records[30:]])
+        spec = JobSpec("where", reducer, [(mapper, records[:30]), (mapper, records[30:])])
         with Engine(EngineConfig(workers=4, partitions=7)) as engine:
             output, _ = engine.run_job(spec)
         assert len(output) == 11
@@ -175,11 +199,11 @@ class TestStats:
     def test_max_group_is_the_largest_reduce_group(self):
         records = [("hot", i) for i in range(50)] + [("cold", 1)]
 
-        def reducer(key, values):
-            return [(key, sum(values))]
+        def reducer(key, groups):
+            return [(key, sum(groups[0]))]
 
         with Engine() as engine:
-            output, stats = engine.run_job(JobSpec("skew", identity_mapper, reducer, [records]))
+            output, stats = engine.run_job(JobSpec("skew", reducer, [(identity_mapper, records)]))
         assert dict(output) == {"hot": sum(range(50)), "cold": 1}
         assert stats.max_group == 50
 
@@ -189,30 +213,45 @@ class TestGroupedInput:
     HELD = [("a", 1), ("b", 2), ("a", 3), ("c", 4)]
 
     def jobs(self, held, fresh_inputs):
-        return [JobSpec("cached", identity_mapper, collect_reducer, [fresh], grouped=held)
+        return [JobSpec("cached", collect_reducer, [held, (identity_mapper, fresh)])
                 for fresh in fresh_inputs]
 
     @pytest.mark.parametrize("partitions", [1, 7])
     def test_held_inputs_are_mapped_once(self, partitions):
         fresh_inputs = [[("a", 5), ("d", 6)], [], [("b", 7), ("b", 8)]]
-        held = GroupedInput([iter(self.HELD)])  # a second read would find it empty
+        held = GroupedInput(identity_mapper, iter(self.HELD))  # a second read finds it empty
         with Engine(EngineConfig(partitions=partitions)) as engine:
             for index, spec in enumerate(self.jobs(held, fresh_inputs)):
                 output, stats = engine.run_job(spec)
                 # equal to one job over all records, held ones included
-                want = serial_mapreduce(JobSpec("all", identity_mapper, collect_reducer,
-                                                [self.HELD, fresh_inputs[index]]))
+                want = serial_mapreduce(JobSpec("all", collect_reducer, [
+                    (identity_mapper, self.HELD), (identity_mapper, fresh_inputs[index])]))
                 assert output == want
                 assert stats.reduce_groups == len(want)
                 fresh = len(fresh_inputs[index])
                 assert stats.map_in == (len(self.HELD) + fresh if index == 0 else fresh)
                 assert stats.cached_groups == (0 if index == 0 else 3)
                 assert f"cached={stats.cached_groups}" in stats.line()
-        assert (held.groups, held.records) == (3, 4)
+        assert (held.groups, held.values) == (3, 4)
         assert stats.max_group == 3  # "b": held 2, fresh 7 and 8
 
+    @pytest.mark.parametrize("partitions", [1, 7])
+    def test_a_second_job_leaves_the_held_value_lists_unchanged(self, partitions):
+        held = GroupedInput(identity_mapper, self.HELD)
+        first, second = self.jobs(held, [[("a", 5)], [("a", 6), ("b", 7), ("d", 8)]])
+
+        def held_lists():
+            return [values for _, multi in held.tasks for values in multi.values()]
+
+        with Engine(EngineConfig(partitions=partitions)) as engine:
+            engine.run_job(first)
+            lists, kept = held_lists(), copy.deepcopy(held.tasks)
+            engine.run_job(second)
+        assert held.tasks == kept
+        assert len(lists) == 1 and all(a is b for a, b in zip(held_lists(), lists))
+
     def test_partition_count_must_match(self):
-        held = GroupedInput([self.HELD])
+        held = GroupedInput(identity_mapper, self.HELD)
         with Engine(EngineConfig(partitions=2)) as engine:
             engine.run_job(self.jobs(held, [[]])[0])
         with Engine(EngineConfig(partitions=3)) as engine, pytest.raises(ValueError):
@@ -264,5 +303,5 @@ class TestCollectorPause:
 
         gc.enable()
         with Engine() as engine, pytest.raises(JobError):
-            engine.run_job(JobSpec("broken", broken_mapper, collect_reducer, inputs=[[(1, 2)]]))
+            engine.run_job(JobSpec("broken", collect_reducer, inputs=[(broken_mapper, [(1, 2)])]))
         assert gc.isenabled()

@@ -407,7 +407,7 @@ class TestRulePipelineShape:
                                  ("p(X,Y) :- b(X,Y), not q(Y).", False)):
             plan = compile_rule(parse_program(text + "\n").rules[0])
             [(spec, _)] = rule_pipeline(plan, Database(sym), Database(sym))
-            [(key, value)] = spec.mapper(("s0", row))
+            [(key, value)] = spec.inputs[0][0](row)  # the positive input's mapper
             assert value is row and (key is row) == key_is_row, text
             assert key == (row if key_is_row else (2,))
 
