@@ -3,29 +3,30 @@
 A job reads one or more inputs, each a record stream with its own map
 function. The engine maps every record, groups the emitted key/value pairs
 by key separately for each input, and calls the user reduce function
-exactly once per distinct key as ``reducer(key, groups)``: ``groups[i]``
-holds the values input ``i`` emitted under the key and is empty when that
-input emitted none (a co-group). The output is the set of records emitted
-by all reduce calls, so it is independent of the partition count. Jobs run
-serially on the calling thread: one loop maps and groups, then each
-distinct key is routed to one of the engine's partitions by
-``hash(key) % partitions``, and the partitions are reduced in turn as the
-reduce tasks of the job. String hashes are salted per process, so the
-routing, and with it the order of the reduce calls, may differ between
-runs; the output set does not.
+exactly once per distinct key of input 0 as ``reducer(key, groups)``:
+``groups[i]`` holds the values input ``i`` emitted under the key and is
+empty when that input emitted none. A key that only a later input emitted
+is never reduced. The output is the set of records emitted by all reduce
+calls, so it is independent of the partition count. Jobs run serially on
+the calling thread: one loop maps and groups, then each distinct key is
+routed to one of the engine's partitions by ``hash(key) % partitions``,
+and the partitions are reduced in turn as the reduce tasks of the job.
+String hashes are salted per process, so the routing, and with it the
+order of the reduce calls, may differ between runs; the output does not.
 
 This departs from the reduce-side joins of Hadoop that the source paper
-runs, where all inputs share one map function and each record carries a
-tag naming its relation, so that the reducer can split a key's values by
-tag. The engine knows which input each value came from, so no record is
-tagged and no reducer splits its values.
+runs, where all inputs share one map function, the keys of every input are
+reduced, and each record carries a tag naming its relation so that the
+reducer can split a key's values by tag. The engine knows which input each
+value came from, so no record is tagged.
 
 An input may also be a :class:`GroupedInput`: one that does not change
 between the jobs that read it. The first such job maps and groups it like
 any other input and keeps its groups, split by reduce task; later jobs
 reuse them without mapping it again (the reducer-input cache of HaLoop, Bu
 et al., VLDB 2010). Held values form their own input's groups, so they are
-never copied or appended to. A job's ``map_in``/``map_out`` count only the
+never copied or appended to; after slot 0, only the keys input 0 emitted
+are looked up in them. A job's ``map_in``/``map_out`` count only the
 records it mapped itself.
 """
 from __future__ import annotations
@@ -111,8 +112,8 @@ class JobStats:
     reduce_out: int = 0
     wall_ms: float = 0.0
     partitions: int = 1
-    max_group: int = 0
-    cached_groups: int = 0  # reduce groups whose values came from a GroupedInput
+    max_group: int = 0  # values in the largest reduced group, all inputs
+    cached_groups: int = 0  # distinct keys of the held inputs reused without mapping
     warnings: tuple[str, ...] = ()
 
     def line(self) -> str:
@@ -154,10 +155,11 @@ Input = Union[tuple[Mapper, Iterable], GroupedInput]
 class JobSpec:
     """One map/shuffle/reduce job.
 
-    Each input is a ``(mapper, records)`` pair or a :class:`GroupedInput`.
-    A mapper takes a record and returns a list of key/value records;
-    ``reducer`` takes a key and, per input, the sequence of values that
-    input emitted under it, and returns an iterable of output records.
+    Each input is a ``(mapper, records)`` pair or a :class:`GroupedInput`;
+    a job needs one at least. A mapper takes a record and returns a list of
+    key/value records; ``reducer`` takes a key that input 0 emitted and,
+    per input, the sequence of values that input emitted under it, and
+    returns an iterable of output records.
     Both must be pure with respect to the job input, and the reducer must
     not modify the sequences it is given: those of a ``GroupedInput`` are
     the held ones.
@@ -165,7 +167,7 @@ class JobSpec:
 
     name: str
     reducer: Reducer
-    inputs: Sequence[Input] = ()
+    inputs: Sequence[Input]
     warnings: tuple[str, ...] = ()
 
 
@@ -250,6 +252,8 @@ class Engine:
     @gc_paused
     def run_job(self, spec: JobSpec) -> tuple[set, JobStats]:
         """Run one job; returns (output record set, stats)."""
+        if not spec.inputs:
+            raise ValueError(f"job '{spec.name}' has no inputs")
         start = time.perf_counter()
         partitions = self.config.partitions
         counts = [0, 0]  # records mapped, key/value pairs emitted
@@ -280,30 +284,23 @@ class Engine:
         reduce_groups = 0
         max_group = 0
         for index in range(partitions):
-            parts = [side[index] for side in sides]
-            for at, (single, multi) in enumerate(parts):
-                earlier, later = parts[:at], parts[at + 1:]
-                lead = [()] * at
-                # a single value comes as a 1-tuple, made by zip
-                for key, own in chain(zip(single, zip(single.values())), multi.items()):
-                    for one, many in earlier:
-                        if key in one or key in many:
-                            break  # reduced with the keys of that input
-                    else:
-                        groups = [*lead, own]
-                        size = len(own)
-                        for one, many in later:
-                            value = one.get(key, _MISSING)
-                            values = many.get(key, ()) if value is _MISSING else (value,)
-                            groups.append(values)
-                            size += len(values)
-                        reduce_groups += 1
-                        if size > max_group:
-                            max_group = size
-                        try:
-                            reduced.extend(reducer(key, groups))
-                        except Exception as exc:  # noqa: BLE001 - reported with the key
-                            raise JobError(spec.name, "reduce", key, exc) from exc
+            (single, multi), *others = [side[index] for side in sides]
+            # a single value comes as a 1-tuple, made by zip
+            for key, own in chain(zip(single, zip(single.values())), multi.items()):
+                groups = [own]
+                size = len(own)
+                for one, many in others:
+                    value = one.get(key, _MISSING)
+                    values = many.get(key, ()) if value is _MISSING else (value,)
+                    groups.append(values)
+                    size += len(values)
+                reduce_groups += 1
+                if size > max_group:
+                    max_group = size
+                try:
+                    reduced.extend(reducer(key, groups))
+                except Exception as exc:  # noqa: BLE001 - reported with the key
+                    raise JobError(spec.name, "reduce", key, exc) from exc
         output = set(reduced)
 
         stats = JobStats(

@@ -2,16 +2,17 @@
 whole-rule evaluation.
 
 Operator jobs read encoded rows (tuples of symbol ids) from two inputs,
-which the engine co-groups by key (see :mod:`wfsmr.mapreduce`); slot 0
-holds the left or positive side. A join maps each side by its join
-columns and crosses the left rows of a key with its right rows. An
-anti-join maps the positive rows by the anti-join columns and the negative
-rows, which hold exactly those columns, by themselves; it emits the
-positive rows of a key when no negative row arrived under it. Every
-reducer emits bare rows, so a job's output is its result as is. The source
-paper's Hadoop jobs instead tag each record with its relation and split
-each key's values by tag in the reducer; here each relation is its own
-input, so no record carries a tag.
+which the engine co-groups by key (see :mod:`wfsmr.mapreduce`). Slot 0
+holds the left or positive side, because the engine reduces only the keys
+of slot 0 and a join or anti-join emits nothing for a key that side lacks.
+A join maps each side by its join columns and crosses the left rows of a
+key with its right rows. An anti-join maps the positive rows by the
+anti-join columns and the negative rows, which hold exactly those columns,
+by themselves; it emits the positive rows of a key when no negative row
+arrived under it. Every reducer emits bare rows, so a job's output is its
+result as is. The source paper's Hadoop jobs instead tag each record with
+its relation and split each key's values by tag in the reducer; here each
+relation is its own input, so no record carries a tag.
 
 Rule evaluation chains one job per join over the positive subgoals and one
 per anti-join over the negative subgoals; slot 0 of every job after the
@@ -168,7 +169,7 @@ def _join_spec(
 
     def reducer(key, groups) -> Iterable[Row]:
         lefts, rights = groups
-        if not lefts or not rights:
+        if not rights:
             return ()
         # duplicates are pruned inside the group before emission
         return {pick(lrow + rrow) for lrow in lefts for rrow in rights}

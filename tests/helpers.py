@@ -56,7 +56,7 @@ def result_atoms(result) -> tuple[set[GroundAtom], set[GroundAtom]]:
 
 def serial_mapreduce(spec: JobSpec) -> set:
     """Naive single-threaded map, co-group, reduce reference run over
-    ``(mapper, records)`` inputs."""
+    ``(mapper, records)`` inputs; only the keys input 0 emitted are reduced."""
     groups: dict = {}
     for slot, (mapper, records) in enumerate(spec.inputs):
         for record in records:
@@ -64,7 +64,8 @@ def serial_mapreduce(spec: JobSpec) -> set:
                 groups.setdefault(key, [[] for _ in spec.inputs])[slot].append(value)
     out: set = set()
     for key, values in groups.items():
-        out.update(spec.reducer(key, values))
+        if values[0]:
+            out.update(spec.reducer(key, values))
     return out
 
 

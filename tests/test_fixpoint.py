@@ -244,6 +244,21 @@ class TestSolveOptimized:
         assert partitions_agree(delta, naive)
         assert delta.stats.derived_facts < naive.stats.derived_facts
 
+    def test_a_join_round_reduces_only_the_keys_of_its_delta(self):
+        # e is held grouped by the input cache; each semi-naive round of K0
+        # reduces the one key of its delta, not every held e group
+        n = 300
+        program = parse_program("reach(1).\nreach(Y) :- reach(X), e(X,Y).\n")
+        engine = Engine()
+        result = solve(program, [Fact("e", (i, i + 1)) for i in range(1, n + 1)], engine=engine)
+        true_atoms, undef_atoms = result_atoms(result)
+        assert true_atoms == {("reach", (i,)) for i in range(1, n + 2)} | {
+            ("e", (i, i + 1)) for i in range(1, n + 1)
+        }
+        assert undef_atoms == set()
+        # n + 1 one-key rounds in K0, then two jobs over all n + 1 reach keys
+        assert sum(job.reduce_groups for job in engine.stats_log) == 3 * (n + 1)
+
     @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
     def test_random_programs_match_naive_and_oracle(self):
         rng = random.Random(777)

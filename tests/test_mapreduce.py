@@ -73,8 +73,9 @@ class TestRunJob:
             for _ in range(2):  # the second job reads a held input from its groups
                 seen.clear()
                 _, stats = engine.run_job(JobSpec("cogroup", reducer, inputs))
-                assert seen == {"both": [[1, 5], [3]], "left": [[2], []], "right": [[], [4]]}
-                assert (stats.reduce_groups, stats.max_group) == (3, 3)
+                # only the keys of input 0 are reduced: "right" never is
+                assert seen == {"both": [[1, 5], [3]], "left": [[2], []]}
+                assert (stats.reduce_groups, stats.max_group) == (2, 3)
 
     def test_repeated_word(self):
         with Engine() as engine:
@@ -119,6 +120,11 @@ class TestRunJob:
                 engine.run_job(spec)
         assert err.value.phase == "reduce"
         assert err.value.item == "k"
+
+    def test_a_job_without_inputs_is_refused_by_name(self):
+        with Engine() as engine, pytest.raises(ValueError, match="job 'nothing'"):
+            engine.run_job(JobSpec("nothing", collect_reducer, []))
+        assert engine.stats_log == []
 
     def test_partitions_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -59,8 +59,8 @@ PINNED_COUNTS = ("mapreduce.jobs", "mapreduce.map_in", "mapreduce.shuffled",
 PINNED = {
     "win-cycle": (2, 24, 24, 24, 12, 12, 24, 3),
     "win-cycle-par": (2, 24, 24, 24, 12, 12, 24, 3),
-    "win-tree": (6, 40, 40, 88, 62, 31, 26, 3),
-    "tc-chain": (54, 525, 525, 504, 237, 219, 111, 3),
+    "win-tree": (6, 40, 40, 84, 62, 31, 26, 3),
+    "tc-chain": (54, 525, 525, 438, 237, 219, 111, 3),
 }
 
 
