@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .fixpoint import SolveOptions, partitions_agree, solve
 from .mapreduce import Engine, EngineConfig, wordcount
 from .planner import compile_program
-from .program import Fact, Program, ProgramError, parse_facts, parse_program
+from .program import Fact, Program, ProgramError, facts_to_text, parse_facts, parse_program
 from .store import Database
 
 EXIT_OK = 0
@@ -76,11 +76,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_program(path: str) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8"))
+    return parse_program(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _load_facts(paths: Sequence[str]) -> list[Fact]:
-    texts = (Path(path).read_text(encoding="utf-8") for path in paths)
+    texts = (Path(path).read_text(encoding="utf-8-sig") for path in paths)
     return list(dict.fromkeys(fact for text in texts for fact in parse_facts(text)))
 
 
@@ -144,8 +144,6 @@ def cmd_generate(args) -> int:
         facts = bench_mod.gen_tree(args.n)
     else:
         facts = bench_mod.gen_chain(args.n, args.k)
-    from .program import facts_to_text
-
     Path(args.out).write_text(facts_to_text(facts), encoding="utf-8")
     print(f"wrote {len(facts)} facts to {args.out}")
     return EXIT_OK

@@ -11,11 +11,13 @@ partitions:
 * the optimized driver starts each least fixpoint from the facts already
   established and stores at most three sets at any instant: the established
   true set, the possible-but-not-true delta, and the delta currently being
-  derived. The possible delta is deleted as soon as the round shows the
-  fixpoint has not been reached. Its inner rounds are semi-naive: after
-  the first round of a least fixpoint, a rule runs once per positive
-  subgoal whose predicate gained facts in the previous round, with that
-  subgoal reading only those facts.
+  derived. When a round shows the fixpoint has not been reached, its
+  possible delta stays as the previous one, counted by the live-set
+  ledger, until the next possible delta has passed the check that it lies
+  inside it. Its inner rounds are semi-naive: after the first round of a
+  least fixpoint, a rule runs once per positive subgoal whose predicate
+  gained facts in the previous round, with that subgoal reading only those
+  facts.
 
 Every least fixpoint round runs the rule set through the MapReduce operator
 pipelines. The base facts are one fixed, read-only part of every source a
@@ -35,9 +37,7 @@ atoms over the input's constants, so every loop ends.
 """
 from __future__ import annotations
 
-import copy
 import enum
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -75,7 +75,6 @@ class TruthValue(enum.Enum):
 @dataclass
 class SolveOptions:
     mode: str = "optimized"  # "optimized" | "naive"
-    deep_checks: bool = False  # oracle-grade assertions (recompute fixpoints)
 
 
 @dataclass
@@ -96,7 +95,6 @@ class StepStat:
 
 @dataclass
 class SolveStats:
-    mode: str = "optimized"
     inference_steps: int = 0
     lfp_calls: int = 0
     steps: list[StepStat] = field(default_factory=list)
@@ -106,7 +104,6 @@ class SolveStats:
     peak_live_sets: int = 0
     peak_cache_records: int = 0  # records the solve's InputCache held at the end, its peak
     base_facts: int = 0  # the fixed part of every source, not a live set
-    wall_ms: float = 0.0
 
     def __post_init__(self) -> None:
         self._live: dict[str, Database] = {}
@@ -183,15 +180,8 @@ def immediate_consequences(
 
 
 class Session:
-    def __init__(
-        self,
-        program: Program,
-        facts: Iterable[Fact],
-        engine: Engine,
-        opts: SolveOptions,
-    ):
+    def __init__(self, program: Program, facts: Iterable[Fact], engine: Engine):
         self.engine = engine
-        self.opts = opts
         self.symbols = SymbolTable()
         self.base = Database(self.symbols)
         self.signatures = dict(program.signatures)
@@ -212,7 +202,7 @@ class Session:
         # pass any facts, so they map every input
         self.cache: Optional[InputCache] = None
         self.empty = Database(self.symbols)
-        self.stats = SolveStats(mode=opts.mode, base_facts=self.base.count())
+        self.stats = SolveStats(base_facts=self.base.count())
 
     def empty_view(self) -> DatabaseView:
         return DatabaseView(self.empty)
@@ -276,10 +266,9 @@ def least_fixpoint_delta(
     """Delta least fixpoint: extend ``start`` to the least fixpoint under
     ``neg`` and return only the newly inferred facts, none of them a base
     fact. ``start`` is left unchanged and must already be contained in that
-    fixpoint (the caller's obligation; verified under deep checks)."""
-    engine, opts, stats = session.engine, session.opts, session.stats
-    if opts.deep_checks:
-        _assert_delta_precondition(session, plans, start, neg, label)
+    fixpoint. That is the caller's obligation, which
+    ``tests/test_differential.py`` checks on every optimized solve it makes."""
+    engine, stats = session.engine, session.stats
     jobs_before = len(engine.stats_log)
     neg = DatabaseView(session.base, neg)
     result = Database(session.symbols)
@@ -317,28 +306,6 @@ def least_fixpoint_delta(
     return result
 
 
-def _probe(session: Session) -> Session:
-    """The session with a throwaway stats sink, for deep checks."""
-    probe = copy.copy(session)
-    probe.stats = SolveStats()
-    return probe
-
-
-def _assert_delta_precondition(
-    session: Session,
-    plans: Sequence[RulePlan],
-    start: tuple[Database, ...],
-    neg: FactSource,
-    label: str,
-) -> None:
-    """Deep check: the starting set must be inside the fixpoint computed from
-    scratch."""
-    full = least_fixpoint(_probe(session), plans, neg, label=f"{label}:precheck", live_as="precheck")
-    for part in start:
-        if not part.issubset(DatabaseView(session.base, full)):
-            raise InvariantError(f"{label}: starting set is not contained in the least fixpoint")
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -352,7 +319,7 @@ def _finish_step(stats: SolveStats, k_derived: int, u_extra: int) -> None:
 
 
 def solve_optimized(session: Session) -> FixpointResult:
-    opts, stats = session.opts, session.stats
+    stats = session.stats
     known = Database(session.symbols)
     stats.register_live("K", known)
     first = least_fixpoint_delta(
@@ -361,8 +328,6 @@ def solve_optimized(session: Session) -> FixpointResult:
     known.update(first)
     stats.drop_live("delta")
     _finish_step(stats, known.count(), 0)
-    if opts.deep_checks:
-        _assert_definite_start(session, known)
 
     # the previous possible delta stays (as "U_prev") until the next one has
     # passed the shrinkage check against it
@@ -401,14 +366,12 @@ def solve_optimized(session: Session) -> FixpointResult:
         _finish_step(stats, known.count() + grown.count(), unknown.count())
         if grown.count() == 0:
             # equal sizes of consecutive true sets: fixpoint reached
-            if opts.deep_checks:
-                _assert_stable_unknown(session, known, unknown)
             stats.drop_live("K_delta")
             break
         if not grown.issubset(DatabaseView(known, unknown)):
             raise InvariantError("true set escaped the possible set")
-        # fixpoint not reached: the possible delta is deleted before the
-        # next round; new facts replace the prior true set in place
+        # fixpoint not reached: the possible delta stays as the previous
+        # one; new facts replace the prior true set in place
         stats.drop_live("U_delta")
         previous = unknown
         stats.register_live("U_prev", previous)
@@ -426,26 +389,6 @@ def solve_optimized(session: Session) -> FixpointResult:
     stats.drop_live("U_delta")
     stats.drop_live("K")
     return FixpointResult(known, undefined, stats, session.signatures)
-
-
-def _assert_definite_start(session: Session, known: Database) -> None:
-    """Deep check: the definite fixpoint is contained in the first possible
-    set, which justifies seeding that computation with it."""
-    u0 = least_fixpoint(
-        _probe(session), session.plans, DatabaseView(known), label="U0:precheck", live_as="precheck"
-    )
-    if not known.issubset(u0):
-        raise InvariantError("definite facts fell outside the first possible set")
-
-
-def _assert_stable_unknown(session: Session, known: Database, unknown: Database) -> None:
-    """Deep check at termination: recomputing the possible delta reproduces it."""
-    again = least_fixpoint_delta(
-        _probe(session), session.plans, (known,), DatabaseView(known), label="U:recheck",
-        live_as="recheck",
-    )
-    if not again.same_content(unknown):
-        raise InvariantError("possible delta changed after the true set stabilized")
 
 
 def solve_naive(session: Session) -> FixpointResult:
@@ -515,8 +458,7 @@ def solve(
         raise ValueError(f"unknown mode {opts.mode!r}")
     if engine is None:
         engine = Engine()
-    started = time.perf_counter()
-    session = Session(program, facts, engine, opts)
+    session = Session(program, facts, engine)
     session.cache = InputCache(session.base, (plan.head_predicate for plan in session.plans))
     jobs_before = len(engine.stats_log)
     if opts.mode == "optimized":
@@ -527,7 +469,6 @@ def solve(
     # nothing leaves the cache, so its size now is its peak
     result.stats.peak_cache_records = session.cache.records()
     result.stats.jobs_total = len(engine.stats_log) - jobs_before
-    result.stats.wall_ms = (time.perf_counter() - started) * 1000.0
     return result
 
 

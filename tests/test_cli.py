@@ -71,6 +71,21 @@ class TestSolve:
         assert main(["solve", "--program", program, "--out", out]) == EXIT_OK
         assert Path(out + ".true").read_text() == "e(1,2)\ne(2,3)\n"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # an editor may save UTF-8 with a leading byte-order mark
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            tag = len(prefix)
+            program = write(tmp_path, f"win{tag}.lp", prefix + WIN + "move(3,4).\n")
+            facts = write(tmp_path, f"moves{tag}.facts", prefix + "move(1,2).\nmove(2,1).\n")
+            out = str(tmp_path / f"result{tag}")
+            args = ["solve", "--program", program, "--facts", facts, "--out", out]
+            assert main(args) == EXIT_OK
+            outputs.append([Path(out + suffix).read_bytes() for suffix in (".true", ".undef")])
+        plain, marked = outputs
+        assert marked == plain
+        assert plain == [b"move(1,2)\nmove(2,1)\nmove(3,4)\nwin(3)\n", b"win(1)\nwin(2)\n"]
+
     def test_trace_prints_steps_and_jobs(self, tmp_path, capsys):
         program = write(tmp_path, "win.lp", WIN + "move(1,2).\n")
         out = str(tmp_path / "r")

@@ -6,18 +6,29 @@ reads only base predicates (so every job of the rule is cached), base
 predicates that occur only under ``not``, ground negative subgoals,
 subgoals sharing no variable (empty-key joins), constants, repeated
 variables, and int and text constants together.
+
+Every optimized solve in this module also checks the two obligations the
+optimized driver's shortcut rests on, which the driver itself takes on
+trust: each delta least fixpoint starts inside the least fixpoint it
+extends, and at termination the possible delta is the one the final true
+set yields.
 """
 from __future__ import annotations
+
+import copy
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfsmr import EngineConfig, Fact, SolveOptions, solve
-from wfsmr.fixpoint import partitions_agree
+from wfsmr import EngineConfig, Fact, SolveOptions, fixpoint, parse_program, solve
+from wfsmr.bench import builtin_program, gen_chain, gen_cycle, gen_tree
+from wfsmr.fixpoint import SolveStats, partitions_agree
 from wfsmr.mapreduce import Engine
 from wfsmr.oracle import ground_afp
 from wfsmr.program import Atom, Constant, Literal, Program, Rule, Variable
+from wfsmr.store import DatabaseView
 
 from tests.helpers import result_atoms
 
@@ -64,6 +75,53 @@ def programs(draw) -> tuple[Program, tuple[Fact, ...]]:
     return Program(rules), tuple(dict.fromkeys(facts))
 
 
+def _probe(session: fixpoint.Session) -> fixpoint.Session:
+    """The session with a throwaway stats sink, so a check's own least
+    fixpoints leave the solve's statistics alone."""
+    probe = copy.copy(session)
+    probe.stats = SolveStats()
+    return probe
+
+
+@pytest.fixture(autouse=True, scope="module")
+def checked():
+    """Patch the optimized driver so every solve of this module checks its
+    seeds and its final possible delta; yields the count of each check."""
+    least_fixpoint_delta = fixpoint.least_fixpoint_delta
+    solve_optimized = fixpoint.solve_optimized
+    counts = Counter()
+
+    def seed_checked(session, plans, start, neg, label, live_as):
+        # each part of the seed lies in base + the from-scratch fixpoint
+        full = fixpoint.least_fixpoint(_probe(session), plans, neg, f"{label}:seed", "seed")
+        within = DatabaseView(session.base, full)
+        for part in start:
+            assert part.issubset(within), f"{label}: seed outside the least fixpoint"
+        counts["seed"] += 1
+        return least_fixpoint_delta(session, plans, start, neg, label, live_as)
+
+    def stability_checked(session):
+        result = solve_optimized(session)
+        # the true set stood still, so the possible set it yields, computed
+        # from scratch, is that true set plus the undefined set
+        known = result.true_facts
+        possible = fixpoint.least_fixpoint(
+            _probe(session), session.plans, DatabaseView(known), "U:recheck", "recheck"
+        )
+        undefined = possible.difference(known)
+        assert undefined.same_content(result.undefined_facts), "possible delta is not stable"
+        counts["stable"] += 1
+        return result
+
+    fixpoint.least_fixpoint_delta = seed_checked
+    fixpoint.solve_optimized = stability_checked
+    try:
+        yield counts
+    finally:
+        fixpoint.least_fixpoint_delta = least_fixpoint_delta
+        fixpoint.solve_optimized = solve_optimized
+
+
 @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
 class TestDriversAgainstOracle:
     @settings(max_examples=150, deadline=None)
@@ -101,3 +159,24 @@ class TestReusedEngine:
             assert result_atoms(result) == ground_afp(program, facts)
             assert result.stats.peak_cache_records > 0
 
+
+class TestCheckedSolves:
+    @pytest.mark.parametrize(
+        "program, facts",
+        [
+            (builtin_program("tc-neg"), gen_chain(6, 2)),
+            (builtin_program("win-not-win"), gen_cycle(50)),
+            (builtin_program("win-not-win"), gen_tree(15)),  # 31 nodes
+            # U0's last round derives c, which no subgoal of a K step reads,
+            # so only the stability check sees a U0 that lacks it
+            (parse_program("a :- not b.\nb :- not a.\nc :- a.\n"), ()),
+        ],
+        ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail"],
+    )
+    def test_optimized_driver_agrees_with_naive(self, checked, program, facts):
+        before = Counter(checked)
+        optimized = solve(program, facts)
+        naive = solve(program, facts, options=SolveOptions(mode="naive"))
+        assert partitions_agree(optimized, naive)
+        # one seed check per delta least fixpoint, one stability check per solve
+        assert checked - before == Counter(seed=optimized.stats.lfp_calls, stable=1)

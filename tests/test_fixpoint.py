@@ -42,11 +42,8 @@ from tests.helpers import (
 WIN = "win(X) :- move(X,Y), not win(Y).\n"
 
 
-def new_session(program_text, facts=(), **opt_kwargs):
-    opts = SolveOptions(**opt_kwargs)
-    engine = Engine()
-    session = Session(parse_program(program_text), facts, engine, opts)
-    return session
+def new_session(program_text, facts=()):
+    return Session(parse_program(program_text), facts, Engine())
 
 
 class TestImmediateConsequences:
@@ -105,7 +102,7 @@ class TestLeastFixpoint:
 
 class TestLeastFixpointDelta:
     def test_starting_at_the_fixpoint_returns_nothing(self):
-        session = new_session(WIN, gen_cycle(2), deep_checks=True)
+        session = new_session(WIN, gen_cycle(2))
         full = least_fixpoint(session, session.plans, session.empty_view(), "lfp", "work")
         delta = least_fixpoint_delta(
             session, session.plans, (full,), session.empty_view(), "again", "delta"
@@ -140,7 +137,7 @@ class TestLeastFixpointDelta:
         rng = random.Random(90210)
         for _ in range(10):
             program = random_program(rng)
-            session = Session(program, (), Engine(), SolveOptions())
+            session = Session(program, (), Engine())
             neg = make_db(
                 [
                     Fact(p, tuple(rng.randrange(1, 7) for _ in range(a)))
@@ -228,12 +225,6 @@ class TestSolveOptimized:
         program = builtin_program("tc-neg")
         result = solve(program, gen_chain(9, 3))
         assert result.stats.peak_live_sets <= 3
-
-    def test_deep_checks_pass(self):
-        program = builtin_program("tc-neg")
-        result = solve(program, gen_chain(6, 2), options=SolveOptions(deep_checks=True))
-        naive = solve(program, gen_chain(6, 2), options=SolveOptions(mode="naive"))
-        assert partitions_agree(result, naive)
 
     def test_delta_mode_agrees(self):
         # semi-naive rounds give the naive partition from fewer derivations
@@ -495,7 +486,7 @@ class TestFactsHandling:
     def test_base_and_derived_facts(self, mode, text, facts, true_atoms, undef_atoms):
         program = parse_program(text)
         base = parse_facts(facts)
-        result = solve(program, base, options=SolveOptions(mode=mode, deep_checks=True))
+        result = solve(program, base, options=SolveOptions(mode=mode))
         assert result_atoms(result) == (true_atoms, undef_atoms)
         assert result_atoms(result) == ground_afp(program, base)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsmr import program as program_mod
-from wfsmr.fixpoint import Session, SolveOptions
+from wfsmr.fixpoint import Session
 from wfsmr.mapreduce import Engine
 from wfsmr.program import (
     ArityError,
@@ -267,7 +267,7 @@ class TestCheckSafety:
 
 def _definite_rules(program):
     """The rules of the definite fixpoint that starts a solve."""
-    session = Session(program, (), Engine(), SolveOptions())
+    session = Session(program, (), Engine())
     return [plan.rule for plan in session.definite_plans]
 
 
