@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -173,6 +174,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "generate" and args.dist == "chain" and not 1 <= (args.k or 0) < args.n:
             parser.error(f"--dist chain needs --k with 1 <= k < n, got k={args.k} n={args.n}")
+        if args.command == "generate" and args.dist != "chain" and args.k is not None:
+            parser.error(f"--k applies to --dist chain only, not --dist {args.dist}")
+        if args.command == "solve" and (not os.path.basename(args.out) or os.path.isdir(args.out)):
+            parser.error(f"--out is a path prefix, not a directory: {args.out!r}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,33 +1,37 @@
-"""Embedded MapReduce engine: map each input, co-group by key, reduce.
+"""Embedded MapReduce engine: key each input, co-group by key, reduce.
 
-A job reads one or more inputs, each a record stream with its own map
-function. The engine maps every record, groups the emitted key/value pairs
-by key separately for each input, and calls the user reduce function
-exactly once per distinct key of input 0 as ``reducer(key, groups)``:
-``groups[i]`` holds the values input ``i`` emitted under the key and is
-empty when that input emitted none. A key that only a later input emitted
-is never reduced. The output is the set of records emitted by all reduce
-calls, so it is independent of the partition count. Jobs run serially on
-the calling thread: one loop maps and groups, then each distinct key is
-routed to one of the engine's partitions by ``hash(key) % partitions``,
-and the partitions are reduced in turn as the reduce tasks of the job.
-String hashes are salted per process, so the routing, and with it the
-order of the reduce calls, may differ between runs; the output does not.
+A job reads one or more inputs, each a record stream with its own key
+function. The map phase groups every record, as its own value, under
+``key_of(record)``, separately for each input, and the engine calls the
+user reduce function exactly once per distinct key of input 0 as
+``reducer(key, groups)``: ``groups[i]`` holds the records of input ``i``
+under the key and is empty when that input has none. A key that only a
+later input has is never reduced. The output is the set of records
+emitted by all reduce calls, so it is independent of the partition count.
+Jobs run serially on the calling thread: one loop keys and groups, then
+each distinct key is routed to one of the engine's partitions by
+``hash(key) % partitions``, and the partitions are reduced in turn as the
+reduce tasks of the job. String hashes are salted per process, so the
+routing, and with it the order of the reduce calls, may differ between
+runs; the output does not.
 
 This departs from the reduce-side joins of Hadoop that the source paper
-runs, where all inputs share one map function, the keys of every input are
-reduced, and each record carries a tag naming its relation so that the
-reducer can split a key's values by tag. The engine knows which input each
-value came from, so no record is tagged.
+runs, where all inputs share one map function, which may emit any number
+of key/value pairs per record, the keys of every input are reduced, and
+each record carries a tag naming its relation. The paper's join and
+anti-join mappers emit one pair per record; here each record is keyed once
+and is its own value, and the engine knows each record's input, so none is
+tagged. A job that would emit several pairs per record flattens its
+records first, as :func:`wordcount_job` does.
 
 An input may also be a :class:`GroupedInput`: one that does not change
 between the jobs that read it. The first such job maps and groups it like
 any other input and keeps its groups, split by reduce task; later jobs
 reuse them without mapping it again (the reducer-input cache of HaLoop, Bu
-et al., VLDB 2010). Held values form their own input's groups, so they are
-never copied or appended to; after slot 0, only the keys input 0 emitted
-are looked up in them. A job's ``map_in``/``map_out`` count only the
-records it mapped itself.
+et al., VLDB 2010). Held records form their own input's groups, so they are
+never copied or appended to; after slot 0, only the keys input 0 has are
+looked up in them. A job's ``map_in``/``map_out`` count only the records
+it mapped itself.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ import time
 from contextlib import ContextDecorator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "GroupedInput",
@@ -51,8 +55,8 @@ __all__ = [
     "gc_paused",
 ]
 
-Mapper = Callable[[Any], list]
-# an input's groups: (key -> its only value, key -> its two or more values)
+KeyOf = Callable[[Any], Hashable]
+# an input's groups: (key -> its only record, key -> its two or more records)
 Groups = tuple[dict, dict]
 Reducer = Callable[[Any, Sequence[Sequence]], Iterable]
 
@@ -107,6 +111,8 @@ class JobError(RuntimeError):
 class JobStats:
     name: str
     map_in: int = 0
+    # records shuffled, always ``map_in``: each record is keyed once. The
+    # benchmark (perfbench/sample.py) reads it, and ``line()`` prints ``out=``.
     map_out: int = 0
     reduce_groups: int = 0
     reduce_out: int = 0
@@ -130,36 +136,36 @@ class JobStats:
 class GroupedInput:
     """One job input that is mapped and grouped once and then reused.
 
-    The first job run with it maps ``records`` through ``mapper`` and keeps
+    The first job run with it groups ``records`` under ``key_of`` and keeps
     the groups in ``tasks``: per reduce task, one dict from key to its only
-    value and one from key to a list of two or more values, so a group of
-    one value holds no list. Later jobs reuse them as they are, so every job
+    record and one from key to a list of two or more records, so a group of
+    one record holds no list. Later jobs reuse them as they are, so every job
     that names one holder must have the same partition count; the owner
     keys its holders by the job input they serve.
     """
 
-    __slots__ = ("mapper", "records", "tasks", "groups", "values")
+    __slots__ = ("key_of", "records", "tasks", "groups", "values")
 
-    def __init__(self, mapper: Mapper, records: Iterable):
-        self.mapper = mapper
+    def __init__(self, key_of: KeyOf, records: Iterable):
+        self.key_of = key_of
         self.records = records
         self.tasks: Optional[list[Groups]] = None
         self.groups = 0  # distinct keys held
-        self.values = 0  # values held
+        self.values = 0  # records held
 
 
-Input = Union[tuple[Mapper, Iterable], GroupedInput]
+Input = Union[tuple[KeyOf, Iterable], GroupedInput]
 
 
 @dataclass
 class JobSpec:
     """One map/shuffle/reduce job.
 
-    Each input is a ``(mapper, records)`` pair or a :class:`GroupedInput`;
-    a job needs one at least. A mapper takes a record and returns a list of
-    key/value records; ``reducer`` takes a key that input 0 emitted and,
-    per input, the sequence of values that input emitted under it, and
-    returns an iterable of output records.
+    Each input is a ``(key_of, records)`` pair or a :class:`GroupedInput`;
+    a job needs one at least. ``key_of`` takes a record and returns its
+    hashable key; ``reducer`` takes a key of input 0 and, per input, the
+    sequence of that input's records under it, the record objects
+    themselves, and returns an iterable of output records.
     Both must be pure with respect to the job input, and the reducer must
     not modify the sequences it is given: those of a ``GroupedInput`` are
     the held ones.
@@ -183,31 +189,28 @@ class EngineConfig:
 _MISSING = object()
 
 
-def _map_and_group(name: str, mapper: Mapper, records: Iterable, counts: list) -> Groups:
-    """Map every record of one input and group the emitted values by key;
-    adds the records mapped and the pairs emitted to ``counts``."""
+def _map_and_group(
+    name: str, key_of: KeyOf, records: Iterable, partitions: int
+) -> tuple[list[Groups], int]:
+    """Group every record of one input under ``key_of(record)``; returns the
+    groups, split by reduce task, and the number of records mapped."""
     single: dict = {}
     multi: dict = {}
-    map_in = 0
-    map_out = 0
+    mapped = 0
     for record in records:
-        map_in += 1
+        mapped += 1
         try:
-            emitted = mapper(record)
+            key = key_of(record)
         except Exception as exc:  # noqa: BLE001 - reported with the record
             raise JobError(name, "map", record, exc) from exc
-        for key, value in emitted:
-            map_out += 1
-            values = multi.get(key)
-            if values is not None:
-                values.append(value)
-            elif key in single:
-                multi[key] = [single.pop(key), value]
-            else:
-                single[key] = value
-    counts[0] += map_in
-    counts[1] += map_out
-    return single, multi
+        values = multi.get(key)
+        if values is not None:
+            values.append(record)
+        elif key in single:
+            multi[key] = [single.pop(key), record]
+        else:
+            single[key] = record
+    return _split((single, multi), partitions), mapped
 
 
 def _split(groups: Groups, partitions: int) -> list[Groups]:
@@ -256,28 +259,27 @@ class Engine:
             raise ValueError(f"job '{spec.name}' has no inputs")
         start = time.perf_counter()
         partitions = self.config.partitions
-        counts = [0, 0]  # records mapped, key/value pairs emitted
+        map_in = 0
         cached_groups = 0
         sides: list[list[Groups]] = []  # per input, per reduce task
         for source in spec.inputs:
-            if not isinstance(source, GroupedInput):
-                sides.append(_split(_map_and_group(spec.name, *source, counts), partitions))
-                continue
-            if source.tasks is None:
-                before = counts[1]
-                single, multi = _map_and_group(spec.name, source.mapper, source.records, counts)
-                source.tasks = _split((single, multi), partitions)
-                source.records = ()
-                source.groups = len(single) + len(multi)
-                source.values = counts[1] - before
-            elif len(source.tasks) != partitions:
-                raise ValueError(
-                    f"job '{spec.name}': grouped input has {len(source.tasks)} reduce tasks, "
-                    f"the engine {partitions}"
-                )
-            else:
+            held = isinstance(source, GroupedInput)
+            if held and source.tasks is not None:
+                if len(source.tasks) != partitions:
+                    raise ValueError(
+                        f"job '{spec.name}': grouped input has {len(source.tasks)} reduce "
+                        f"tasks, the engine {partitions}"
+                    )
                 cached_groups += source.groups
-            sides.append(source.tasks)
+                sides.append(source.tasks)
+                continue
+            key_of, records = (source.key_of, source.records) if held else source
+            tasks, mapped = _map_and_group(spec.name, key_of, records, partitions)
+            map_in += mapped
+            if held:
+                source.tasks, source.records, source.values = tasks, (), mapped
+                source.groups = sum(len(one) + len(many) for one, many in tasks)
+            sides.append(tasks)
 
         reducer = spec.reducer
         reduced: list = []
@@ -305,8 +307,8 @@ class Engine:
 
         stats = JobStats(
             name=spec.name,
-            map_in=counts[0],
-            map_out=counts[1],
+            map_in=map_in,
+            map_out=map_in,
             reduce_groups=reduce_groups,
             reduce_out=len(reduced),
             wall_ms=(time.perf_counter() - start) * 1000.0,
@@ -332,15 +334,14 @@ _WORD_RE = _re.compile(r"[A-Za-z0-9_]+")
 
 
 def wordcount_job(lines: Iterable[str]) -> JobSpec:
-    """Word-frequency job over text lines: the canonical engine smoke test."""
-
-    def mapper(line: str) -> list:
-        return [(word, 1) for word in _WORD_RE.findall(line)]
+    """Word-frequency job over text lines: the canonical engine smoke test.
+    Each word is a record keyed by itself, so its count is its group's size."""
+    words = (word for line in lines for word in _WORD_RE.findall(line))
 
     def reducer(key, groups) -> list:
-        return [(key, sum(groups[0]))]
+        return [(key, len(groups[0]))]
 
-    return JobSpec(name="wordcount", reducer=reducer, inputs=[(mapper, lines)])
+    return JobSpec(name="wordcount", reducer=reducer, inputs=[(lambda word: word, words)])
 
 
 def wordcount(engine: Engine, lines: Iterable[str]) -> dict[str, int]:

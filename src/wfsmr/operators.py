@@ -2,17 +2,17 @@
 whole-rule evaluation.
 
 Operator jobs read encoded rows (tuples of symbol ids) from two inputs,
-which the engine co-groups by key (see :mod:`wfsmr.mapreduce`). Slot 0
-holds the left or positive side, because the engine reduces only the keys
-of slot 0 and a join or anti-join emits nothing for a key that side lacks.
-A join maps each side by its join columns and crosses the left rows of a
-key with its right rows. An anti-join maps the positive rows by the
-anti-join columns and the negative rows, which hold exactly those columns,
-by themselves; it emits the positive rows of a key when no negative row
-arrived under it. Every reducer emits bare rows, so a job's output is its
-result as is. The source paper's Hadoop jobs instead tag each record with
-its relation and split each key's values by tag in the reducer; here each
-relation is its own input, so no record carries a tag.
+each a key function and its rows, which the engine co-groups by key, each
+row as itself (see :mod:`wfsmr.mapreduce`). Slot 0 holds the left or
+positive side, because the engine reduces only the keys of slot 0 and a
+join or anti-join emits nothing for a key that side lacks. A join keys each
+side by its join columns and crosses the left rows of a key with its right
+rows. An anti-join keys the positive rows by the anti-join columns and the
+negative rows, which hold exactly those columns, by the row object itself;
+it emits the positive rows of a key when no negative row arrived under it.
+Every reducer emits bare rows, so a job's output is its result as is. The
+source paper's Hadoop mappers instead emit each record once, tagged with its
+relation; here each relation is its own input, so no record carries a tag.
 
 Rule evaluation chains one job per join over the positive subgoals and one
 per anti-join over the negative subgoals; slot 0 of every job after the
@@ -21,7 +21,7 @@ between them removes duplicates. Projections run inside these jobs: the
 positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reducer of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, which keys
-each projected row by itself and emits it once, so every rule evaluation
+each row by its projection and emits each key once, so every rule evaluation
 runs ``max(1, joins + anti-joins)`` jobs.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
@@ -42,7 +42,7 @@ from dataclasses import replace
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .mapreduce import Engine, GroupedInput, JobSpec, Mapper
+from .mapreduce import Engine, GroupedInput, JobSpec
 from .planner import RulePlan, SubgoalAccess
 from .store import Database, FactSource
 
@@ -146,13 +146,9 @@ def _access_stream(
 # ---------------------------------------------------------------------------
 
 
-def _keyed(get: Callable[[Row], tuple]) -> Mapper:
-    """Mapper that emits each row under ``get(row)``."""
-    return lambda row: [(get(row), row)]
-
-
-def _self_keyed(row: Row) -> list:
-    return [(row, row)]
+def _itself(row: Row) -> Row:
+    """Whole-row key: the row object itself."""
+    return row
 
 
 def _join_spec(
@@ -174,21 +170,18 @@ def _join_spec(
         # duplicates are pruned inside the group before emission
         return {pick(lrow + rrow) for lrow in lefts for rrow in rights}
 
-    inputs = [(_keyed(_picker(left_key)), left), (_keyed(_picker(right_key)), right)]
+    inputs = [(_picker(left_key), left), (_picker(right_key), right)]
     return JobSpec(name, reducer, inputs, warnings)
 
 
 def _project_spec(name: str, pick: Callable[[tuple], tuple], rows: Iterable[Row]) -> JobSpec:
-    """Projection job: each row, mapped through ``pick``, becomes its own key
-    and is emitted once."""
-
-    def mapper(row: Row) -> list:
-        return [(pick(row), None)]
+    """Projection job: each row is keyed by ``pick(row)``, and each key is
+    emitted once."""
 
     def reducer(key, groups) -> list:
         return [key]
 
-    return JobSpec(name, reducer, [(mapper, rows)])
+    return JobSpec(name, reducer, [(pick, rows)])
 
 
 def _antijoin_spec(
@@ -213,8 +206,8 @@ def _antijoin_spec(
             return positives
         return map(pick, positives)
 
-    pos_mapper = _self_keyed if whole_row else _keyed(_picker(pos_key))
-    return JobSpec(name, reducer, [(pos_mapper, positive), (_self_keyed, negative)], warnings)
+    pos_key_of = _itself if whole_row else _picker(pos_key)
+    return JobSpec(name, reducer, [(pos_key_of, positive), (_itself, negative)], warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,12 @@ def result_atoms(result) -> tuple[set[GroundAtom], set[GroundAtom]]:
 
 
 def serial_mapreduce(spec: JobSpec) -> set:
-    """Naive single-threaded map, co-group, reduce reference run over
-    ``(mapper, records)`` inputs; only the keys input 0 emitted are reduced."""
+    """Naive single-threaded key, co-group, reduce reference run over
+    ``(key_of, records)`` inputs; only the keys of input 0 are reduced."""
     groups: dict = {}
-    for slot, (mapper, records) in enumerate(spec.inputs):
+    for slot, (key_of, records) in enumerate(spec.inputs):
         for record in records:
-            for key, value in mapper(record):
-                groups.setdefault(key, [[] for _ in spec.inputs])[slot].append(value)
+            groups.setdefault(key_of(record), [[] for _ in spec.inputs])[slot].append(record)
     out: set = set()
     for key, values in groups.items():
         if values[0]:

@@ -216,6 +216,14 @@ class TestUsage:
                 assert "an integer >= 1" in err and "_positive" not in err, (argv[0], value)
         assert not Path(out + ".true").exists()
 
+    def test_solve_out_must_not_name_a_directory(self, tmp_path, capsys):
+        program = write(tmp_path, "win.lp", WIN)
+        (tmp_path / "results").mkdir()
+        for out in (tmp_path / "results", f"{tmp_path / 'fresh'}{os.sep}"):
+            assert main(["solve", "--program", program, "--out", str(out)]) == EXIT_USAGE, out
+            assert "--out is a path prefix, not a directory" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["results", "win.lp"]
+
     def test_generate_sizes_are_checked_at_parse_time(self, tmp_path, capsys):
         out = str(tmp_path / "g.facts")
         cases = [
@@ -225,6 +233,8 @@ class TestUsage:
             (["--dist", "chain", "--n", "5"], "--dist chain needs --k"),
             (["--dist", "chain", "--n", "5", "--k", "0"], "--dist chain needs --k"),
             (["--dist", "chain", "--n", "5", "--k", "5"], "--dist chain needs --k"),
+            (["--dist", "cycle", "--n", "5", "--k", "3"], "--k applies to --dist chain only"),
+            (["--dist", "tree", "--n", "5", "--k", "1"], "--k applies to --dist chain only"),
         ]
         for flags, message in cases:
             assert main(["generate", *flags, "--out", out]) == EXIT_USAGE, flags

@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from itertools import chain
+from operator import itemgetter
 
 import pytest
 
@@ -23,12 +24,16 @@ from tests.helpers import serial_mapreduce
 DOCS = ["Hello world.", "Hello MapReduce."]
 
 
-def identity_mapper(record):
-    return [record]
+# the records of these tests are (key, value) pairs
+by_key = itemgetter(0)
+
+
+def values(records):
+    return [value for _, value in records]
 
 
 def collect_reducer(key, groups):
-    return [(key, tuple(sorted(chain.from_iterable(groups))))]
+    return [(key, tuple(sorted(values(chain.from_iterable(groups)))))]
 
 
 class TestRunJob:
@@ -48,7 +53,7 @@ class TestRunJob:
         spec = JobSpec(
             name="group",
             reducer=collect_reducer,
-            inputs=[(identity_mapper, [("k", "v1"), ("k", "v2")])],
+            inputs=[(by_key, [("k", "v1"), ("k", "v2")])],
         )
         with Engine() as engine:
             output, stats = engine.run_job(spec)
@@ -61,12 +66,12 @@ class TestRunJob:
         seen = {}
 
         def reducer(key, groups):
-            seen[key] = [list(values) for values in groups]
+            seen[key] = [values(records) for records in groups]
             return []
 
         left = [("both", 1), ("left", 2), ("both", 5)]
         right = [("both", 3), ("right", 4)]
-        inputs = [(identity_mapper, left), (identity_mapper, right)]
+        inputs = [(by_key, left), (by_key, right)]
         if held_at is not None:
             inputs[held_at] = GroupedInput(*inputs[held_at])
         with Engine(EngineConfig(partitions=partitions)) as engine:
@@ -87,23 +92,22 @@ class TestRunJob:
 
         def reducer(key, groups):
             calls.append(key)
-            return [(key, sum(groups[0]) + sum(groups[1]))]
+            return [(key, sum(values(groups[0])) + sum(values(groups[1])))]
 
         records = [(i % 5, 1) for i in range(40)]
-        spec = JobSpec("once", reducer, [(identity_mapper, records[:25]),
-                                         (identity_mapper, records[25:])])
+        spec = JobSpec("once", reducer, [(by_key, records[:25]), (by_key, records[25:])])
         with Engine(EngineConfig(partitions=3)) as engine:
             _, stats = engine.run_job(spec)
         assert sorted(calls) == [0, 1, 2, 3, 4]
         assert stats.reduce_groups == len(set(calls)) == 5
 
     def test_mapper_failure_identifies_record(self):
-        def bad_mapper(record):
+        def bad_key(record):
             if record[0] == 3:
                 raise ValueError("boom")
-            return [record]
+            return record[0]
 
-        spec = JobSpec("bad", collect_reducer, [(bad_mapper, [(i, i) for i in range(5)])])
+        spec = JobSpec("bad", collect_reducer, [(bad_key, [(i, i) for i in range(5)])])
         with Engine() as engine:
             with pytest.raises(JobError) as err:
                 engine.run_job(spec)
@@ -114,7 +118,7 @@ class TestRunJob:
         def bad_reducer(key, groups):
             raise RuntimeError("nope")
 
-        spec = JobSpec("bad", bad_reducer, [(identity_mapper, [("k", 1)])])
+        spec = JobSpec("bad", bad_reducer, [(by_key, [("k", 1)])])
         with Engine() as engine:
             with pytest.raises(JobError) as err:
                 engine.run_job(spec)
@@ -130,22 +134,39 @@ class TestRunJob:
         with pytest.raises(ValueError):
             Engine(EngineConfig(partitions=0))
 
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_each_record_is_keyed_once_and_reduced_as_itself(self, partitions, held):
+        records = [(i % 4, i) for i in range(10)]
+        seen = []
+
+        def reducer(key, groups):
+            seen.extend(groups[0])
+            return []
+
+        source = GroupedInput(by_key, records) if held else (by_key, records)
+        with Engine(EngineConfig(partitions=partitions)) as engine:
+            _, stats = engine.run_job(JobSpec("itself", reducer, [source]))
+        assert sorted(map(id, seen)) == sorted(map(id, records))
+        assert stats.map_in == stats.map_out == len(records)
+
 
 class TestDeterminism:
     @staticmethod
     def _random_spec(rng: random.Random):
         a, b, m = rng.randrange(1, 9), rng.randrange(17), rng.randrange(2, 7)
         records = [(i, rng.randrange(50)) for i in range(rng.randrange(0, 60))]
-
-        def mapper(record):
-            key = (record[1] * a + b) % m
-            return [(key, record[1]), ((key + 1) % m, 1)]
+        # two (key, value) records for each drawn one
+        pairs = []
+        for _, value in records:
+            key = (value * a + b) % m
+            pairs += [(key, value), ((key + 1) % m, 1)]
 
         def reducer(key, groups):
-            return [(key, (sum(groups[0]) + 2 * sum(groups[1])) * a)]
+            return [(key, (sum(values(groups[0])) + 2 * sum(values(groups[1]))) * a)]
 
-        cut = rng.randrange(len(records) + 1)
-        return lambda: JobSpec("arith", reducer, [(mapper, records[:cut]), (mapper, records[cut:])])
+        cut = 2 * rng.randrange(len(records) + 1)
+        return lambda: JobSpec("arith", reducer, [(by_key, pairs[:cut]), (by_key, pairs[cut:])])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_output_independent_of_partitions_and_workers(self, seed):
@@ -166,16 +187,16 @@ class TestDeterminism:
     def test_jobs_run_on_the_calling_thread(self):
         threads = []
 
-        def mapper(record):
+        def key_of(record):
             threads.append(threading.current_thread())
-            return [record]
+            return record[0]
 
         def reducer(key, groups):
             threads.append(threading.current_thread())
-            return [(key, sum(map(sum, groups)))]
+            return [(key, sum(values(chain.from_iterable(groups))))]
 
         records = [(i % 11, i) for i in range(60)]
-        spec = JobSpec("where", reducer, [(mapper, records[:30]), (mapper, records[30:])])
+        spec = JobSpec("where", reducer, [(key_of, records[:30]), (key_of, records[30:])])
         with Engine(EngineConfig(workers=4, partitions=7)) as engine:
             output, _ = engine.run_job(spec)
         assert len(output) == 11
@@ -195,8 +216,7 @@ class TestStats:
         with Engine() as engine:
             _, stats = engine.run_job(wordcount_job(DOCS))
             lines = engine.stats_lines()
-        assert stats.map_in == 2
-        assert stats.map_out == 4
+        assert stats.map_in == stats.map_out == 4  # the words of DOCS
         assert stats.reduce_groups == 3
         assert stats.reduce_out == 3
         assert len(lines) == 1
@@ -206,10 +226,10 @@ class TestStats:
         records = [("hot", i) for i in range(50)] + [("cold", 1)]
 
         def reducer(key, groups):
-            return [(key, sum(groups[0]))]
+            return [(key, sum(values(groups[0])))]
 
         with Engine() as engine:
-            output, stats = engine.run_job(JobSpec("skew", reducer, [(identity_mapper, records)]))
+            output, stats = engine.run_job(JobSpec("skew", reducer, [(by_key, records)]))
         assert dict(output) == {"hot": sum(range(50)), "cold": 1}
         assert stats.max_group == 50
 
@@ -219,19 +239,19 @@ class TestGroupedInput:
     HELD = [("a", 1), ("b", 2), ("a", 3), ("c", 4)]
 
     def jobs(self, held, fresh_inputs):
-        return [JobSpec("cached", collect_reducer, [held, (identity_mapper, fresh)])
+        return [JobSpec("cached", collect_reducer, [held, (by_key, fresh)])
                 for fresh in fresh_inputs]
 
     @pytest.mark.parametrize("partitions", [1, 7])
     def test_held_inputs_are_mapped_once(self, partitions):
         fresh_inputs = [[("a", 5), ("d", 6)], [], [("b", 7), ("b", 8)]]
-        held = GroupedInput(identity_mapper, iter(self.HELD))  # a second read finds it empty
+        held = GroupedInput(by_key, iter(self.HELD))  # a second read finds it empty
         with Engine(EngineConfig(partitions=partitions)) as engine:
             for index, spec in enumerate(self.jobs(held, fresh_inputs)):
                 output, stats = engine.run_job(spec)
                 # equal to one job over all records, held ones included
                 want = serial_mapreduce(JobSpec("all", collect_reducer, [
-                    (identity_mapper, self.HELD), (identity_mapper, fresh_inputs[index])]))
+                    (by_key, self.HELD), (by_key, fresh_inputs[index])]))
                 assert output == want
                 assert stats.reduce_groups == len(want)
                 fresh = len(fresh_inputs[index])
@@ -243,7 +263,7 @@ class TestGroupedInput:
 
     @pytest.mark.parametrize("partitions", [1, 7])
     def test_a_second_job_leaves_the_held_value_lists_unchanged(self, partitions):
-        held = GroupedInput(identity_mapper, self.HELD)
+        held = GroupedInput(by_key, self.HELD)
         first, second = self.jobs(held, [[("a", 5)], [("a", 6), ("b", 7), ("d", 8)]])
 
         def held_lists():
@@ -257,7 +277,7 @@ class TestGroupedInput:
         assert len(lists) == 1 and all(a is b for a, b in zip(held_lists(), lists))
 
     def test_partition_count_must_match(self):
-        held = GroupedInput(identity_mapper, self.HELD)
+        held = GroupedInput(by_key, self.HELD)
         with Engine(EngineConfig(partitions=2)) as engine:
             engine.run_job(self.jobs(held, [[]])[0])
         with Engine(EngineConfig(partitions=3)) as engine, pytest.raises(ValueError):
@@ -304,10 +324,10 @@ class TestCollectorPause:
         assert (len(kept), len(facts)) == (2 * threshold, threshold)
 
     def test_a_failing_job_restores_the_collector(self):
-        def broken_mapper(record):
+        def broken_key(record):
             raise ValueError("boom")
 
         gc.enable()
         with Engine() as engine, pytest.raises(JobError):
-            engine.run_job(JobSpec("broken", collect_reducer, inputs=[(broken_mapper, [(1, 2)])]))
+            engine.run_job(JobSpec("broken", collect_reducer, inputs=[(broken_key, [(1, 2)])]))
         assert gc.isenabled()
