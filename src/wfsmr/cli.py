@@ -9,13 +9,14 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bench as bench_mod
-from .fixpoint import SolveOptions, partitions_agree, solve
+from .fixpoint import SolveOptions, partitions_agree, solve, trace_records
 from .mapreduce import Engine, EngineConfig, wordcount
 from .planner import compile_program
 from .program import Fact, Program, ProgramError, facts_to_text, parse_facts, parse_program
@@ -62,7 +63,7 @@ def _build_parser() -> _Parser:
     solve_cmd.add_argument("--out", required=True, help="output path prefix")
     solve_cmd.add_argument("--mode", choices=["naive", "optimized", "both"], default="optimized")
     solve_cmd.add_argument("--partitions", type=_positive, default=1, help=_PARTITIONS_HELP)
-    solve_cmd.add_argument("--trace", action="store_true", help="print per-step trace lines")
+    solve_cmd.add_argument("--trace", action="store_true", help="print the run as JSON lines")
 
     gen = sub.add_parser("generate", help="write a benchmark facts file")
     gen.add_argument("--dist", choices=["cycle", "tree", "chain"], required=True)
@@ -112,15 +113,8 @@ def cmd_solve(args) -> int:
         engine = Engine(config)
         results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
         if args.trace:
-            for line in results[mode].stats.trace_lines():
-                print(f"{mode}: {line}")
-            for line in engine.stats_lines():
-                print(f"{mode}: job {line}")
-            stats = results[mode].stats
-            print(
-                f"{mode}: peak_facts={stats.peak_facts} peak_live_sets={stats.peak_live_sets} "
-                f"peak_cache_records={stats.peak_cache_records}"
-            )
+            for record in trace_records(results[mode], engine):
+                print(json.dumps({"mode": mode, **record}))
     primary = results[modes[0]]
     out = Path(args.out)
     _write_atoms(out.with_name(out.name + ".true"), primary.true_facts)
@@ -178,6 +172,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--k applies to --dist chain only, not --dist {args.dist}")
         if args.command == "solve" and (not os.path.basename(args.out) or os.path.isdir(args.out)):
             parser.error(f"--out is a path prefix, not a directory: {args.out!r}")
+        out_dir = os.path.dirname(args.out) if args.command in ("solve", "generate") else ""
+        if not os.path.isdir(out_dir or "."):
+            parser.error(f"--out names a directory that does not exist: {out_dir!r}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

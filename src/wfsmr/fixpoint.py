@@ -34,12 +34,17 @@ loop either stops or checks that a stored set grew (a least fixpoint's
 round, the optimized driver's true set) or that the naive true set grew or
 its possible set shrank. Each such set lies within the finite set of ground
 atoms over the input's constants, so every loop ends.
+
+:func:`trace_records` serializes a solve's :class:`StepStat` per least
+fixpoint, its engine's job statistics and its :class:`SolveStats` as one
+record stream in run order, which ``solve --trace`` prints as JSON lines.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .mapreduce import Engine, gc_paused
 from .operators import InputCache, eval_rule
@@ -60,6 +65,7 @@ __all__ = [
     "immediate_consequences",
     "solve",
     "classify",
+    "trace_records",
 ]
 
 
@@ -85,12 +91,6 @@ class StepStat:
     new_facts: int = 0  # facts the step's rules added to its stored set
     inner_iterations: int = 0
     jobs: int = 0
-
-    def line(self) -> str:
-        return (
-            f"step={self.label} K={self.k_size} UminusK={self.u_extra} "
-            f"new={self.new_facts} inner={self.inner_iterations} jobs={self.jobs}"
-        )
 
 
 @dataclass
@@ -123,9 +123,6 @@ class SolveStats:
         total = self.base_facts + sum(db.count() for db in self._live.values())
         if total > self.peak_facts:
             self.peak_facts = total
-
-    def trace_lines(self) -> list[str]:
-        return [step.line() for step in self.steps]
 
 
 @dataclass
@@ -213,6 +210,17 @@ class Session:
 # ---------------------------------------------------------------------------
 
 
+def _record_step(
+    session: Session, label: str, new_facts: int, inner: int, jobs_before: int
+) -> None:
+    """Record one least fixpoint as a step, with the jobs the engine ran
+    since its log held ``jobs_before``."""
+    stats = session.stats
+    stats.lfp_calls += 1
+    jobs = len(session.engine.stats_log) - jobs_before
+    stats.steps.append(StepStat(label, new_facts=new_facts, inner_iterations=inner, jobs=jobs))
+
+
 def least_fixpoint(
     session: Session,
     plans: Sequence[RulePlan],
@@ -243,15 +251,7 @@ def least_fixpoint(
             raise InvariantError(f"{label}: consequence chain is not increasing")
         current = nxt
         stats.register_live(live_as, current)
-    stats.lfp_calls += 1
-    stats.steps.append(
-        StepStat(
-            label=label,
-            new_facts=current.count(),
-            inner_iterations=inner,
-            jobs=len(engine.stats_log) - jobs_before,
-        )
-    )
+    _record_step(session, label, current.count(), inner, jobs_before)
     return current
 
 
@@ -294,15 +294,7 @@ def least_fixpoint_delta(
             raise InvariantError(f"{label}: delta set received duplicate facts")
         delta_new = new
         stats.snapshot_live()
-    stats.lfp_calls += 1
-    stats.steps.append(
-        StepStat(
-            label=label,
-            new_facts=result.count(),
-            inner_iterations=inner,
-            jobs=len(engine.stats_log) - jobs_before,
-        )
-    )
+    _record_step(session, label, result.count(), inner, jobs_before)
     return result
 
 
@@ -492,6 +484,20 @@ def classify(fact: Fact, result: FixpointResult) -> TruthValue:
     if result.undefined_facts.contains(fact.predicate, encoded):
         return TruthValue.UNDEFINED
     return TruthValue.FALSE
+
+
+def trace_records(result: FixpointResult, engine: Engine) -> Iterator[dict]:
+    """The run of one solve as records, in run order: each step's ``job``
+    records, the step's own ``step`` record, and last one ``solve`` record
+    with the :class:`SolveStats` scalars. ``engine`` is the one the solve
+    ran on; its last ``jobs_total`` logged jobs are the solve's."""
+    stats = result.stats
+    jobs = iter(engine.stats_log[len(engine.stats_log) - stats.jobs_total:])
+    for step in stats.steps:
+        for job in islice(jobs, step.jobs):
+            yield {"record": "job", "step": step.label, **asdict(job)}
+        yield {"record": "step", **asdict(step)}
+    yield {"record": "solve", **{k: v for k, v in asdict(stats).items() if k != "steps"}}
 
 
 def partitions_agree(a: FixpointResult, b: FixpointResult) -> bool:

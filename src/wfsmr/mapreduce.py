@@ -32,6 +32,9 @@ et al., VLDB 2010). Held records form their own input's groups, so they are
 never copied or appended to; after slot 0, only the keys input 0 has are
 looked up in them. A job's ``map_in``/``map_out`` count only the records
 it mapped itself.
+
+Each job's :class:`JobStats`, its counts and its map and reduce times,
+goes to the engine's ``stats_log``, which ``solve --trace`` prints.
 """
 from __future__ import annotations
 
@@ -111,26 +114,17 @@ class JobError(RuntimeError):
 class JobStats:
     name: str
     map_in: int = 0
-    # records shuffled, always ``map_in``: each record is keyed once. The
-    # benchmark (perfbench/sample.py) reads it, and ``line()`` prints ``out=``.
-    map_out: int = 0
+    map_out: int = 0  # always ``map_in`` (each record is keyed once); the benchmark reads it
     reduce_groups: int = 0
     reduce_out: int = 0
-    wall_ms: float = 0.0
+    # keying, grouping and routing every input: the shuffle runs inside the
+    # map loop, so its time is part of this one
+    map_ms: float = 0.0
+    reduce_ms: float = 0.0  # the reduce calls and the output set
     partitions: int = 1
     max_group: int = 0  # values in the largest reduced group, all inputs
     cached_groups: int = 0  # distinct keys of the held inputs reused without mapping
     warnings: tuple[str, ...] = ()
-
-    def line(self) -> str:
-        text = (
-            f"{self.name} in={self.map_in} out={self.map_out} "
-            f"groups={self.reduce_groups} cached={self.cached_groups} "
-            f"reduced={self.reduce_out} ms={self.wall_ms:.1f}"
-        )
-        for note in self.warnings:
-            text += f" [{note}]"
-        return text
 
 
 class GroupedInput:
@@ -281,6 +275,7 @@ class Engine:
                 source.groups = sum(len(one) + len(many) for one, many in tasks)
             sides.append(tasks)
 
+        mapped_at = time.perf_counter()
         reducer = spec.reducer
         reduced: list = []
         reduce_groups = 0
@@ -311,7 +306,8 @@ class Engine:
             map_out=map_in,
             reduce_groups=reduce_groups,
             reduce_out=len(reduced),
-            wall_ms=(time.perf_counter() - start) * 1000.0,
+            map_ms=(mapped_at - start) * 1000.0,
+            reduce_ms=(time.perf_counter() - mapped_at) * 1000.0,
             partitions=partitions,
             max_group=max_group,
             cached_groups=cached_groups,
@@ -319,9 +315,6 @@ class Engine:
         )
         self.stats_log.append(stats)
         return output, stats
-
-    def stats_lines(self) -> list[str]:
-        return [stats.line() for stats in self.stats_log]
 
 
 # ---------------------------------------------------------------------------

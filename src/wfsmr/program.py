@@ -171,7 +171,7 @@ class Rule:
         return f"{self.head} :- {body}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     predicate: str
     args: tuple[Symbol, ...] = ()

@@ -1,12 +1,18 @@
+import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import wfsmr
-from wfsmr.bench import TC_NEG, gen_chain
+from wfsmr.bench import TC_NEG, gen_chain, gen_cycle
 from wfsmr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
-from wfsmr.program import facts_to_text
+from wfsmr.fixpoint import SolveOptions, SolveStats, solve
+from wfsmr.mapreduce import Engine, EngineConfig
+from wfsmr.program import facts_to_text, parse_facts, parse_program
 
 SECTION3_PROGRAM = "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).\n"
 SECTION3_FACTS = "a(1,2).\na(1,3).\nb(2,4).\nb(3,5).\nc(1,2).\nd(2,3).\n"
@@ -90,12 +96,19 @@ class TestSolve:
         program = write(tmp_path, "win.lp", WIN + "move(1,2).\n")
         out = str(tmp_path / "r")
         assert main(["solve", "--program", program, "--out", out, "--trace"]) == EXIT_OK
-        text = capsys.readouterr().out
-        assert "step=K0" in text
-        assert "job " in text
+        *lines, summary = capsys.readouterr().out.splitlines()
+        assert summary.startswith("true=")
+        records = [json.loads(line) for line in lines]
+        assert {r["mode"] for r in records} == {"optimized"}
+        steps = [r for r in records if r["record"] == "step"]
+        assert steps[0]["label"] == "K0"
         # move/2 is read from the cache: its 1 record, grouped once
-        assert "optimized: job r0:win:antijoin1 in=1 out=1 groups=1 cached=0 " in text
-        assert "optimized: peak_facts=" in text and " peak_cache_records=1\n" in text
+        first_job = next(r for r in records if r["record"] == "job")
+        assert first_job["name"] == "r0:win:antijoin1"
+        assert first_job["map_in"] == first_job["map_out"] == first_job["reduce_groups"] == 1
+        assert first_job["cached_groups"] == 0
+        assert records[-1]["record"] == "solve"
+        assert records[-1]["peak_cache_records"] == 1
 
     def test_broken_invariant_is_runtime_error(self, tmp_path, capsys, monkeypatch):
         from wfsmr.store import Database
@@ -123,6 +136,79 @@ class TestSolve:
         program = write(tmp_path, "bad.lp", "p(X) :- not q(X).\n")
         out = str(tmp_path / "r")
         assert main(["solve", "--program", program, "--out", out]) == EXIT_VALIDATION
+
+
+def solve_records(tmp_path, capsys, program_text, facts):
+    """Run ``solve --mode both --partitions 3 --trace`` and return the summary lines and
+    the trace records of each mode, checking that every line before the
+    summary is a JSON object."""
+    program = write(tmp_path, "p.lp", program_text)
+    facts_path = write(tmp_path, "in.facts", facts_to_text(facts))
+    argv = ["solve", "--program", program, "--facts", facts_path, "--out", str(tmp_path / "r"),
+            "--mode", "both", "--partitions", "3", "--trace"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("true="))
+    records = [json.loads(line) for line in lines[:at]]
+    assert all(isinstance(record, dict) for record in records)
+    # the optimized run is traced in full before the naive one
+    modes = [record.pop("mode") for record in records]
+    assert modes == sorted(modes, key=["optimized", "naive"].index)
+    by_mode = {mode: [r for m, r in zip(modes, records) if m == mode]
+               for mode in ("optimized", "naive")}
+    return lines[at:], by_mode
+
+
+class TestTrace:
+    """``solve --trace`` prints, per mode and in run order, each step's job
+    records, then the step's record, then one solve record."""
+
+    CASES = {
+        "win-cycle": (WIN, gen_cycle(7)),
+        "tc-chain": (TC_NEG, gen_chain(12, 3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_records_follow_the_run(self, tmp_path, capsys, case):
+        program_text, facts = self.CASES[case]
+        summary, by_mode = solve_records(tmp_path, capsys, program_text, facts)
+        assert summary[-1] == "agreement: ok"
+        for mode, records in by_mode.items():
+            *body, final = records
+            assert final["record"] == "solve"
+            pending = []
+            for record in body:
+                if record["record"] == "job":
+                    pending.append(record)
+                    continue
+                assert record["record"] == "step"
+                assert len(pending) == record["jobs"], (mode, record)
+                assert all(job["step"] == record["label"] for job in pending)
+                pending = []
+            assert pending == []
+            jobs = [r for r in body if r["record"] == "job"]
+            assert len(jobs) == final["jobs_total"] > 0
+            # the solve record carries the SolveStats scalars, and equals
+            # those of the same solve run again
+            engine = Engine(EngineConfig(partitions=3))
+            stats = solve(parse_program(program_text), facts, SolveOptions(mode=mode), engine).stats
+            scalars = {f.name: getattr(stats, f.name) for f in fields(SolveStats)}
+            del scalars["steps"]
+            assert {k: v for k, v in final.items() if k != "record"} == scalars
+            step_records = [{k: v for k, v in r.items() if k != "record"}
+                            for r in body if r["record"] == "step"]
+            assert step_records == [vars(step) for step in stats.steps]
+            assert [job["name"] for job in jobs] == [job.name for job in engine.stats_log]
+            assert all(job["map_ms"] >= 0 and job["reduce_ms"] >= 0 for job in jobs)
+
+    def test_facts_only_program_has_no_job_records(self, tmp_path, capsys):
+        summary, by_mode = solve_records(tmp_path, capsys, "e(1,2).\n", parse_facts("e(2,3)."))
+        assert summary[0].startswith("true=2 ")
+        for records in by_mode.values():
+            kinds = [r["record"] for r in records]
+            assert "job" not in kinds
+            assert kinds[-1] == "solve" and kinds.count("step") == len(kinds) - 1 >= 1
+            assert records[-1]["jobs_total"] == 0
 
 
 class TestGenerate:
@@ -223,6 +309,20 @@ class TestUsage:
             assert main(["solve", "--program", program, "--out", str(out)]) == EXIT_USAGE, out
             assert "--out is a path prefix, not a directory" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.rglob("*")) == ["results", "win.lp"]
+
+    def test_solve_out_must_be_in_an_existing_directory(self, tmp_path, capsys):
+        program = write(tmp_path, "win.lp", WIN)
+        out = tmp_path / "nodir" / "r"
+        assert main(["solve", "--program", program, "--out", str(out)]) == EXIT_USAGE
+        assert f"does not exist: {str(out.parent)!r}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["win.lp"]
+
+    def test_generate_out_must_be_in_an_existing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "c.facts"
+        argv = ["generate", "--dist", "cycle", "--n", "3", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert f"does not exist: {str(out.parent)!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_generate_sizes_are_checked_at_parse_time(self, tmp_path, capsys):
         out = str(tmp_path / "g.facts")

@@ -17,6 +17,7 @@ from wfsmr.fixpoint import (
     least_fixpoint_delta,
     partitions_agree,
     solve,
+    trace_records,
 )
 from wfsmr.mapreduce import Engine
 from wfsmr.oracle import ground_afp
@@ -263,11 +264,29 @@ class TestSolveOptimized:
 
 class TestStats:
     def test_trace_lines_cover_every_set_computation(self):
-        result = solve(parse_program(WIN), gen_cycle(3))
-        lines = result.stats.trace_lines()
-        assert lines[0].startswith("step=K0 ")
-        assert any(line.startswith("step=U0 ") for line in lines)
-        assert all("jobs=" in line for line in lines)
+        engine = Engine()
+        result = solve(parse_program(WIN), gen_cycle(3), engine=engine)
+        steps = [r for r in trace_records(result, engine) if r["record"] == "step"]
+        assert [r["label"] for r in steps] == [s.label for s in result.stats.steps]
+        assert steps[0]["label"] == "K0"
+        assert any(r["label"] == "U0" for r in steps[1:])
+        assert all(isinstance(r["jobs"], int) for r in steps)
+
+    def test_trace_of_a_reused_engine_holds_only_its_solve(self):
+        engine = Engine()
+        solve(parse_program(WIN), gen_cycle(5), engine=engine)
+        earlier = len(engine.stats_log)
+        for program, jobs_total in ((WIN, 2), ("e(1,2).\n", 0)):
+            result = solve(parse_program(program), gen_cycle(2), engine=engine)
+            assert result.stats.jobs_total == jobs_total
+            records = list(trace_records(result, engine))
+            jobs = [r for r in records if r["record"] == "job"]
+            assert len(jobs) == jobs_total
+            assert len(engine.stats_log) == earlier + jobs_total
+            assert [r["map_in"] for r in jobs] == [
+                job.map_in for job in engine.stats_log[earlier:]]
+            assert records[-1]["record"] == "solve"
+            earlier = len(engine.stats_log)
 
     def test_monotone_step_sizes(self):
         result = solve(builtin_program("tc-neg"), gen_chain(9, 3))
