@@ -170,8 +170,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--dist chain needs --k with 1 <= k < n, got k={args.k} n={args.n}")
         if args.command == "generate" and args.dist != "chain" and args.k is not None:
             parser.error(f"--k applies to --dist chain only, not --dist {args.dist}")
-        if args.command == "solve" and (not os.path.basename(args.out) or os.path.isdir(args.out)):
-            parser.error(f"--out is a path prefix, not a directory: {args.out!r}")
+        if args.command in ("solve", "generate") and (
+            not os.path.basename(args.out) or os.path.isdir(args.out)
+        ):
+            what = "path prefix" if args.command == "solve" else "file path"
+            parser.error(f"--out is a {what}, not a directory: {args.out!r}")
         out_dir = os.path.dirname(args.out) if args.command in ("solve", "generate") else ""
         if not os.path.isdir(out_dir or "."):
             parser.error(f"--out names a directory that does not exist: {out_dir!r}")

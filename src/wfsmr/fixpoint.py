@@ -5,28 +5,40 @@ True and undefined atoms are materialized; false atoms are implicit (the
 Herbrand base is never enumerated). Two drivers produce identical
 partitions:
 
-* the naive driver recomputes every least fixpoint from scratch and keeps
-  the full true/possible sets of consecutive rounds (up to four stored
-  sets);
-* the optimized driver starts each least fixpoint from the facts already
-  established and stores at most three sets at any instant: the established
-  true set, the possible-but-not-true delta, and the delta currently being
-  derived. When a round shows the fixpoint has not been reached, its
-  possible delta stays as the previous one, counted by the live-set
-  ledger, until the next possible delta has passed the check that it lies
-  inside it. Its inner rounds are semi-naive: after the first round of a
-  least fixpoint, a rule runs once per positive subgoal whose predicate
-  gained facts in the previous round, with that subgoal reading only those
-  facts.
+* the naive driver runs the paper's alternating fixpoint over the whole
+  program, recomputes every least fixpoint from scratch and keeps the full
+  true/possible sets of consecutive rounds (up to four stored sets);
+* the optimized driver solves the program one strongly connected component
+  of its predicate dependency graph at a time, bottom-up (see
+  :func:`~wfsmr.planner.compile_program`). A component with no negative
+  subgoal over its own predicates, whose rules read no undefined atom, is
+  definite: one least fixpoint, K0, solves it. Any other component runs the
+  alternating fixpoint on its own rules. K0 runs the rules with no negative
+  subgoal over the component's predicates, and each later least fixpoint
+  starts from the facts already established. The driver stores at most
+  three sets of the component at any instant: the established true set, the
+  possible-but-not-true delta, and the delta currently being derived. When
+  a round shows the fixpoint has not been reached, its possible delta stays
+  as the previous one, counted by the live-set ledger, until the next
+  possible delta has passed the check that it lies inside it. Its inner
+  rounds are semi-naive: after the first round of a least fixpoint, a rule
+  runs once per positive subgoal whose predicate gained facts in the
+  previous round, with that subgoal reading only those facts.
 
-Every least fixpoint round runs the rule set through the MapReduce operator
-pipelines. The base facts are one fixed, read-only part of every source a
-round reads, positive and negative, and are never copied into a derived
-set: every stored set holds rule output only, and :func:`solve` adds the
-base facts to the true set once, when it returns. Job inputs that read only
-predicates with base facts and no rule are the same in every round and
+Every least fixpoint round runs a rule set through the MapReduce operator
+pipelines. The base facts, and the true facts of the components the
+optimized driver has finished, form the fixed, read-only part of every
+source a round reads, positive and negative (``Session.fixed``); no
+derived set copies them. The undefined atoms of finished components form a
+second fixed part (``Session.undefined``), which U steps read positively
+and K steps negatively. Every stored set holds rule output only, and
+:func:`solve` adds the base facts to the true set once, when it returns.
+Job inputs that read only predicates whose facts all lie in the fixed part,
+and which no rule still to run heads, are the same in every later round and
 step, so each solve keeps them in one :class:`~wfsmr.operators.InputCache`,
-grouped once and reused, and releases it when it returns.
+grouped once and reused, and releases it when it returns. The optimized
+driver adds a finished component's predicates without undefined atoms to
+it.
 
 The per-step checks always run, and a broken invariant raises
 :class:`InvariantError`. No loop has an iteration cap: every round of every
@@ -85,7 +97,10 @@ class SolveOptions:
 
 @dataclass
 class StepStat:
-    label: str  # K0, U0, K1, ...
+    label: str  # K0, U0, K1, ..., counted within the step's component
+    # bottom-up index of the step's component; None for the naive driver,
+    # which runs the whole program at once
+    component: Optional[int] = None
     k_size: int = 0  # the whole true set, base facts included
     u_extra: int = 0
     new_facts: int = 0  # facts the step's rules added to its stored set
@@ -100,10 +115,12 @@ class SolveStats:
     steps: list[StepStat] = field(default_factory=list)
     jobs_total: int = 0
     derived_facts: int = 0
-    peak_facts: int = 0  # base facts counted once, plus the live sets
+    peak_facts: int = 0  # the fixed facts counted once, plus the live sets
     peak_live_sets: int = 0
     peak_cache_records: int = 0  # records the solve's InputCache held at the end, its peak
-    base_facts: int = 0  # the fixed part of every source, not a live set
+    # the fixed parts of every source, not a live set: the base facts and the
+    # true and undefined facts of finished components
+    fixed_facts: int = 0
 
     def __post_init__(self) -> None:
         self._live: dict[str, Database] = {}
@@ -120,7 +137,7 @@ class SolveStats:
     def snapshot_live(self) -> None:
         if len(self._live) > self.peak_live_sets:
             self.peak_live_sets = len(self._live)
-        total = self.base_facts + sum(db.count() for db in self._live.values())
+        total = self.fixed_facts + sum(db.count() for db in self._live.values())
         if total > self.peak_facts:
             self.peak_facts = total
 
@@ -192,14 +209,19 @@ class Session:
             if known != arity:
                 raise ArityError(predicate, arity, known)
         self.plans = compile_program(program)
-        self.definite_plans = [p for p in self.plans if not p.anti_joins]
+        # the true facts of the components the optimized driver has
+        # finished; with the base they form the fixed part of every source
+        self.finished = Database(self.symbols)
+        self.fixed = DatabaseView(self.base, self.finished)
+        # the undefined atoms of finished components
+        self.undefined = Database(self.symbols)
         # set by solve for the drivers, whose sets hold rule output only, so
-        # a predicate with base facts and no rule has no facts but the base
-        # ones in their sources; other callers of the least fixpoints may
-        # pass any facts, so they map every input
+        # an invariant predicate has no facts but the fixed ones in their
+        # sources; other callers of the least fixpoints may pass any facts,
+        # so they map every input
         self.cache: Optional[InputCache] = None
         self.empty = Database(self.symbols)
-        self.stats = SolveStats(base_facts=self.base.count())
+        self.stats = SolveStats(fixed_facts=self.base.count())
 
     def empty_view(self) -> DatabaseView:
         return DatabaseView(self.empty)
@@ -227,20 +249,23 @@ def least_fixpoint(
     neg: FactSource,
     label: str,
     live_as: str,
+    assumed: tuple[Database, ...] = (),
 ) -> Database:
     """lfp of the consequence operator from the empty set (naive driver),
-    without the base facts, which every round reads from ``session.base``."""
+    without the fixed facts, which every round reads from ``session.fixed``,
+    or those of ``assumed``, which it reads positively as well."""
     engine, stats = session.engine, session.stats
     jobs_before = len(engine.stats_log)
-    neg = DatabaseView(session.base, neg)
+    fixed = DatabaseView(session.fixed, *assumed)
+    neg = DatabaseView(session.fixed, neg)
     current = Database(session.symbols)
     stats.register_live(live_as, current)
     inner = 0
     while True:
         inner += 1
         nxt = immediate_consequences(
-            engine, plans, DatabaseView(session.base, current), neg, stats, session.cache
-        ).difference(session.base)  # rules may derive base facts again
+            engine, plans, DatabaseView(fixed, current), neg, stats, session.cache
+        ).difference(fixed)  # rules may derive fixed facts again
         if nxt.count() == current.count():
             # the chain is increasing, so equal counts mean equal sets
             if not nxt.same_content(current):
@@ -262,17 +287,21 @@ def least_fixpoint_delta(
     neg: FactSource,
     label: str,
     live_as: str,
+    assumed: tuple[Database, ...] = (),
 ) -> Database:
     """Delta least fixpoint: extend ``start`` to the least fixpoint under
-    ``neg`` and return only the newly inferred facts, none of them a base
-    fact. ``start`` is left unchanged and must already be contained in that
-    fixpoint. That is the caller's obligation, which
-    ``tests/test_differential.py`` checks on every optimized solve it makes."""
+    ``neg`` and return only the newly inferred facts, none of them a fixed
+    fact. Every round reads the facts of ``assumed`` positively, as it reads
+    the fixed part, though ``plans`` need not derive them: a U step's
+    undefined atoms of finished components. ``start`` is left unchanged and
+    must already be contained in that fixpoint. That is the caller's
+    obligation, which ``tests/test_differential.py`` checks on every
+    optimized solve it makes."""
     engine, stats = session.engine, session.stats
     jobs_before = len(engine.stats_log)
-    neg = DatabaseView(session.base, neg)
+    neg = DatabaseView(session.fixed, neg)
     result = Database(session.symbols)
-    accumulated = DatabaseView(session.base, *start, result)
+    accumulated = DatabaseView(session.fixed, *assumed, *start, result)
     stats.register_live(live_as, result)
     delta_new: Optional[Database] = None
     inner = 0
@@ -303,23 +332,70 @@ def least_fixpoint_delta(
 # ---------------------------------------------------------------------------
 
 
-def _finish_step(stats: SolveStats, k_derived: int, u_extra: int) -> None:
-    """Record the last step's set sizes; ``k_derived`` counts the true facts
-    beyond the base ones."""
-    stats.steps[-1].k_size = stats.base_facts + k_derived
-    stats.steps[-1].u_extra = u_extra
+def _finish_step(
+    stats: SolveStats, k_size: int, u_extra: int, component: Optional[int] = None
+) -> None:
+    """Record the last step's component and set sizes: the whole true set,
+    base facts included, and the possible atoms beyond it."""
+    step = stats.steps[-1]
+    step.k_size, step.u_extra, step.component = k_size, u_extra, component
 
 
 def solve_optimized(session: Session) -> FixpointResult:
+    """Solve the components bottom-up. Each finished component's true facts
+    join the fixed part, its undefined atoms join ``session.undefined``, and
+    its predicates without undefined atoms become invariant in the cache."""
     stats = session.stats
+    components: dict[int, list[RulePlan]] = {}
+    for plan in session.plans:
+        components.setdefault(plan.component, []).append(plan)
+    # a program without rules still records its one K0 step
+    for index, plans in sorted(components.items()) or [(0, [])]:
+        known, unknown = solve_component(session, index, plans)
+        stats.fixed_facts += known.count() + unknown.count()
+        session.finished.take(known)
+        session.undefined.take(unknown)
+        stats.drop_live("K")
+        stats.drop_live("U_delta")
+        session.cache.invariant.update(
+            plan.head_predicate for plan in plans
+            if not session.undefined.relation(plan.head_predicate)
+        )
+    return FixpointResult(session.finished, session.undefined, stats, session.signatures)
+
+
+def solve_component(
+    session: Session, index: int, plans: Sequence[RulePlan]
+) -> tuple[Database, Database]:
+    """The alternating fixpoint of one component's ``plans`` over the
+    finished components: the component's true facts, registered in the
+    ledger as ``K``, and its undefined atoms."""
+    stats = session.stats
+    heads = {plan.head_predicate for plan in plans}
+    definite = [
+        plan for plan in plans
+        if not any(step.access.atom.predicate in heads for step in plan.anti_joins)
+    ]
+    reads = {lit.atom.predicate for plan in plans for lit in plan.rule.body}
+    true_fixed = session.base.count() + session.finished.count()
+    undefined_fixed = session.undefined.count()
+
+    def finish_step(k_derived: int, u_derived: int) -> None:
+        _finish_step(stats, true_fixed + k_derived, undefined_fixed + u_derived, index)
+
     known = Database(session.symbols)
     stats.register_live("K", known)
     first = least_fixpoint_delta(
-        session, session.definite_plans, (), session.empty_view(), label="K0", live_as="delta"
+        session, definite, (), DatabaseView(session.undefined), label="K0", live_as="delta"
     )
     known.update(first)
     stats.drop_live("delta")
-    _finish_step(stats, known.count(), 0)
+    finish_step(known.count(), 0)
+    if len(definite) == len(plans) and not any(map(session.undefined.relation, reads)):
+        # no negative cycle and no undefined atom to read: K0 is the
+        # component's well-founded model
+        stats.inference_steps += 1
+        return known, Database(session.symbols)
 
     # the previous possible delta stays (as "U_prev") until the next one has
     # passed the shrinkage check against it
@@ -328,13 +404,14 @@ def solve_optimized(session: Session) -> FixpointResult:
     while True:
         unknown = least_fixpoint_delta(
             session,
-            session.plans,
+            plans,
             (known,),
             DatabaseView(known),
             label=f"U{i}",
             live_as="U_delta",
+            assumed=(session.undefined,),
         )
-        _finish_step(stats, known.count(), unknown.count())
+        finish_step(known.count(), unknown.count())
         if unknown.difference(known).count() != unknown.count():
             raise InvariantError("possible delta overlaps the true set")
         if previous is not None:
@@ -347,15 +424,14 @@ def solve_optimized(session: Session) -> FixpointResult:
 
         grown = least_fixpoint_delta(
             session,
-            session.plans,
+            plans,
             (known,),
-            DatabaseView(known, unknown),
+            DatabaseView(session.undefined, known, unknown),
             label=f"K{i + 1}",
             live_as="K_delta",
         )
         i += 1
-        stats.inference_steps = i
-        _finish_step(stats, known.count() + grown.count(), unknown.count())
+        finish_step(known.count() + grown.count(), unknown.count())
         if grown.count() == 0:
             # equal sizes of consecutive true sets: fixpoint reached
             stats.drop_live("K_delta")
@@ -376,27 +452,26 @@ def solve_optimized(session: Session) -> FixpointResult:
         stats.drop_live("K_delta")
         stats.snapshot_live()
         del unknown, grown
-
-    undefined = unknown
-    stats.drop_live("U_delta")
-    stats.drop_live("K")
-    return FixpointResult(known, undefined, stats, session.signatures)
+    stats.inference_steps += i
+    return known, unknown
 
 
 def solve_naive(session: Session) -> FixpointResult:
     stats = session.stats
-    known = least_fixpoint(session, session.definite_plans, session.empty_view(), "K0", "K")
-    _finish_step(stats, known.count(), 0)
+    base = stats.fixed_facts
+    definite = [plan for plan in session.plans if not plan.anti_joins]
+    known = least_fixpoint(session, definite, session.empty_view(), "K0", "K")
+    _finish_step(stats, base + known.count(), 0)
     possible = least_fixpoint(session, session.plans, DatabaseView(known), "U0", "U")
-    _finish_step(stats, known.count(), possible.count() - known.count())
+    _finish_step(stats, base + known.count(), possible.count() - known.count())
     stats.inference_steps = 2
     i = 1
     while True:
         known_next = least_fixpoint(session, session.plans, DatabaseView(possible), f"K{i}", "K'")
-        _finish_step(stats, known_next.count(), possible.count() - known_next.count())
+        _finish_step(stats, base + known_next.count(), possible.count() - known_next.count())
         possible_next = least_fixpoint(session, session.plans, DatabaseView(known_next), f"U{i}", "U'")
         stats.inference_steps += 2
-        _finish_step(stats, known_next.count(), possible_next.count() - known_next.count())
+        _finish_step(stats, base + known_next.count(), possible_next.count() - known_next.count())
         # K only grows and U only shrinks, so until both stand still one of
         # them moves, and the loop ends within the atom space
         if not known.issubset(known_next):
@@ -451,7 +526,7 @@ def solve(
     if engine is None:
         engine = Engine()
     session = Session(program, facts, engine)
-    session.cache = InputCache(session.base, (plan.head_predicate for plan in session.plans))
+    session.cache = InputCache(session.fixed, (plan.head_predicate for plan in session.plans))
     jobs_before = len(engine.stats_log)
     if opts.mode == "optimized":
         result = solve_optimized(session)
@@ -495,7 +570,7 @@ def trace_records(result: FixpointResult, engine: Engine) -> Iterator[dict]:
     jobs = iter(engine.stats_log[len(engine.stats_log) - stats.jobs_total:])
     for step in stats.steps:
         for job in islice(jobs, step.jobs):
-            yield {"record": "job", "step": step.label, **asdict(job)}
+            yield {"record": "job", "step": step.label, "component": step.component, **asdict(job)}
         yield {"record": "step", **asdict(step)}
     yield {"record": "solve", **{k: v for k, v in asdict(stats).items() if k != "steps"}}
 

@@ -25,10 +25,11 @@ each row by its projection and emits each key once, so every rule evaluation
 runs ``max(1, joins + anti-joins)`` jobs.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
-the length of one solve: subgoals over predicates that have base facts and
-head no rule, which no job can change and which stream from the base facts
-alone. A job whose inputs are all invariant runs once per cache and its
-output is reused, and that output is an invariant input of the next job.
+the length of one solve: subgoals over predicates whose facts all lie in
+the fixed part of every source and which no rule still to run heads, so
+that no job can change them and they stream from the fixed part alone. A
+job whose inputs are all invariant runs once per cache and its output is
+reused, and that output is an invariant input of the next job.
 In a job with other inputs too, each invariant input is mapped and grouped
 by the first job that reads it and later jobs map only the rest (see
 :class:`~wfsmr.mapreduce.GroupedInput`).
@@ -44,7 +45,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .mapreduce import Engine, GroupedInput, JobSpec
 from .planner import RulePlan, SubgoalAccess
-from .store import Database, FactSource
+from .store import FactSource
 
 __all__ = [
     "single_join",
@@ -78,13 +79,17 @@ def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tup
 class InputCache:
     """The loop-invariant job inputs of one solve.
 
-    A predicate is invariant when ``base`` holds facts of it and no rule
-    heads it. The fixpoint drivers put ``base`` in every source they pass and
-    store rule output only, so a source's facts of such a predicate are
-    exactly the base ones: a subgoal over it streams from ``base``, whatever
-    the source, and is an invariant input. So are the unit relation of a
-    rule without positive subgoals and the output of a job whose inputs are
-    all invariant.
+    ``base`` is the fixed part of every source the fixpoint drivers pass,
+    and a predicate is invariant when ``base`` holds all of its facts and no
+    rule still to run heads it. At first these are the predicates that
+    ``base`` holds facts of and no rule in ``heads`` heads; the optimized
+    driver adds each predicate of a finished component that has no
+    undefined atoms, whose true facts it has put in ``base``. The drivers
+    store rule output only, so a source's facts of an invariant predicate
+    are exactly those of ``base``: a subgoal over it streams from ``base``,
+    whatever the source, and is an invariant input. So are the unit relation
+    of a rule without positive subgoals and the output of a job whose inputs
+    are all invariant.
 
     ``outputs`` keeps the output of each rule whose jobs read only
     invariant inputs, keyed by rule index, and ``grouped`` each grouped
@@ -95,9 +100,9 @@ class InputCache:
     knows no invariant predicate, so across calls it never hits.
     """
 
-    def __init__(self, base: Optional[Database] = None, heads: Iterable[str] = ()):
+    def __init__(self, base: Optional[FactSource] = None, heads: Iterable[str] = ()):
         self.base = base
-        self.invariant = frozenset(base.predicates() if base is not None else ()).difference(heads)
+        self.invariant = set(base.predicates() if base is not None else ()).difference(heads)
         self.outputs: dict[int, set] = {}
         self.grouped: dict[tuple[int, int, int], GroupedInput] = {}
 

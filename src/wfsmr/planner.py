@@ -13,6 +13,12 @@ Constants and repeated variables inside a subgoal compile to selection
 filters applied while the relation is streamed into a job, not to separate
 jobs. Positive subgoals sharing no variables join on the empty key
 (a Cartesian product); this is legal but flagged with a warning.
+
+:func:`compile_program` also tags each plan with the strongly connected
+component of its head in the predicate dependency graph, which has an edge
+from a rule's head to each predicate of its body, positive or negative.
+Only predicates that head a rule form components, numbered bottom-up: a
+rule's body reads only predicates of its own component or of lower ones.
 """
 from __future__ import annotations
 
@@ -122,6 +128,7 @@ class RulePlan:
     anti_joins: tuple[AntiJoinStep, ...]
     head_cols: tuple[HeadCol, ...]
     index: int = 0  # position among the program's rules, for job names
+    component: int = 0  # strongly connected component of the head, bottom-up
 
     @property
     def head_predicate(self) -> str:
@@ -149,6 +156,7 @@ class RulePlan:
                 f"  anti-join not {step.access.atom} on ({','.join(step.key_vars)})"
             )
         lines.append(f"  project {self.rule.head}")
+        lines.append(f"  component {self.component}")
         return "\n".join(lines)
 
 
@@ -264,9 +272,57 @@ def compile_rule(rule: Rule) -> RulePlan:
     )
 
 
+def _components(rules: Iterable[Rule]) -> dict[str, int]:
+    """Each head predicate's strongly connected component, numbered so that
+    a component comes after every component its rules read (Tarjan's
+    algorithm, without recursion)."""
+    reads: dict[str, list[str]] = {}
+    for rule in rules:
+        reads.setdefault(rule.head.predicate, []).extend(lit.atom.predicate for lit in rule.body)
+    order: dict[str, int] = {}  # visiting order
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    component: dict[str, int] = {}
+    done = 0  # components numbered so far
+    for root in reads:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(reads[root]))]
+        while work:
+            node, body = work[-1]
+            for child in body:
+                if child not in reads:  # heads no rule: not in any component
+                    continue
+                if child not in order:
+                    order[child] = low[child] = len(order)
+                    stack.append(child)
+                    work.append((child, iter(reads[child])))
+                    break
+                if child not in component:  # still on the stack
+                    low[node] = min(low[node], order[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == order[node]:
+                    while True:
+                        member = stack.pop()
+                        component[member] = done
+                        if member == node:
+                            break
+                    done += 1
+    return component
+
+
 def compile_program(program: Program) -> list[RulePlan]:
-    """One plan per non-fact rule; facts are loaded as base insertions."""
+    """One plan per non-fact rule, tagged with its component; facts are
+    loaded as base insertions."""
+    rules = program.proper_rules()
+    component = _components(rules)
     return [
-        replace(compile_rule(rule), index=index)
-        for index, rule in enumerate(program.proper_rules())
+        replace(compile_rule(rule), index=index, component=component[rule.head.predicate])
+        for index, rule in enumerate(rules)
     ]

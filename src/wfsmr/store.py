@@ -91,6 +91,16 @@ class Database:
         rel.tuples.update(rows)
         return len(rel.tuples) - before
 
+    def take(self, other: "Database") -> None:
+        """Move the relations of ``other``, none of whose predicates this
+        database holds, into it without copying; ``other`` is left empty."""
+        self._require_shared_symbols(other)
+        shared = self._relations.keys() & other._relations.keys()
+        if shared:
+            raise ValueError(f"both databases hold predicates {sorted(shared)}")
+        self._relations.update(other._relations)
+        other._relations = {}
+
     def update(self, other: "Database") -> None:
         """In-place set union with another database on the same symbol table."""
         self._require_shared_symbols(other)
@@ -207,6 +217,9 @@ class DatabaseView:
                 raise ValueError("view parts must share one symbol table")
         self.parts: tuple[Database, ...] = tuple(flat)
         self.symbols = symbols
+
+    def predicates(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(p for db in self.parts for p in db.predicates()))
 
     def tuples(self, predicate: str) -> Iterator[tuple[int, ...]]:
         for db in self.parts:

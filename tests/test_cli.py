@@ -324,6 +324,14 @@ class TestUsage:
         assert f"does not exist: {str(out.parent)!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_generate_out_must_not_name_a_directory(self, tmp_path, capsys):
+        (tmp_path / "facts").mkdir()
+        for out in (tmp_path / "facts", f"{tmp_path / 'fresh'}{os.sep}", ""):
+            argv = ["generate", "--dist", "cycle", "--n", "3", "--out", str(out)]
+            assert main(argv) == EXIT_USAGE, out
+            assert "--out is a file path, not a directory" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["facts"]
+
     def test_generate_sizes_are_checked_at_parse_time(self, tmp_path, capsys):
         out = str(tmp_path / "g.facts")
         cases = [

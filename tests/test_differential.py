@@ -10,8 +10,9 @@ variables, and int and text constants together.
 Every optimized solve in this module also checks the two obligations the
 optimized driver's shortcut rests on, which the driver itself takes on
 trust: each delta least fixpoint starts inside the least fixpoint it
-extends, and at termination the possible delta is the one the final true
-set yields.
+extends, which reads the same fixed parts and assumed facts, and at
+termination the possible delta of the whole program is the one the final
+true set yields.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wfsmr import EngineConfig, Fact, SolveOptions, fixpoint, parse_program, solve
+from wfsmr import EngineConfig, Fact, SolveOptions, fixpoint, parse_facts, parse_program, solve
 from wfsmr.bench import builtin_program, gen_chain, gen_cycle, gen_tree
 from wfsmr.fixpoint import SolveStats, partitions_agree
 from wfsmr.mapreduce import Engine
@@ -91,22 +92,30 @@ def checked():
     solve_optimized = fixpoint.solve_optimized
     counts = Counter()
 
-    def seed_checked(session, plans, start, neg, label, live_as):
-        # each part of the seed lies in base + the from-scratch fixpoint
-        full = fixpoint.least_fixpoint(_probe(session), plans, neg, f"{label}:seed", "seed")
-        within = DatabaseView(session.base, full)
+    def seed_checked(session, plans, start, neg, label, live_as, assumed=()):
+        # each part of the seed lies in the fixed part + the from-scratch
+        # fixpoint, which reads the fixed part and the assumed facts too
+        full = fixpoint.least_fixpoint(
+            _probe(session), plans, neg, f"{label}:seed", "seed", assumed
+        )
+        within = DatabaseView(session.fixed, full)
         for part in start:
             assert part.issubset(within), f"{label}: seed outside the least fixpoint"
         counts["seed"] += 1
-        return least_fixpoint_delta(session, plans, start, neg, label, live_as)
+        return least_fixpoint_delta(session, plans, start, neg, label, live_as, assumed)
 
     def stability_checked(session):
         result = solve_optimized(session)
         # the true set stood still, so the possible set it yields, computed
-        # from scratch, is that true set plus the undefined set
+        # from scratch over the whole program, is that true set plus the
+        # undefined set; the recheck reads the base alone as its fixed part,
+        # and without the cache, whose invariant inputs stream from the
+        # fixed part that now holds the true facts of every component
         known = result.true_facts
+        probe = _probe(session)
+        probe.fixed, probe.cache = DatabaseView(session.base), None
         possible = fixpoint.least_fixpoint(
-            _probe(session), session.plans, DatabaseView(known), "U:recheck", "recheck"
+            probe, session.plans, DatabaseView(known), "U:recheck", "recheck"
         )
         undefined = possible.difference(known)
         assert undefined.same_content(result.undefined_facts), "possible delta is not stable"
@@ -160,6 +169,19 @@ class TestReusedEngine:
             assert result.stats.peak_cache_records > 0
 
 
+UNDEFINED_INTO_DEFINITE = "a :- not b.\nb :- not a.\nc :- a.\nd :- c, e.\n"
+STACKED_NEGATIVE = "p :- not q.\nq :- not p.\nr :- p, not s.\ns :- not r.\n"
+# p has base facts and heads a rule of the lowest component; the components
+# above read it positively and negatively
+BASE_AND_LOWER_HEAD = (
+    "p(X) :- e(X), not f(X).\n"
+    "p(3).\n"
+    "r(X) :- p(X), not s(X).\n"
+    "s(X) :- e(X), not r(X), not p(X).\n"
+    "t(X) :- r(X), p(X).\n"
+)
+
+
 class TestCheckedSolves:
     @pytest.mark.parametrize(
         "program, facts",
@@ -167,16 +189,26 @@ class TestCheckedSolves:
             (builtin_program("tc-neg"), gen_chain(6, 2)),
             (builtin_program("win-not-win"), gen_cycle(50)),
             (builtin_program("win-not-win"), gen_tree(15)),  # 31 nodes
-            # U0's last round derives c, which no subgoal of a K step reads,
-            # so only the stability check sees a U0 that lacks it
+            # c's component reads the undefined a of the component below
             (parse_program("a :- not b.\nb :- not a.\nc :- a.\n"), ()),
+            # an undefined atom flows through a definite component into one
+            # whose rule reads e, which has no facts
+            (parse_program(UNDEFINED_INTO_DEFINITE), ()),
+            (parse_program("a :- not b.\nb :- not a.\nc :- not a.\n"), ()),
+            (parse_program(STACKED_NEGATIVE), ()),
+            (parse_program(BASE_AND_LOWER_HEAD), parse_facts("e(1).\ne(2).\ne(3).\nf(2).")),
+            # no rules: one K0 step, no component
+            (parse_program("e(1).\n"), ()),
         ],
-        ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail"],
+        ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail",
+             "undefined-into-definite", "undefined-read-negatively", "stacked-negative",
+             "base-and-lower-head", "no-rules"],
     )
     def test_optimized_driver_agrees_with_naive(self, checked, program, facts):
         before = Counter(checked)
         optimized = solve(program, facts)
         naive = solve(program, facts, options=SolveOptions(mode="naive"))
         assert partitions_agree(optimized, naive)
+        assert result_atoms(optimized) == ground_afp(program, facts)
         # one seed check per delta least fixpoint, one stability check per solve
         assert checked - before == Counter(seed=optimized.stats.lfp_calls, stable=1)

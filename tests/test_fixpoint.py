@@ -47,6 +47,20 @@ def new_session(program_text, facts=()):
     return Session(parse_program(program_text), facts, Engine())
 
 
+def assert_monotone_steps(steps):
+    k_sizes = [s.k_size for s in steps]
+    assert k_sizes == sorted(k_sizes)
+    for component in {s.component for s in steps}:
+        u_sizes = [s.u_extra for s in steps if s.component == component and s.label[0] == "U"]
+        assert u_sizes == sorted(u_sizes, reverse=True), component
+
+
+def definite(session):
+    """The plans of the whole program's definite fixpoint: those without a
+    negative subgoal."""
+    return [plan for plan in session.plans if not plan.anti_joins]
+
+
 class TestImmediateConsequences:
     def test_facts_only_program_fires_unconditionally(self):
         # the facts are the base, which the operator reads but never returns;
@@ -80,7 +94,7 @@ class TestLeastFixpoint:
     def test_definite_subprogram_of_game_yields_facts(self):
         session = new_session(WIN, gen_cycle(2))
         out = least_fixpoint(
-            session, session.definite_plans, session.empty_view(), "K0", "work"
+            session, definite(session), session.empty_view(), "K0", "work"
         )
         # the game has no definite rule: the definite fixpoint is the base alone
         assert db_atoms(session.base) == {("move", (1, 2)), ("move", (2, 1))}
@@ -89,7 +103,7 @@ class TestLeastFixpoint:
     def test_possible_set_on_two_cycle(self):
         session = new_session(WIN, gen_cycle(2))
         known = least_fixpoint(
-            session, session.definite_plans, session.empty_view(), "K0", "work"
+            session, definite(session), session.empty_view(), "K0", "work"
         )
         possible = least_fixpoint(session, session.plans, DatabaseView(known), "U0", "work")
         assert known.count() == 0
@@ -113,17 +127,17 @@ class TestLeastFixpointDelta:
     def test_from_empty_equals_definite_fixpoint(self):
         session = new_session(WIN + "reach(X) :- move(X,Y).\n", gen_cycle(3))
         via_naive = least_fixpoint(
-            session, session.definite_plans, session.empty_view(), "a", "work"
+            session, definite(session), session.empty_view(), "a", "work"
         )
         via_delta = least_fixpoint_delta(
-            session, session.definite_plans, (), session.empty_view(), "b", "delta"
+            session, definite(session), (), session.empty_view(), "b", "delta"
         )
         assert via_delta.same_content(via_naive)
 
     def test_game_delta_on_two_cycle(self):
         session = new_session(WIN, gen_cycle(2))
         known = least_fixpoint_delta(
-            session, session.definite_plans, (), session.empty_view(), "K0", "K"
+            session, definite(session), (), session.empty_view(), "K0", "K"
         )
         delta = least_fixpoint_delta(
             session, session.plans, (known,), DatabaseView(known), "U0", "delta"
@@ -238,7 +252,8 @@ class TestSolveOptimized:
 
     def test_a_join_round_reduces_only_the_keys_of_its_delta(self):
         # e is held grouped by the input cache; each semi-naive round of K0
-        # reduces the one key of its delta, not every held e group
+        # reduces the one key of its delta, not every held e group, and
+        # reach's definite component stops after K0
         n = 300
         program = parse_program("reach(1).\nreach(Y) :- reach(X), e(X,Y).\n")
         engine = Engine()
@@ -248,8 +263,9 @@ class TestSolveOptimized:
             ("e", (i, i + 1)) for i in range(1, n + 1)
         }
         assert undef_atoms == set()
-        # n + 1 one-key rounds in K0, then two jobs over all n + 1 reach keys
-        assert sum(job.reduce_groups for job in engine.stats_log) == 3 * (n + 1)
+        # n + 1 one-key rounds in K0, and no U0 or K1 over all n + 1 reach keys
+        assert [step.label for step in result.stats.steps] == ["K0"]
+        assert sum(job.reduce_groups for job in engine.stats_log) == n + 1
 
     @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
     def test_random_programs_match_naive_and_oracle(self):
@@ -260,6 +276,102 @@ class TestSolveOptimized:
             naive = solve(program, options=SolveOptions(mode="naive"))
             assert partitions_agree(optimized, naive), program.pretty()
             assert result_atoms(optimized) == ground_afp(program), program.pretty()
+
+
+class TestComponents:
+    @pytest.mark.parametrize("mode", ["optimized", "naive"])
+    @pytest.mark.parametrize(
+        "text, facts, true_atoms, undef_atoms",
+        [
+            # an undefined atom flows into a definite component; e has no
+            # facts, so d stays false
+            (
+                "a :- not b.\nb :- not a.\nc :- a.\nd :- c, e.\n",
+                "",
+                set(),
+                {("a", ()), ("b", ()), ("c", ())},
+            ),
+            # the K steps of c's component must read the undefined a
+            # negatively, or c comes out true
+            (
+                "a :- not b.\nb :- not a.\nc :- not a.\n",
+                "",
+                set(),
+                {("a", ()), ("b", ()), ("c", ())},
+            ),
+            # two stacked negative components, the upper one reading the
+            # undefined atoms of the lower one
+            (
+                "p :- not q.\nq :- not p.\nr :- p, not s.\ns :- not r.\n",
+                "",
+                set(),
+                {("p", ()), ("q", ()), ("r", ()), ("s", ())},
+            ),
+            # p has a base fact and heads the lowest component's rule; the
+            # negative cycle above reads it both ways
+            (
+                "p(X) :- e(X), not f(X).\np(3).\n"
+                "r(X) :- p(X), not s(X).\ns(X) :- e(X), not r(X), not p(X).\n",
+                "e(1).\ne(2).\ne(3).\nf(2).",
+                {("e", (1,)), ("e", (2,)), ("e", (3,)), ("f", (2,)), ("p", (1,)),
+                 ("p", (3,)), ("r", (1,)), ("r", (3,)), ("s", (2,))},
+                set(),
+            ),
+            # no rules at all
+            ("e(1).\n", "", {("e", (1,))}, set()),
+        ],
+        ids=["undefined-into-definite", "undefined-read-negatively", "stacked-negative",
+             "base-and-lower-head", "no-rules"],
+    )
+    def test_partitions_by_hand(self, mode, text, facts, true_atoms, undef_atoms):
+        program, base = parse_program(text), parse_facts(facts)
+        result = solve(program, base, options=SolveOptions(mode=mode))
+        assert result_atoms(result) == (true_atoms, undef_atoms)
+        assert ground_afp(program, base) == (true_atoms, undef_atoms)
+
+    def test_steps_carry_their_component(self):
+        engine = Engine()
+        result = solve(builtin_program("tc-neg"), gen_chain(9, 3), engine=engine)
+        steps = [(s.component, s.label) for s in result.stats.steps]
+        # q's negative cycle alternates; par and tc read no undefined atom
+        # and have no negative cycle, so K0 solves each of them
+        assert steps == [(0, "K0"), (0, "U0"), (0, "K1"), (0, "U1"), (0, "K2"),
+                         (1, "K0"), (2, "K0")]
+        assert result.stats.inference_steps == 2 + 1 + 1
+        records = list(trace_records(result, engine))
+        assert [(r["component"], r["label"]) for r in records if r["record"] == "step"] == steps
+        assert {r["component"] for r in records if r["record"] == "job"} == {0, 1, 2}
+        naive = solve(builtin_program("tc-neg"), gen_chain(9, 3), SolveOptions(mode="naive"))
+        assert {s.component for s in naive.stats.steps} == {None}
+
+    def test_no_rules_records_one_k0_step(self):
+        result = solve(parse_program("e(1).\n"), [Fact("f", (2,))])
+        assert [(s.component, s.label, s.k_size, s.jobs) for s in result.stats.steps] == [
+            (0, "K0", 2, 0)
+        ]
+
+    def test_undefined_below_makes_a_definite_component_alternate(self):
+        result = solve(parse_program("a :- not b.\nb :- not a.\nc :- a.\n"))
+        # c's component reads the undefined a: its U0 derives c, and its K1
+        # confirms the true set
+        assert [(s.component, s.label, s.u_extra) for s in result.stats.steps] == [
+            (0, "K0", 0), (0, "U0", 2), (0, "K1", 2),
+            (1, "K0", 2), (1, "U0", 3), (1, "K1", 3),
+        ]
+
+    def test_finished_component_is_an_invariant_input(self):
+        engine = Engine()
+        solve(builtin_program("tc-neg"), gen_chain(9, 3), engine=engine)
+        jobs = [job for job in engine.stats_log if job.name == "r1:tc:join1"]
+        # par is finished before tc's component starts: the first round
+        # groups it, every later one maps only the tc delta
+        assert len(jobs) > 2
+        assert jobs[0].cached_groups == 0
+        assert all(job.cached_groups > 0 for job in jobs[1:])
+        # par's rules read b and the finished q only, so each runs one job
+        names = [job.name for job in engine.stats_log]
+        assert names.count("r2:par:antijoin1") == 1
+        assert names.count("r3:par:antijoin1") == 1
 
 
 class TestStats:
@@ -289,15 +401,18 @@ class TestStats:
             earlier = len(engine.stats_log)
 
     def test_monotone_step_sizes(self):
-        result = solve(builtin_program("tc-neg"), gen_chain(9, 3))
-        k_sizes = [s.k_size for s in result.stats.steps]
-        assert k_sizes == sorted(k_sizes)
-        u_sizes = [s.u_extra for s in result.stats.steps if s.label.startswith("U")]
-        assert u_sizes == sorted(u_sizes, reverse=True)
+        # K sizes grow across the whole solve; U sizes shrink within each
+        # component, which runs its own alternating fixpoint (the naive
+        # driver's steps all have component None: the whole program)
+        for mode in ("optimized", "naive"):
+            result = solve(builtin_program("tc-neg"), gen_chain(9, 3), SolveOptions(mode=mode))
+            assert_monotone_steps(result.stats.steps)
 
     def test_optimized_loop_ends_without_a_cap(self, monkeypatch):
-        # with a difference that removes nothing, U0's second round takes in
-        # a fact it already holds; the delta stops growing and the loop stops
+        # with a difference that removes nothing, K0's second round takes in
+        # a fact it already holds; the delta stops growing and the loop
+        # stops. reach's component has no negative cycle, so its K0 runs
+        # both rules, the recursive one included
         program = parse_program("reach(Y) :- reach(X), e(X,Y).\nreach(X) :- s(X), not b(X).\n")
         rounds = []
         consequences = fixpoint.immediate_consequences
@@ -308,9 +423,9 @@ class TestStats:
 
         monkeypatch.setattr(fixpoint, "immediate_consequences", counted)
         monkeypatch.setattr(Database, "difference", lambda self, other: self)
-        with pytest.raises(InvariantError, match="U0: delta set received duplicate facts"):
+        with pytest.raises(InvariantError, match="K0: delta set received duplicate facts"):
             solve(program, [Fact("s", (1,)), Fact("e", (1, 1))])
-        assert len(rounds) == 3  # K0's one round, then U0's two
+        assert len(rounds) == 2  # K0's two rounds
 
     def test_naive_loop_ends_without_a_cap(self, monkeypatch):
         # a round that drops a fact of the round before it is caught at once
@@ -379,8 +494,10 @@ class TestStats:
             original(stats, name, db)
 
         monkeypatch.setattr(fixpoint.SolveStats, "register_live", spy)
-        result = solve(builtin_program("tc-neg"), gen_chain(9, 3))
-        assert result.stats.inference_steps > 2
+        result = solve(builtin_program("tc-neg"), gen_chain(16, 2))
+        # q's component, the lowest, takes more than 2 inference steps
+        q_steps = [s.label for s in result.stats.steps if s.component == 0]
+        assert sum(label.startswith("U") for label in q_steps) > 2
         assert "U_prev" in registered
         assert result.stats.peak_live_sets <= 3
 

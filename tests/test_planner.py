@@ -133,6 +133,60 @@ class TestCompileProgram:
         assert compile_program(program) == []
 
 
+def _reaches(plans) -> dict[str, set[str]]:
+    """Head predicate -> the head predicates its rules read, transitively."""
+    heads = {plan.head_predicate for plan in plans}
+    reach = {head: set() for head in heads}
+    for plan in plans:
+        reach[plan.head_predicate].update(
+            lit.atom.predicate for lit in plan.rule.body if lit.atom.predicate in heads
+        )
+    changed = True
+    while changed:
+        changed = False
+        for head, reached in reach.items():
+            more = set().union(*(reach[p] for p in reached)) - reached
+            if more:
+                reached.update(more)
+                changed = True
+    return reach
+
+
+class TestComponents:
+    def test_closure_program_components_bottom_up(self):
+        from wfsmr.bench import TC_NEG
+
+        plans = compile_program(parse_program(TC_NEG))
+        assert [(plan.head_predicate, plan.component) for plan in plans] == [
+            ("tc", 2), ("tc", 2), ("par", 1), ("par", 1), ("q", 0),
+        ]
+
+    def test_mutual_recursion_is_one_component(self):
+        plans = compile_program(parse_program(
+            "x :- y.\ny :- z, not w.\nz :- x.\nw :- not w.\nv :- not x.\n"
+        ))
+        assert {plan.head_predicate: plan.component for plan in plans} == {
+            "w": 0, "x": 1, "y": 1, "z": 1, "v": 2,
+        }
+        assert "component 1" in plans[0].explain()
+
+    @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
+    def test_random_programs_are_numbered_bottom_up(self):
+        rng = random.Random(4711)
+        for _ in range(60):
+            plans = compile_program(random_program(rng, with_facts=False))
+            component = {plan.head_predicate: plan.component for plan in plans}
+            reach = _reaches(plans)
+            assert sorted(set(component.values())) == list(range(len(set(component.values()))))
+            for head, reached in reach.items():
+                for other in reached:
+                    # a rule reads only its own component or lower ones, and
+                    # two heads share one exactly when each reaches the other
+                    assert component[other] <= component[head]
+                    same = head in reach[other] or head == other
+                    assert (component[other] == component[head]) == same
+
+
 class TestExplain:
     def test_plan_dump_lines(self):
         plan = plan_for("p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsmr import program as program_mod
-from wfsmr.fixpoint import Session
+from wfsmr.fixpoint import SolveOptions, solve, trace_records
 from wfsmr.mapreduce import Engine
+from wfsmr.planner import compile_program
 from wfsmr.program import (
     ArityError,
     Atom,
@@ -266,9 +267,16 @@ class TestCheckSafety:
 
 
 def _definite_rules(program):
-    """The rules of the definite fixpoint that starts a solve."""
-    session = Session(program, (), Engine())
-    return [plan.rule for plan in session.definite_plans]
+    """The rules of the definite fixpoint that starts a naive solve: those
+    that its K0 step ran jobs of."""
+    engine = Engine()
+    result = solve(program, options=SolveOptions(mode="naive"), engine=engine)
+    ran = {
+        int(record["name"].split(":")[0][1:])
+        for record in trace_records(result, engine)
+        if record["record"] == "job" and record["step"] == "K0"
+    }
+    return [plan.rule for plan in compile_program(program) if plan.index in ran]
 
 
 class TestDefiniteSubprogram:
