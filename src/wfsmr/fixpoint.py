@@ -15,8 +15,10 @@ partitions:
   definite: one least fixpoint, K0, solves it. Any other component runs the
   alternating fixpoint on its own rules. K0 runs the rules with no negative
   subgoal over the component's predicates, and each later least fixpoint
-  starts from the facts already established. The driver stores at most
-  three sets of the component at any instant: the established true set, the
+  starts from the facts already established. A component that has no such
+  negative subgoal but reads undefined atoms stops after U0, since its K
+  steps read the negative facts K0 read. The driver stores at most three
+  sets of the component at any instant: the established true set, the
   possible-but-not-true delta, and the delta currently being derived. When
   a round shows the fixpoint has not been reached, its possible delta stays
   as the previous one, counted by the live-set ledger, until the next
@@ -24,6 +26,19 @@ partitions:
   rounds are semi-naive: after the first round of a least fixpoint, a rule
   runs once per positive subgoal whose predicate gained facts in the
   previous round, with that subgoal reading only those facts.
+
+  From K2 on, the first round of a K step is semi-naive too, on the
+  negative side (after Brass, Dix, Freitag and Zukowski, TPLP 2001, who
+  reuse the previous step's result rather than restart): it reads only D,
+  the atoms that left the possible set between the last two U steps, which
+  the previous K step read negatively and this one does not. Every rule
+  instance new to this K step has a negative atom in D, or a positive atom
+  that a later round derives. The previous possible delta becomes D in
+  place and takes its place in the ledger until that first round ends; a
+  rule then runs once per negative subgoal whose predicate D holds, as a
+  join of D's atoms with the held positive goal, so it costs the atoms
+  that changed rather than the whole negative set. K1 stays a full round,
+  since K0 ran only the rules without such a negative subgoal.
 
 Every least fixpoint round runs a rule set through the MapReduce operator
 pipelines. The base facts, and the true facts of the components the
@@ -163,6 +178,7 @@ def immediate_consequences(
     stats: Optional[SolveStats] = None,
     cache: Optional[InputCache] = None,
     delta: Optional[Database] = None,
+    dropped: Optional[Database] = None,
 ) -> Database:
     """Heads of rules whose positive body lies in ``pos`` and whose negative
     body misses ``neg``.
@@ -170,18 +186,29 @@ def immediate_consequences(
     With ``delta``, a semi-naive round: only the rule instances that match a
     fact of ``delta`` in some positive subgoal, one evaluation per subgoal
     whose predicate ``delta`` holds. Sound because the accumulated set only
-    grows and ``neg`` is fixed during a least-fixpoint computation."""
+    grows and ``neg`` is fixed during a least-fixpoint computation.
+
+    With ``dropped``, the first round of a least fixpoint that extends one
+    taken under ``neg`` plus ``dropped``: only the rule instances with a
+    negative atom in ``dropped``, one evaluation per negative subgoal whose
+    predicate ``dropped`` holds. Sound because ``pos`` is closed under the
+    rules with that larger negative set, so any other instance fired there."""
     out = Database(pos.symbols)
+    source = delta if dropped is None else dropped
     for plan in plans:
-        if delta is None:
-            positions: Sequence[Optional[int]] = (None,)
-        elif plan.base is None:
-            continue  # no positive dependencies: fired in the full first round
+        positives = [plan.base.atom.predicate] if plan.base is not None else []
+        positives += [step.right.atom.predicate for step in plan.joins]
+        positions: Sequence[Optional[int]]
+        if dropped is not None:
+            negatives = [step.access.atom.predicate for step in plan.anti_joins]
+            positions = [len(positives) + j for j, p in enumerate(negatives) if dropped.relation(p)]
+        elif delta is not None:
+            # a rule without positive subgoals fired in the full first round
+            positions = [i for i, p in enumerate(positives) if delta.relation(p)]
         else:
-            subgoals = [plan.base.atom.predicate] + [s.right.atom.predicate for s in plan.joins]
-            positions = [i for i, p in enumerate(subgoals) if delta.relation(p)]
+            positions = (None,)
         for at in positions:
-            rows = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=at, cache=cache)
+            rows = eval_rule(engine, plan, pos, neg, delta=source, delta_at=at, cache=cache)
             if stats is not None:
                 stats.derived_facts += len(rows)
             out.add_encoded(plan.head_predicate, plan.head_arity, rows)
@@ -288,6 +315,7 @@ def least_fixpoint_delta(
     label: str,
     live_as: str,
     assumed: tuple[Database, ...] = (),
+    dropped: Optional[Database] = None,
 ) -> Database:
     """Delta least fixpoint: extend ``start`` to the least fixpoint under
     ``neg`` and return only the newly inferred facts, none of them a fixed
@@ -296,21 +324,38 @@ def least_fixpoint_delta(
     undefined atoms of finished components. ``start`` is left unchanged and
     must already be contained in that fixpoint. That is the caller's
     obligation, which ``tests/test_differential.py`` checks on every
-    optimized solve it makes."""
+    optimized solve it makes.
+
+    With ``dropped``, ``start`` with the fixed part and ``assumed`` must
+    moreover be the least fixpoint of ``plans`` under ``neg`` plus
+    ``dropped``, none of whose atoms ``neg`` holds: the first round then
+    fires only the rule instances with a negative atom in ``dropped`` (see
+    :func:`immediate_consequences`). ``dropped`` is in the live-set ledger
+    as ``D`` until that round ends, when it is emptied, and the delta only
+    from then on."""
     engine, stats = session.engine, session.stats
     jobs_before = len(engine.stats_log)
     neg = DatabaseView(session.fixed, neg)
     result = Database(session.symbols)
     accumulated = DatabaseView(session.fixed, *assumed, *start, result)
-    stats.register_live(live_as, result)
+    if dropped is not None:
+        stats.register_live("D", dropped)
     delta_new: Optional[Database] = None
     inner = 0
     new_total = 0
     while True:
         inner += 1
         derived = immediate_consequences(
-            engine, plans, accumulated, neg, stats, session.cache, delta=delta_new
+            engine, plans, accumulated, neg, stats, session.cache, delta=delta_new, dropped=dropped
         )
+        if inner == 1:
+            if dropped is not None:
+                # D is spent: emptied, it leaves memory as it leaves the
+                # ledger, though the caller still holds it
+                dropped.clear()
+                dropped = None
+            stats.drop_live("D")
+            stats.register_live(live_as, result)
         new = derived.difference(accumulated)
         stats.snapshot_live()
         if new.count() == 0:
@@ -391,14 +436,17 @@ def solve_component(
     known.update(first)
     stats.drop_live("delta")
     finish_step(known.count(), 0)
-    if len(definite) == len(plans) and not any(map(session.undefined.relation, reads)):
-        # no negative cycle and no undefined atom to read: K0 is the
-        # component's well-founded model
+    # without a negative subgoal over the component's own predicates, every
+    # K step reads the negative facts K0 read: K0 is the true set
+    negative_cycle = len(definite) < len(plans)
+    if not negative_cycle and not any(map(session.undefined.relation, reads)):
+        # and with no undefined atom to read, the possible set too
         stats.inference_steps += 1
         return known, Database(session.symbols)
 
     # the previous possible delta stays (as "U_prev") until the next one has
-    # passed the shrinkage check against it
+    # passed the shrinkage check against it, and then becomes the atoms that
+    # left the possible set, which seed the next K step
     previous: Optional[Database] = None
     i = 0
     while True:
@@ -414,13 +462,20 @@ def solve_component(
         finish_step(known.count(), unknown.count())
         if unknown.difference(known).count() != unknown.count():
             raise InvariantError("possible delta overlaps the true set")
+        if not negative_cycle:
+            # U0 read the undefined atoms below; K1 would add nothing
+            stats.inference_steps += 1
+            return known, unknown
         if previous is not None:
             # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true
             # set is, by the check on the K step before
             if not unknown.issubset(DatabaseView(known, previous)):
                 raise InvariantError("possible set grew between inference steps")
+            # D, in place: the atoms the last K step read negatively that
+            # the next one does not; any rule instance new to the next K
+            # step has a negative atom in D or a positive one it derives
+            previous.difference_update(DatabaseView(known, unknown))
             stats.drop_live("U_prev")
-            previous = None
 
         grown = least_fixpoint_delta(
             session,
@@ -429,7 +484,9 @@ def solve_component(
             DatabaseView(session.undefined, known, unknown),
             label=f"K{i + 1}",
             live_as="K_delta",
+            dropped=previous,
         )
+        previous = None
         i += 1
         finish_step(known.count() + grown.count(), unknown.count())
         if grown.count() == 0:

@@ -22,7 +22,10 @@ positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reducer of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, which keys
 each row by its projection and emits each key once, so every rule evaluation
-runs ``max(1, joins + anti-joins)`` jobs.
+runs ``max(1, joins + anti-joins)`` jobs. An evaluation seeded at a negative
+subgoal (the first round of a later K step, see :mod:`wfsmr.fixpoint`)
+replaces that subgoal's anti-join by a join of the seed's atoms, in slot 0,
+with the positive goal, and runs it before the other anti-joins.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
 the length of one solve: subgoals over predicates whose facts all lie in
@@ -32,7 +35,9 @@ job whose inputs are all invariant runs once per cache and its output is
 reused, and that output is an invariant input of the next job.
 In a job with other inputs too, each invariant input is mapped and grouped
 by the first job that reads it and later jobs map only the rest (see
-:class:`~wfsmr.mapreduce.GroupedInput`).
+:class:`~wfsmr.mapreduce.GroupedInput`). A seeded join whose positive goal
+is invariant shares the goal's groups with the rule's first anti-join when
+both key it alike, so then it maps only the seed's atoms.
 So with a warm cache an evaluation runs at most as many jobs as without:
 it resumes at the first job with an input that is not invariant, or runs
 no job when every input is.
@@ -93,8 +98,8 @@ class InputCache:
 
     ``outputs`` keeps the output of each rule whose jobs read only
     invariant inputs, keyed by rule index, and ``grouped`` each grouped
-    invariant input of a job with other inputs too, keyed by rule index,
-    job position and input slot. The output of a job with only invariant
+    invariant input of a job with other inputs too, under the key that
+    :func:`rule_pipeline` gives it. The output of a job with only invariant
     inputs that feeds another job is not kept: the next job keeps it
     grouped, or is such a job itself. Nothing is evicted. ``InputCache()``
     knows no invariant predicate, so across calls it never hits.
@@ -104,7 +109,7 @@ class InputCache:
         self.base = base
         self.invariant = set(base.predicates() if base is not None else ()).difference(heads)
         self.outputs: dict[int, set] = {}
-        self.grouped: dict[tuple[int, int, int], GroupedInput] = {}
+        self.grouped: dict[tuple, GroupedInput] = {}
 
     def records(self) -> int:
         """Records held: kept job outputs plus grouped values."""
@@ -263,16 +268,25 @@ def rule_pipeline(
     delta: Optional[FactSource] = None,
     delta_at: Optional[int] = None,
     cache: Optional[InputCache] = None,
-) -> list[tuple[JobSpec, tuple[bool, ...]]]:
+) -> list[tuple[JobSpec, tuple[Optional[tuple], ...]]]:
     """The jobs of one rule evaluation, the last of which emits head tuples.
 
-    Each job comes with one flag per input, true for the inputs that are
-    invariant under ``cache``. Slot 0 of every job after the first reads
-    the output of the job before it, so its records are left ``None`` and
-    its flag is true when that job's inputs all are.
-    Jobs are named ``r<rule index>:<head predicate>:<kind>``. With
-    ``delta``/``delta_at`` the positive subgoal at that index streams from
-    the delta source instead of ``pos`` (semi-naive evaluation).
+    Each job comes with one cache key per input: the key its groups are held
+    under in ``cache`` when the input is invariant, else ``None``. Every job
+    after the first reads the output of the job before it in the input whose
+    records are left ``None``; that input is invariant when the jobs before
+    it all are, and its key names the jobs that made it and the columns
+    that key it, so two pipelines of a rule share its held groups exactly
+    when they hold the same rows under the same keys. Jobs are named
+    ``r<rule index>:<head predicate>:<kind>``.
+
+    With ``delta``/``delta_at``, the body subgoal at that index, counting
+    the positive subgoals first and then the negative ones, reads ``delta``:
+    a positive subgoal streams from it instead of ``pos`` (semi-naive
+    evaluation); a negative subgoal's job becomes a join of its ``delta``
+    rows, keyed by themselves, with the positive goal under the anti-join's
+    key, run before the other anti-joins. So that evaluation keeps only the
+    rule instances whose negative atom ``delta`` holds.
     """
     prefix = f"r{plan.index}:{plan.head_predicate}"
     consts = tuple(pos.symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
@@ -286,23 +300,35 @@ def rule_pipeline(
         return _picker(indices, consts)
 
     def stream(
-        source: FactSource, access: SubgoalAccess, cols: Optional[Sequence[int]] = None
-    ) -> tuple[Iterable[Row], bool]:
+        source: FactSource,
+        access: SubgoalAccess,
+        subgoal: int,
+        cols: Optional[Sequence[int]] = None,
+    ) -> tuple[Iterable[Row], Optional[tuple]]:
+        """The rows of body subgoal ``subgoal`` (positive subgoals first)
+        and, when it is invariant, their cache key."""
         if access.atom.predicate in cache.invariant:
-            return _access_stream(cache.base, access, cols), True
-        return _access_stream(source, access, cols), False
+            return _access_stream(cache.base, access, cols), (plan.index, subgoal)
+        return _access_stream(source, access, cols), None
 
     def source_for(index: int) -> FactSource:
         return delta if delta is not None and index == delta_at else pos
 
-    # slot 0 of the next job: the base subgoal, then each job's output
+    def fed_key(position: int, cols: Sequence[int]) -> Optional[tuple]:
+        """Cache key of the output of the first ``position`` jobs, keyed by
+        ``cols``, when those jobs are all invariant."""
+        return (plan.index, position, tuple(cols)) if left_fixed else None
+
+    # the input of the next job that the job before feeds: the base
+    # subgoal, then each job's output
     left: Optional[Iterable[Row]]
     if plan.base is None:
         left, left_fixed = [()], True  # no positive subgoals: unit relation
     else:
-        left, left_fixed = stream(source_for(0), plan.base, cols=plan.base_cols)
+        left, key = stream(source_for(0), plan.base, 0, cols=plan.base_cols)
+        left_fixed = key is not None
 
-    jobs: list[tuple[JobSpec, tuple[bool, ...]]] = []
+    jobs: list[tuple[JobSpec, tuple[Optional[tuple], ...]]] = []
     left_width = len(plan.base_schema)
     for i, step in enumerate(plan.joins, start=1):
         # output columns as indices into the left row followed by the right row
@@ -311,24 +337,43 @@ def rule_pipeline(
             pick = _picker(flat)
         else:
             pick = head_pick(flat, left_width + len(step.right.var_cols))
-        right, right_fixed = stream(source_for(i), step.right)
+        right, right_at = stream(source_for(i), step.right, i)
         spec = _join_spec(f"{prefix}:join{i}", step.left_key, step.right_key, pick, left, right)
-        jobs.append((spec, (left_fixed, right_fixed)))
-        left, left_fixed, left_width = None, left_fixed and right_fixed, len(flat)
+        jobs.append((spec, (fed_key(i - 1, step.left_key), right_at)))
+        left, left_fixed, left_width = None, left_fixed and right_at is not None, len(flat)
 
     width = len(plan.goal_schema)
     identity = range(width)
-    for j, step in enumerate(plan.anti_joins, start=1):
-        pick = head_pick(identity, width) if j == len(plan.anti_joins) else None
-        negative, negative_fixed = stream(neg, step.access)
+    positives = len(plan.joins) + (plan.base is not None)
+    anti_joins = list(enumerate(plan.anti_joins, start=1))
+    if delta is not None and delta_at is not None and delta_at >= positives:
+        j, step = anti_joins.pop(delta_at - positives)
+        # the delta rows are the key columns, so the goal row follows them
+        keyed = len(step.key_vars)
+        goal_at = range(keyed, keyed + width)
+        pick = _picker(goal_at) if anti_joins else head_pick(goal_at, keyed + width)
+        rows = _access_stream(delta, step.access)
+        spec = _join_spec(
+            f"{prefix}:join{len(plan.joins) + j}", range(keyed), step.pos_key, pick, rows, left
+        )
+        jobs.append((spec, (None, fed_key(len(jobs), step.pos_key))))
+        left, left_fixed = None, False
+    for j, step in anti_joins:
+        pick = head_pick(identity, width) if j == anti_joins[-1][0] else None
+        negative, negative_at = stream(neg, step.access, positives + j - 1)
         spec = _antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, left, negative, pick, width)
-        jobs.append((spec, (left_fixed, negative_fixed)))
-        left, left_fixed = None, left_fixed and negative_fixed
+        jobs.append((spec, (fed_key(len(jobs), step.pos_key), negative_at)))
+        left, left_fixed = None, left_fixed and negative_at is not None
 
     if not jobs:
         spec = _project_spec(f"{prefix}:head", head_pick(identity, width), left)
-        jobs.append((spec, (left_fixed,)))
+        jobs.append((spec, (fed_key(0, ()),)))
     return jobs
+
+
+def _fed(spec: JobSpec) -> int:
+    """The input of a job after the first that the job before feeds."""
+    return next(slot for slot, (_, records) in enumerate(spec.inputs) if records is None)
 
 
 def eval_rule(
@@ -341,7 +386,8 @@ def eval_rule(
     cache: Optional[InputCache] = None,
 ) -> set[Row]:
     """Head tuples derivable from the rule with positive subgoals matched in
-    ``pos`` and negative subgoals absent from ``neg``.
+    ``pos`` and negative subgoals absent from ``neg``; ``delta``/``delta_at``
+    restrict them as :func:`rule_pipeline` says.
 
     ``cache`` keeps the invariant inputs between the calls of one solve;
     each call without one maps all of its inputs. The returned set is the
@@ -350,33 +396,34 @@ def eval_rule(
     jobs = rule_pipeline(plan, pos, neg, delta, delta_at, cache)
 
     # resume at the first job with an input that is not invariant, whose
-    # held slot 0 took in the output of the all-invariant jobs before it;
+    # held fed input took in the output of the all-invariant jobs before it;
     # when every job is invariant, the rule's kept output stands for them all
-    first = next((at for at, (_, fixed) in enumerate(jobs) if not all(fixed)), len(jobs))
+    first = next((at for at, (_, keys) in enumerate(jobs) if None in keys), len(jobs))
     output = None
     if first == len(jobs):
         output = cache.outputs.get(plan.index)
         if output is None:
             first = 0
     elif first:
-        held = cache.grouped.get((plan.index, first, 0))
+        spec, keys = jobs[first]
+        held = cache.grouped.get(keys[_fed(spec)])
         if held is None or held.tasks is None:
             first = 0
 
     for position in range(first, len(jobs)):
-        spec, fixed = jobs[position]
+        spec, keys = jobs[position]
         inputs = list(spec.inputs)
         if position:
-            inputs[0] = (inputs[0][0], output)
-        if not all(fixed):
-            for slot, invariant in enumerate(fixed):
-                if invariant:
-                    key = (plan.index, position, slot)
+            fed = _fed(spec)
+            inputs[fed] = (inputs[fed][0], output)
+        if None in keys:
+            for slot, key in enumerate(keys):
+                if key is not None:
                     held = cache.grouped.get(key)
                     if held is None or held.tasks is None:
                         held = cache.grouped[key] = GroupedInput(*inputs[slot])
                     inputs[slot] = held
         output, _ = engine.run_job(replace(spec, inputs=inputs))
-        if position == len(jobs) - 1 and all(fixed):
+        if position == len(jobs) - 1 and None not in keys:
             cache.outputs[plan.index] = output
     return output

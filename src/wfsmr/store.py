@@ -158,6 +158,20 @@ class Database:
                 out._relation_for(rel.predicate, rel.arity).tuples = kept
         return out
 
+    def difference_update(self, other: "FactSource") -> None:
+        """In-place set difference: remove the facts ``other`` (database or
+        view) holds; a relation left empty is dropped."""
+        self._require_shared_symbols(other)
+        parts = self._parts(other)
+        for predicate, rel in list(self._relations.items()):
+            rel.tuples.difference_update(*self._part_sets(parts, predicate))
+            if not rel.tuples:
+                del self._relations[predicate]
+
+    def clear(self) -> None:
+        """Drop every fact."""
+        self._relations = {}
+
     def copy(self) -> "Database":
         out = Database(self.symbols)
         for rel in self._relations.values():

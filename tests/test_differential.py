@@ -7,12 +7,16 @@ predicates that occur only under ``not``, ground negative subgoals,
 subgoals sharing no variable (empty-key joins), constants, repeated
 variables, and int and text constants together.
 
+A second strategy, ``wide_programs``, draws a negative cycle over a graph
+that holds a path, plus random rules of the shapes the seeded K steps must
+handle, so that solves reach K2 and later.
+
 Every optimized solve in this module also checks the two obligations the
 optimized driver's shortcut rests on, which the driver itself takes on
 trust: each delta least fixpoint starts inside the least fixpoint it
-extends, which reads the same fixed parts and assumed facts, and at
-termination the possible delta of the whole program is the one the final
-true set yields.
+extends, which reads the same fixed parts and assumed facts, and returns
+exactly what that fixpoint adds to its start, and at termination the
+possible delta of the whole program is the one the final true set yields.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from wfsmr.bench import builtin_program, gen_chain, gen_cycle, gen_tree
 from wfsmr.fixpoint import SolveStats, partitions_agree
 from wfsmr.mapreduce import Engine
 from wfsmr.oracle import ground_afp
+from wfsmr.planner import compile_program
 from wfsmr.program import Atom, Constant, Literal, Program, Rule, Variable
 from wfsmr.store import DatabaseView
 
@@ -76,6 +81,67 @@ def programs(draw) -> tuple[Program, tuple[Fact, ...]]:
     return Program(rules), tuple(dict.fromkeys(facts))
 
 
+WIDE_DERIVED = ("p", "q", "r")
+NODES = (1, 2, 3, 4, 5, 6)
+
+
+@st.composite
+def wide_programs(draw) -> tuple[Program, tuple[Fact, ...]]:
+    """A negative cycle through ``p`` and ``q`` over a move-like graph ``e``
+    that holds a path, so that the alternating fixpoint runs for several
+    steps, maybe a second one through ``r`` above it, plus random rules over
+    ``p``, ``q`` and ``r``, each with a negative subgoal: their bodies read
+    the cycle positively or negatively, recursively or not, with constants
+    and repeated variables, and with or without positive subgoals, and
+    their heads may hold constants."""
+    arity = {"e": 2, "p": 1, "q": 1, "r": draw(st.integers(0, 2))}
+    symbol = st.sampled_from(NODES)
+
+    def atom(pred: str, term) -> Atom:
+        return Atom(pred, tuple(draw(term) for _ in range(arity[pred])))
+
+    x, y = Variable("X"), Variable("Y")
+    rules = [
+        Rule(Atom(head, (x,)), (
+            Literal(Atom("e", (x, y))), Literal(Atom(other, (y,)), negated=True),
+        ))
+        for head, other in (("p", "q"), ("q", "p"))
+    ]
+    if arity["r"] == 1 and draw(st.booleans()):
+        # a negative cycle above that reads the one below under not: where
+        # a cycle in e leaves p or q undefined, its K steps read that
+        # undefined atom negatively
+        below = Atom(draw(st.sampled_from(("p", "q"))), (draw(st.sampled_from((x, y))),))
+        rules.append(Rule(Atom("r", (x,)), (
+            Literal(Atom("e", (x, y))), Literal(Atom("r", (y,)), negated=True),
+            Literal(below, negated=True),
+        )))
+    free_term = st.one_of(st.sampled_from(("X", "Y", "Z")).map(Variable), symbol.map(Constant))
+    for _ in range(draw(st.integers(1, 4))):
+        positives = [atom(draw(st.sampled_from(("e",) + WIDE_DERIVED)), free_term)
+                     for _ in range(draw(st.integers(0, 2)))]
+        bound = sorted({v for a in positives for v in a.variables()})
+        bound_term = (
+            st.one_of(st.sampled_from(bound).map(Variable), symbol.map(Constant))
+            if bound else symbol.map(Constant)
+        )
+        negatives = [atom(draw(st.sampled_from(WIDE_DERIVED + ("e",))), bound_term)
+                     for _ in range(draw(st.integers(1, 2)))]
+        head = atom(draw(st.sampled_from(WIDE_DERIVED)), bound_term)
+        body = [Literal(a) for a in positives] + [Literal(a, negated=True) for a in negatives]
+        rules.append(Rule(head, tuple(body)))
+    length = draw(st.integers(3, len(NODES)))
+    path = [Fact("e", (i, i + 1)) for i in range(1, length)]
+    extra = draw(st.lists(st.tuples(symbol, symbol).map(lambda xy: Fact("e", xy)), max_size=3))
+    return Program(rules), tuple(dict.fromkeys(path + extra))
+
+
+def seeded_steps(stats: SolveStats) -> int:
+    """The K steps from K2 on, which the optimized driver seeds from the
+    atoms that left the negative set."""
+    return sum(step.label[0] == "K" and int(step.label[1:]) >= 2 for step in stats.steps)
+
+
 def _probe(session: fixpoint.Session) -> fixpoint.Session:
     """The session with a throwaway stats sink, so a check's own least
     fixpoints leave the solve's statistics alone."""
@@ -92,9 +158,10 @@ def checked():
     solve_optimized = fixpoint.solve_optimized
     counts = Counter()
 
-    def seed_checked(session, plans, start, neg, label, live_as, assumed=()):
-        # each part of the seed lies in the fixed part + the from-scratch
-        # fixpoint, which reads the fixed part and the assumed facts too
+    def seed_checked(session, plans, start, neg, label, live_as, assumed=(), dropped=None):
+        # the from-scratch fixpoint reads the fixed part and the assumed
+        # facts too; each part of the seed lies in it with the fixed part,
+        # and the delta is exactly what it adds to the seed
         full = fixpoint.least_fixpoint(
             _probe(session), plans, neg, f"{label}:seed", "seed", assumed
         )
@@ -102,7 +169,12 @@ def checked():
         for part in start:
             assert part.issubset(within), f"{label}: seed outside the least fixpoint"
         counts["seed"] += 1
-        return least_fixpoint_delta(session, plans, start, neg, label, live_as, assumed)
+        if dropped is not None:
+            counts["seeded"] += 1
+        result = least_fixpoint_delta(session, plans, start, neg, label, live_as, assumed, dropped)
+        want = full.difference(DatabaseView(*start)) if start else full
+        assert result.same_content(want), f"{label}: delta is not the least fixpoint minus its seed"
+        return result
 
     def stability_checked(session):
         result = solve_optimized(session)
@@ -147,6 +219,69 @@ class TestDriversAgainstOracle:
             for result in results:
                 assert result_atoms(result) == want, (workers, partitions, program.pretty())
             assert partitions_agree(*results)
+            assert results[1].stats.peak_live_sets <= 3
+
+
+SHAPES = (
+    "negative cycle of two or more predicates",
+    "two negative subgoals over the component",
+    "positive recursion",
+    "seeded subgoal with a constant or a repeated variable",
+    "no positive subgoal",
+    "head constant",
+)
+
+
+def seeded_shapes(plan, j: int, own: set[str]) -> set[str]:
+    """The ``SHAPES`` of a rule evaluation seeded at its ``j``-th negative
+    subgoal (from 0); ``own`` holds the predicates of the rule's component."""
+    seeded = plan.anti_joins[j].access
+    drawn = (
+        len(own) >= 2,
+        sum(step.access.atom.predicate in own for step in plan.anti_joins) >= 2,
+        any(atom.predicate in own for atom in plan.rule.positive()),
+        bool(seeded.const_cols or seeded.eq_cols),
+        plan.base is None,
+        any(kind == "c" for kind, _ in plan.head_cols),
+    )
+    return {shape for shape, hit in zip(SHAPES, drawn) if hit}
+
+
+@pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
+class TestSeededSteps:
+    def test_wide_programs_seed_k_steps_of_every_shape(self, checked, monkeypatch):
+        reached: Counter = Counter()
+        components: dict[str, int] = {}
+        eval_rule = fixpoint.eval_rule
+
+        def spied(engine, plan, pos, neg, delta=None, delta_at=None, cache=None):
+            positives = len(plan.joins) + (plan.base is not None)
+            if delta_at is not None and delta_at >= positives:
+                own = {head for head, at in components.items() if at == plan.component}
+                reached.update(seeded_shapes(plan, delta_at - positives, own))
+            return eval_rule(engine, plan, pos, neg, delta, delta_at, cache)
+
+        monkeypatch.setattr(fixpoint, "eval_rule", spied)
+        before = checked["seeded"]
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(wide_programs())
+        def agree(case):
+            program, facts = case
+            components.clear()
+            components.update((p.head_predicate, p.component) for p in compile_program(program))
+            want = ground_afp(program, facts)
+            for partitions in (1, 7):
+                engine = Engine(EngineConfig(partitions=partitions))
+                optimized = solve(program, facts, engine=engine)
+                naive = solve(program, facts, options=SolveOptions(mode="naive"))
+                assert result_atoms(optimized) == want, (partitions, program.pretty())
+                assert partitions_agree(optimized, naive)
+                assert optimized.stats.peak_live_sets <= 3
+
+        agree()
+        assert checked["seeded"] > before
+        assert set(reached) == set(SHAPES), reached
 
 
 class TestReusedEngine:
@@ -210,5 +345,9 @@ class TestCheckedSolves:
         naive = solve(program, facts, options=SolveOptions(mode="naive"))
         assert partitions_agree(optimized, naive)
         assert result_atoms(optimized) == ground_afp(program, facts)
-        # one seed check per delta least fixpoint, one stability check per solve
-        assert checked - before == Counter(seed=optimized.stats.lfp_calls, stable=1)
+        assert optimized.stats.peak_live_sets <= 3
+        # one seed check per delta least fixpoint, one stability check per
+        # solve, and every K step from K2 on seeded
+        assert checked - before == Counter(
+            seed=optimized.stats.lfp_calls, stable=1, seeded=seeded_steps(optimized.stats)
+        )

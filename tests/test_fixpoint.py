@@ -351,13 +351,20 @@ class TestComponents:
         ]
 
     def test_undefined_below_makes_a_definite_component_alternate(self):
-        result = solve(parse_program("a :- not b.\nb :- not a.\nc :- a.\n"))
-        # c's component reads the undefined a: its U0 derives c, and its K1
-        # confirms the true set
+        program = parse_program("a :- not b.\nb :- not a.\nc :- a.\n")
+        engine = Engine()
+        result = solve(program, engine=engine)
+        # c's component reads the undefined a: its U0 derives c, and it
+        # stops there, since a K1 would read the negative facts K0 read
         assert [(s.component, s.label, s.u_extra) for s in result.stats.steps] == [
             (0, "K0", 0), (0, "U0", 2), (0, "K1", 2),
-            (1, "K0", 2), (1, "U0", 3), (1, "K1", 3),
+            (1, "K0", 2), (1, "U0", 3),
         ]
+        assert result.stats.inference_steps == 2
+        # K0 and U0 run c's rule, and no K1 does
+        assert [job.name for job in engine.stats_log].count("r2:c:head") == 2
+        assert result_atoms(result) == (set(), {("a", ()), ("b", ()), ("c", ())})
+        assert result_atoms(result) == ground_afp(program, ())
 
     def test_finished_component_is_an_invariant_input(self):
         engine = Engine()
@@ -487,10 +494,13 @@ class TestStats:
 
     def test_previous_possible_set_is_in_the_ledger(self, monkeypatch):
         registered = []
+        seeds = []
         original = fixpoint.SolveStats.register_live
 
         def spy(stats, name, db):
             registered.append(name)
+            if name == "D":
+                seeds.append(db)
             original(stats, name, db)
 
         monkeypatch.setattr(fixpoint.SolveStats, "register_live", spy)
@@ -499,7 +509,35 @@ class TestStats:
         q_steps = [s.label for s in result.stats.steps if s.component == 0]
         assert sum(label.startswith("U") for label in q_steps) > 2
         assert "U_prev" in registered
+        # from K2 on, the atoms that left the possible set take U_prev's
+        # place until the K step's first round ends, which empties them
+        assert seeds and not any(db.count() for db in seeds)
         assert result.stats.peak_live_sets <= 3
+
+    def test_k_steps_from_k2_join_only_the_atoms_that_left(self):
+        engine = Engine()
+        result = solve(builtin_program("win-not-win"), gen_tree(15), engine=engine)
+        steps = {s.label: s for s in result.stats.steps}
+        assert list(steps)[-1] == "K3"
+        jobs: dict[str, list] = {}
+        for record in trace_records(result, engine):
+            if record["record"] == "job":
+                jobs.setdefault(record["step"], []).append(record)
+        for i in (2, 3):
+            # the possible delta of U_{i-2}, less what K_{i-1} made true and
+            # what U_{i-1} still finds possible: the atoms K_i no longer
+            # reads negatively
+            left = (
+                steps[f"U{i - 2}"].u_extra
+                - (steps[f"K{i - 1}"].k_size - steps[f"K{i - 2}"].k_size)
+                - steps[f"U{i - 1}"].u_extra
+            )
+            [job] = jobs[f"K{i}"]
+            assert re.fullmatch(r"r0:win:join\d+", job["name"])
+            assert job["map_in"] == job["reduce_groups"] == left > 0
+            # the move groups the anti-join holds serve as the index
+            assert job["cached_groups"] == 30
+        assert result_atoms(result) == ground_afp(builtin_program("win-not-win"), gen_tree(15))
 
 
 class TestCollectorPause:

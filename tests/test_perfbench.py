@@ -59,8 +59,8 @@ PINNED_COUNTS = ("mapreduce.jobs", "mapreduce.map_in", "mapreduce.shuffled",
 PINNED = {
     "win-cycle": (2, 24, 24, 24, 12, 12, 24, 3),
     "win-cycle-par": (2, 24, 24, 24, 12, 12, 24, 3),
-    "win-tree": (6, 40, 40, 84, 62, 31, 26, 3),
-    "tc-chain": (15, 156, 156, 144, 81, 63, 45, 3),
+    "win-tree": (5, 32, 32, 58, 44, 22, 26, 3),
+    "tc-chain": (14, 147, 147, 129, 72, 54, 45, 3),
 }
 
 
