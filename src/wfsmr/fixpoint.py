@@ -23,22 +23,22 @@ partitions:
   a round shows the fixpoint has not been reached, its possible delta stays
   as the previous one, counted by the live-set ledger, until the next
   possible delta has passed the check that it lies inside it. Its inner
-  rounds are semi-naive: after the first round of a least fixpoint, a rule
-  runs once per positive subgoal whose predicate gained facts in the
-  previous round, with that subgoal reading only those facts.
+  rounds are semi-naive: after the first round of a least fixpoint, each
+  round runs the rules' positive variants (see :mod:`wfsmr.planner`) on
+  the facts the round before added, skipping those whose delta predicate
+  gained none.
 
   From K2 on, the first round of a K step is semi-naive too, on the
   negative side (after Brass, Dix, Freitag and Zukowski, TPLP 2001, who
-  reuse the previous step's result rather than restart): it reads only D,
-  the atoms that left the possible set between the last two U steps, which
-  the previous K step read negatively and this one does not. Every rule
-  instance new to this K step has a negative atom in D, or a positive atom
-  that a later round derives. The previous possible delta becomes D in
-  place and takes its place in the ledger until that first round ends; a
-  rule then runs once per negative subgoal whose predicate D holds, as a
-  join of D's atoms with the held positive goal, so it costs the atoms
-  that changed rather than the whole negative set. K1 stays a full round,
-  since K0 ran only the rules without such a negative subgoal.
+  reuse the previous step's result rather than restart): it runs the seed
+  variants on D, the atoms that left the possible set between the last two
+  U steps, which the previous K step read negatively and this one does
+  not. Every rule instance new to this K step has a negative atom in D, or
+  a positive atom that a later round derives. The previous possible delta
+  becomes D in place and takes its place in the ledger until that first
+  round ends, so the round costs the atoms that changed rather than the
+  whole negative set. K1 stays a full round, since K0 ran only the rules
+  without such a negative subgoal.
 
 Every least fixpoint round runs a rule set through the MapReduce operator
 pipelines. The base facts, and the true facts of the components the
@@ -178,40 +178,19 @@ def immediate_consequences(
     stats: Optional[SolveStats] = None,
     cache: Optional[InputCache] = None,
     delta: Optional[Database] = None,
-    dropped: Optional[Database] = None,
 ) -> Database:
     """Heads of rules whose positive body lies in ``pos`` and whose negative
-    body misses ``neg``.
-
-    With ``delta``, a semi-naive round: only the rule instances that match a
-    fact of ``delta`` in some positive subgoal, one evaluation per subgoal
-    whose predicate ``delta`` holds. Sound because the accumulated set only
-    grows and ``neg`` is fixed during a least-fixpoint computation.
-
-    With ``dropped``, the first round of a least fixpoint that extends one
-    taken under ``neg`` plus ``dropped``: only the rule instances with a
-    negative atom in ``dropped``, one evaluation per negative subgoal whose
-    predicate ``dropped`` holds. Sound because ``pos`` is closed under the
-    rules with that larger negative set, so any other instance fired there."""
+    body misses ``neg``, one evaluation per plan. With ``delta``, ``plans``
+    are variants, and a variant whose delta subgoal's predicate ``delta``
+    lacks is skipped: it would derive nothing."""
     out = Database(pos.symbols)
-    source = delta if dropped is None else dropped
     for plan in plans:
-        positives = [plan.base.atom.predicate] if plan.base is not None else []
-        positives += [step.right.atom.predicate for step in plan.joins]
-        positions: Sequence[Optional[int]]
-        if dropped is not None:
-            negatives = [step.access.atom.predicate for step in plan.anti_joins]
-            positions = [len(positives) + j for j, p in enumerate(negatives) if dropped.relation(p)]
-        elif delta is not None:
-            # a rule without positive subgoals fired in the full first round
-            positions = [i for i, p in enumerate(positives) if delta.relation(p)]
-        else:
-            positions = (None,)
-        for at in positions:
-            rows = eval_rule(engine, plan, pos, neg, delta=source, delta_at=at, cache=cache)
-            if stats is not None:
-                stats.derived_facts += len(rows)
-            out.add_encoded(plan.head_predicate, plan.head_arity, rows)
+        if delta is not None and not delta.relation(plan.delta.atom.predicate):
+            continue
+        rows = eval_rule(engine, plan, pos, neg, delta, cache)
+        if stats is not None:
+            stats.derived_facts += len(rows)
+        out.add_encoded(plan.head_predicate, plan.head_arity, rows)
     return out
 
 
@@ -326,36 +305,38 @@ def least_fixpoint_delta(
     obligation, which ``tests/test_differential.py`` checks on every
     optimized solve it makes.
 
-    With ``dropped``, ``start`` with the fixed part and ``assumed`` must
-    moreover be the least fixpoint of ``plans`` under ``neg`` plus
-    ``dropped``, none of whose atoms ``neg`` holds: the first round then
-    fires only the rule instances with a negative atom in ``dropped`` (see
-    :func:`immediate_consequences`). ``dropped`` is in the live-set ledger
-    as ``D`` until that round ends, when it is emptied, and the delta only
-    from then on."""
+    Rounds after the first run the positive variants of ``plans`` on the
+    facts the round before added. With ``dropped``, ``start`` with the
+    fixed part and ``assumed`` must moreover be the least fixpoint of
+    ``plans`` under ``neg`` plus ``dropped``, none of whose atoms ``neg``
+    holds: the first round then runs the seed variants on ``dropped``, so it
+    fires only the rule instances with a negative atom there. ``dropped`` is
+    in the live-set ledger as ``D`` until that round ends, when it is
+    emptied, and the delta only from then on."""
     engine, stats = session.engine, session.stats
     jobs_before = len(engine.stats_log)
     neg = DatabaseView(session.fixed, neg)
     result = Database(session.symbols)
     accumulated = DatabaseView(session.fixed, *assumed, *start, result)
+    variants: Sequence[RulePlan] = plans
     if dropped is not None:
         stats.register_live("D", dropped)
-    delta_new: Optional[Database] = None
+        variants = [seed for plan in plans for seed in plan.seeds]
+    delta = dropped
     inner = 0
     new_total = 0
     while True:
         inner += 1
         derived = immediate_consequences(
-            engine, plans, accumulated, neg, stats, session.cache, delta=delta_new, dropped=dropped
-        )
+            engine, variants, accumulated, neg, stats, session.cache, delta)
         if inner == 1:
             if dropped is not None:
                 # D is spent: emptied, it leaves memory as it leaves the
                 # ledger, though the caller still holds it
                 dropped.clear()
-                dropped = None
             stats.drop_live("D")
             stats.register_live(live_as, result)
+            variants = [variant for plan in plans for variant in plan.deltas]
         new = derived.difference(accumulated)
         stats.snapshot_live()
         if new.count() == 0:
@@ -366,7 +347,7 @@ def least_fixpoint_delta(
             # every fact must enter the delta exactly once, so the delta
             # grows in every round and the loop ends within the atom space
             raise InvariantError(f"{label}: delta set received duplicate facts")
-        delta_new = new
+        delta = new
         stats.snapshot_live()
     _record_step(session, label, result.count(), inner, jobs_before)
     return result

@@ -22,10 +22,9 @@ positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reducer of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, which keys
 each row by its projection and emits each key once, so every rule evaluation
-runs ``max(1, joins + anti-joins)`` jobs. An evaluation seeded at a negative
-subgoal (the first round of a later K step, see :mod:`wfsmr.fixpoint`)
-replaces that subgoal's anti-join by a join of the seed's atoms, in slot 0,
-with the positive goal, and runs it before the other anti-joins.
+runs ``max(1, joins + anti-joins)`` jobs. A variant of the rule (see
+:mod:`wfsmr.planner`) reads one subgoal in a delta, which is slot 0 of its
+job; a seed runs as a join of the delta's atoms with the positive goal.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
 the length of one solve: subgoals over predicates whose facts all lie in
@@ -118,22 +117,12 @@ class InputCache:
         )
 
 
-def _access_stream(
-    source: FactSource, access: SubgoalAccess, cols: Optional[Sequence[int]] = None
-) -> Iterable[Row]:
-    """A subgoal's rows with its selection filters and variable projection
-    applied map-side; the relation's own stream when neither changes a row.
-
-    ``cols`` overrides the projected atom columns (defaults to the first
-    occurrence of each distinct variable, i.e. the access variable layout).
-    """
+def _access_stream(source: FactSource, access: SubgoalAccess, cols: tuple) -> Iterable[Row]:
+    """A subgoal's rows with its selection filters applied and projected to
+    atom columns ``cols`` map-side; the relation's own stream when neither
+    changes a row."""
     tuples = source.tuples(access.atom.predicate)
-    out_cols = tuple(cols) if cols is not None else tuple(c for _, c in access.var_cols)
-    if (
-        not access.eq_cols
-        and not access.const_cols
-        and out_cols == tuple(range(access.atom.arity))
-    ):
+    if not access.eq_cols and not access.const_cols and cols == tuple(range(access.atom.arity)):
         return tuples
     const_cols = []
     for col, symbol in access.const_cols:
@@ -142,7 +131,7 @@ def _access_stream(
             return ()
         const_cols.append((col, sid))
     eq_cols = access.eq_cols
-    project = _picker(out_cols)
+    project = _picker(cols)
     return (
         project(row)
         for row in tuples
@@ -266,27 +255,18 @@ def rule_pipeline(
     pos: FactSource,
     neg: FactSource,
     delta: Optional[FactSource] = None,
-    delta_at: Optional[int] = None,
     cache: Optional[InputCache] = None,
 ) -> list[tuple[JobSpec, tuple[Optional[tuple], ...]]]:
     """The jobs of one rule evaluation, the last of which emits head tuples.
 
-    Each job comes with one cache key per input: the key its groups are held
-    under in ``cache`` when the input is invariant, else ``None``. Every job
-    after the first reads the output of the job before it in the input whose
-    records are left ``None``; that input is invariant when the jobs before
-    it all are, and its key names the jobs that made it and the columns
-    that key it, so two pipelines of a rule share its held groups exactly
-    when they hold the same rows under the same keys. Jobs are named
-    ``r<rule index>:<head predicate>:<kind>``.
-
-    With ``delta``/``delta_at``, the body subgoal at that index, counting
-    the positive subgoals first and then the negative ones, reads ``delta``:
-    a positive subgoal streams from it instead of ``pos`` (semi-naive
-    evaluation); a negative subgoal's job becomes a join of its ``delta``
-    rows, keyed by themselves, with the positive goal under the anti-join's
-    key, run before the other anti-joins. So that evaluation keeps only the
-    rule instances whose negative atom ``delta`` holds.
+    Subgoals stream from ``pos`` and ``neg``, but the one a variant reads in
+    ``delta`` (see :mod:`wfsmr.planner`), which is never invariant. Each job
+    comes with one cache key per input: the key its groups are held under in
+    ``cache`` when the input is invariant, else ``None``. Every job after the
+    first reads the output of the job before it in the input whose records
+    are left ``None``. A key names the rule, the rows (a subgoal by its access
+    and columns, a job output by the written-order jobs that made it) and the
+    columns that key them. Jobs are named ``r<rule index>:<head predicate>:<kind>``.
     """
     prefix = f"r{plan.index}:{plan.head_predicate}"
     consts = tuple(pos.symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
@@ -300,33 +280,27 @@ def rule_pipeline(
         return _picker(indices, consts)
 
     def stream(
-        source: FactSource,
-        access: SubgoalAccess,
-        subgoal: int,
-        cols: Optional[Sequence[int]] = None,
+        access: SubgoalAccess, source: FactSource, cols: Optional[Sequence[int]] = None
     ) -> tuple[Iterable[Row], Optional[tuple]]:
-        """The rows of body subgoal ``subgoal`` (positive subgoals first)
-        and, when it is invariant, their cache key."""
+        """A subgoal's rows, by default in its variable layout, and what
+        names them when they are invariant."""
+        cols = tuple(c for _, c in access.var_cols) if cols is None else cols
+        if access.delta:
+            return _access_stream(delta, access, cols), None
         if access.atom.predicate in cache.invariant:
-            return _access_stream(cache.base, access, cols), (plan.index, subgoal)
+            return _access_stream(cache.base, access, cols), (access, cols)
         return _access_stream(source, access, cols), None
 
-    def source_for(index: int) -> FactSource:
-        return delta if delta is not None and index == delta_at else pos
+    def held(made: Optional[object], key: Sequence[int]) -> Optional[tuple]:
+        return None if made is None else (plan.index, made, tuple(key))
 
-    def fed_key(position: int, cols: Sequence[int]) -> Optional[tuple]:
-        """Cache key of the output of the first ``position`` jobs, keyed by
-        ``cols``, when those jobs are all invariant."""
-        return (plan.index, position, tuple(cols)) if left_fixed else None
-
-    # the input of the next job that the job before feeds: the base
-    # subgoal, then each job's output
+    # the input of the next job that the job before feeds, and what names
+    # it when invariant: the base subgoal, then each job's output
     left: Optional[Iterable[Row]]
     if plan.base is None:
-        left, left_fixed = [()], True  # no positive subgoals: unit relation
+        left, made = [()], ()  # no positive subgoals: unit relation
     else:
-        left, key = stream(source_for(0), plan.base, 0, cols=plan.base_cols)
-        left_fixed = key is not None
+        left, made = stream(plan.base, pos, plan.base_cols)
 
     jobs: list[tuple[JobSpec, tuple[Optional[tuple], ...]]] = []
     left_width = len(plan.base_schema)
@@ -337,37 +311,36 @@ def rule_pipeline(
             pick = _picker(flat)
         else:
             pick = head_pick(flat, left_width + len(step.right.var_cols))
-        right, right_at = stream(source_for(i), step.right, i)
+        right, right_made = stream(step.right, pos)
         spec = _join_spec(f"{prefix}:join{i}", step.left_key, step.right_key, pick, left, right)
-        jobs.append((spec, (fed_key(i - 1, step.left_key), right_at)))
-        left, left_fixed, left_width = None, left_fixed and right_at is not None, len(flat)
+        jobs.append((spec, (held(made, step.left_key), held(right_made, step.right_key))))
+        left, left_width = None, len(flat)
+        made = len(jobs) if made is not None and right_made is not None else None
 
     width = len(plan.goal_schema)
-    identity = range(width)
-    positives = len(plan.joins) + (plan.base is not None)
-    anti_joins = list(enumerate(plan.anti_joins, start=1))
-    if delta is not None and delta_at is not None and delta_at >= positives:
-        j, step = anti_joins.pop(delta_at - positives)
-        # the delta rows are the key columns, so the goal row follows them
+    for j, step in enumerate(plan.anti_joins, start=1):
+        last = j == len(plan.anti_joins)
+        rows, rows_made = stream(step.access, neg)
         keyed = len(step.key_vars)
-        goal_at = range(keyed, keyed + width)
-        pick = _picker(goal_at) if anti_joins else head_pick(goal_at, keyed + width)
-        rows = _access_stream(delta, step.access)
-        spec = _join_spec(
-            f"{prefix}:join{len(plan.joins) + j}", range(keyed), step.pos_key, pick, rows, left
-        )
-        jobs.append((spec, (None, fed_key(len(jobs), step.pos_key))))
-        left, left_fixed = None, False
-    for j, step in anti_joins:
-        pick = head_pick(identity, width) if j == anti_joins[-1][0] else None
-        negative, negative_at = stream(neg, step.access, positives + j - 1)
-        spec = _antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, left, negative, pick, width)
-        jobs.append((spec, (fed_key(len(jobs), step.pos_key), negative_at)))
-        left, left_fixed = None, left_fixed and negative_at is not None
+        if step.access.delta:
+            # a seed: its rows are the key columns, so the goal row follows them
+            goal_at = range(keyed, keyed + width)
+            pick = head_pick(goal_at, keyed + width) if last else _picker(goal_at)
+            spec = _join_spec(
+                f"{prefix}:join{len(plan.joins) + j}", range(keyed), step.pos_key, pick, rows, left
+            )
+            keys = (None, held(made, step.pos_key))
+        else:
+            pick = head_pick(range(width), width) if last else None
+            spec = _antijoin_spec(f"{prefix}:antijoin{j}", step.pos_key, left, rows, pick, width)
+            keys = (held(made, step.pos_key), held(rows_made, range(keyed)))
+        jobs.append((spec, keys))
+        left = None
+        made = len(jobs) if made is not None and rows_made is not None else None
 
     if not jobs:
-        spec = _project_spec(f"{prefix}:head", head_pick(identity, width), left)
-        jobs.append((spec, (fed_key(0, ()),)))
+        spec = _project_spec(f"{prefix}:head", head_pick(range(width), width), left)
+        jobs.append((spec, (held(made, ()),)))
     return jobs
 
 
@@ -382,18 +355,17 @@ def eval_rule(
     pos: FactSource,
     neg: FactSource,
     delta: Optional[FactSource] = None,
-    delta_at: Optional[int] = None,
     cache: Optional[InputCache] = None,
 ) -> set[Row]:
     """Head tuples derivable from the rule with positive subgoals matched in
-    ``pos`` and negative subgoals absent from ``neg``; ``delta``/``delta_at``
-    restrict them as :func:`rule_pipeline` says.
+    ``pos`` and negative subgoals absent from ``neg``; a variant matches its
+    delta subgoal in ``delta`` instead (see :func:`rule_pipeline`).
 
     ``cache`` keeps the invariant inputs between the calls of one solve;
     each call without one maps all of its inputs. The returned set is the
     last job's output, which ``cache`` may keep: it must not be modified."""
     cache = cache if cache is not None else InputCache()
-    jobs = rule_pipeline(plan, pos, neg, delta, delta_at, cache)
+    jobs = rule_pipeline(plan, pos, neg, delta, cache)
 
     # resume at the first job with an input that is not invariant, whose
     # held fed input took in the output of the all-invariant jobs before it;

@@ -14,6 +14,14 @@ filters applied while the relation is streamed into a job, not to separate
 jobs. Positive subgoals sharing no variables join on the empty key
 (a Cartesian product); this is legal but flagged with a warning.
 
+Which subgoal reads a semi-naive delta, and in what order, is decided here
+alone: besides the written order, a plan holds one variant per delta
+occurrence (as Soufflé does; Jordan, Scholz and Subotić, CAV 2016). A
+positive subgoal's variant joins it first, then each other subgoal on a
+variable already bound if one can, so it has no Cartesian product that the
+written order lacks. A negative subgoal's variant, its seed, keeps the
+positive-goal tuples whose key the delta holds, before the other anti-joins.
+
 :func:`compile_program` also tags each plan with the strongly connected
 component of its head in the predicate dependency graph, which has an edge
 from a rule's head to each predicate of its body, positive or negative.
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from typing import Container, Iterable, Optional, Union
 
 from .program import Atom, InvariantError, Program, Rule, SafetyError, Symbol, Variable, check_safety
 
@@ -51,12 +59,14 @@ class SubgoalAccess:
     ``var_cols`` lists each distinct variable with the column of its first
     occurrence; ``eq_cols`` are column pairs that must be equal (repeated
     variables); ``const_cols`` are (column, symbol) equality filters.
+    ``delta`` marks the subgoal a variant reads in the delta.
     """
 
     atom: Atom
     var_cols: tuple[tuple[str, int], ...]
     eq_cols: tuple[tuple[int, int], ...]
     const_cols: tuple[tuple[int, Symbol], ...]
+    delta: bool = False
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -106,7 +116,8 @@ class AntiJoinStep:
     """Drop positive-goal tuples whose key matches the negative relation.
 
     The key covers every variable of the negative subgoal (in subgoal
-    order), so matching is a total-key lookup.
+    order), so matching is a total-key lookup. When ``access`` reads the
+    delta (a seed variant), the step keeps the tuples that match instead.
     """
 
     access: SubgoalAccess
@@ -129,6 +140,14 @@ class RulePlan:
     head_cols: tuple[HeadCol, ...]
     index: int = 0  # position among the program's rules, for job names
     component: int = 0  # strongly connected component of the head, bottom-up
+    deltas: tuple[RulePlan, ...] = ()  # one per positive subgoal a delta can hold, in body order
+    seeds: tuple[RulePlan, ...] = ()  # one variant per negative subgoal, in body order
+
+    @property
+    def delta(self) -> Optional[SubgoalAccess]:
+        """The subgoal a variant reads in the delta; None in the written order."""
+        reads = (self.base, *(step.access for step in self.anti_joins))
+        return next((access for access in reads if access is not None and access.delta), None)
 
     @property
     def head_predicate(self) -> str:
@@ -156,6 +175,13 @@ class RulePlan:
                 f"  anti-join not {step.access.atom} on ({','.join(step.key_vars)})"
             )
         lines.append(f"  project {self.rule.head}")
+        for kind, variants in (("delta", self.deltas), ("seed not", self.seeds)):
+            for variant in variants:
+                reads = [variant.base, *(step.right for step in variant.joins)]
+                if kind != "delta":  # the seed joins the positive goal
+                    reads.append(variant.delta)
+                order = " * ".join(str(access.atom) for access in reads if access is not None)
+                lines.append(f"  {kind} {variant.delta.atom}: {order}")
         lines.append(f"  component {self.component}")
         return "\n".join(lines)
 
@@ -169,14 +195,47 @@ def _ordered_vars(atoms: Iterable[Atom]) -> list[str]:
     return seen
 
 
-def compile_rule(rule: Rule) -> RulePlan:
-    """Compile one safe rule."""
+def compile_rule(
+    rule: Rule, index: int = 0, component: int = 0, heads: Optional[Container[str]] = None
+) -> RulePlan:
+    """Compile one safe rule in its written order, with its variants. Given
+    ``heads``, the predicates rules head, a positive subgoal over any other
+    predicate gets no variant: no delta, which holds rule output, reads it."""
     offending = check_safety(rule)
     if offending:
         raise SafetyError([(rule, offending)])
     positives = [subgoal_access(a) for a in rule.positive()]
     negatives = [subgoal_access(a) for a in rule.negative()]
+    plan = _compile(rule, positives, negatives, index, component, warn=True)
+    deltas, seeds = [], []
+    for i, access in enumerate(positives):
+        if heads is None or access.atom.predicate in heads:
+            order = _delta_first(positives, i)
+            deltas.append(_compile(rule, order, negatives, index, component, warn=False))
+    for j, step in enumerate(plan.anti_joins):
+        seed = replace(step, access=replace(step.access, delta=True))
+        others = plan.anti_joins[:j] + plan.anti_joins[j + 1:]
+        seeds.append(replace(plan, anti_joins=(seed, *others)))
+    return replace(plan, deltas=tuple(deltas), seeds=tuple(seeds))
 
+
+def _delta_first(positives: list[SubgoalAccess], i: int) -> list[SubgoalAccess]:
+    """Subgoal ``i``, reading the delta, then each next the first other one
+    sharing a variable with those before it, if any does."""
+    order = [replace(positives[i], delta=True)]
+    rest = positives[:i] + positives[i + 1:]
+    bound = set(order[0].vars)
+    while rest:
+        access = rest.pop(next((k for k, a in enumerate(rest) if bound.intersection(a.vars)), 0))
+        order.append(access)
+        bound.update(access.vars)
+    return order
+
+
+def _compile(rule: Rule, positives: list, negatives: list, index: int, component: int,
+             warn: bool) -> RulePlan:
+    """The plan that joins ``positives`` in their order; ``warn`` warns of a
+    Cartesian product."""
     final_set = set(rule.head.variables())
     for access in negatives:
         final_set.update(access.vars)
@@ -204,12 +263,12 @@ def compile_rule(rule: Rule) -> RulePlan:
         for i, access in enumerate(positives[1:], start=1):
             right_vars = list(access.vars)
             join_vars = tuple(v for v in schema if v in right_vars)
-            if not join_vars and (schema or access.vars):
+            if warn and not join_vars and (schema or access.vars):
                 warnings.warn(
                     f"rule '{rule}': subgoal {access.atom} shares no variables "
                     "with the tuples joined so far (Cartesian product)",
                     PlanWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             combined = list(schema) + [v for v in access.vars if v not in schema]
             output = tuple(v for v in combined if v in needed_after[i])
@@ -269,6 +328,8 @@ def compile_rule(rule: Rule) -> RulePlan:
         goal_schema=goal_schema,
         anti_joins=tuple(anti_joins),
         head_cols=tuple(head_cols),
+        index=index,
+        component=component,
     )
 
 
@@ -323,6 +384,6 @@ def compile_program(program: Program) -> list[RulePlan]:
     rules = program.proper_rules()
     component = _components(rules)
     return [
-        replace(compile_rule(rule), index=index, component=component[rule.head.predicate])
+        compile_rule(rule, index, component[rule.head.predicate], component)
         for index, rule in enumerate(rules)
     ]

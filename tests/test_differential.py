@@ -232,10 +232,10 @@ SHAPES = (
 )
 
 
-def seeded_shapes(plan, j: int, own: set[str]) -> set[str]:
-    """The ``SHAPES`` of a rule evaluation seeded at its ``j``-th negative
-    subgoal (from 0); ``own`` holds the predicates of the rule's component."""
-    seeded = plan.anti_joins[j].access
+def seeded_shapes(plan, own: set[str]) -> set[str]:
+    """The ``SHAPES`` of a seed variant's evaluation; ``own`` holds the
+    predicates of the rule's component."""
+    seeded = plan.delta
     drawn = (
         len(own) >= 2,
         sum(step.access.atom.predicate in own for step in plan.anti_joins) >= 2,
@@ -254,12 +254,11 @@ class TestSeededSteps:
         components: dict[str, int] = {}
         eval_rule = fixpoint.eval_rule
 
-        def spied(engine, plan, pos, neg, delta=None, delta_at=None, cache=None):
-            positives = len(plan.joins) + (plan.base is not None)
-            if delta_at is not None and delta_at >= positives:
+        def spied(engine, plan, pos, neg, delta=None, cache=None):
+            if any(step.access.delta for step in plan.anti_joins):  # a seed variant
                 own = {head for head, at in components.items() if at == plan.component}
-                reached.update(seeded_shapes(plan, delta_at - positives, own))
-            return eval_rule(engine, plan, pos, neg, delta, delta_at, cache)
+                reached.update(seeded_shapes(plan, own))
+            return eval_rule(engine, plan, pos, neg, delta, cache)
 
         monkeypatch.setattr(fixpoint, "eval_rule", spied)
         before = checked["seeded"]
@@ -315,6 +314,22 @@ BASE_AND_LOWER_HEAD = (
     "s(X) :- e(X), not r(X), not p(X).\n"
     "t(X) :- r(X), p(X).\n"
 )
+# b is invariant and two variants of h's rule group it by different
+# columns; the solve runs to K3 with undefined atoms
+HELD_BY_TWO_KEYS = (
+    "h(X,W) :- a(X,Y), b(Y,Z), c(Z,W).\n"
+    "a(X,Y) :- s(X,Y), not c(Y,X).\n"
+    "c(Z,W) :- t(Z,W), not a(W,Z).\n"
+    "c(X,W) :- h(X,W).\n"
+    "a(X,W) :- h(X,W).\n"
+)
+# p is invariant, read on an empty join key by one rule and negatively by
+# the others
+POSITIVE_AND_NEGATIVE_ON_EMPTY_KEY = (
+    "q :- p(5), p(Z).\n"
+    "r(Z) :- e(Z), not p(Z), not s(Z).\n"
+    "s(Z) :- e(Z), p(Z), not r(Z).\n"
+)
 
 
 class TestCheckedSolves:
@@ -332,12 +347,22 @@ class TestCheckedSolves:
             (parse_program("a :- not b.\nb :- not a.\nc :- not a.\n"), ()),
             (parse_program(STACKED_NEGATIVE), ()),
             (parse_program(BASE_AND_LOWER_HEAD), parse_facts("e(1).\ne(2).\ne(3).\nf(2).")),
+            (parse_program(HELD_BY_TWO_KEYS), parse_facts(
+                "s(2,2). s(1,4). s(4,3). s(4,4). b(1,4). b(3,3). b(4,2). b(2,3). b(2,1). "
+                "t(3,1). t(1,4). t(1,2). t(4,2)."
+            )),
+            pytest.param(
+                parse_program(POSITIVE_AND_NEGATIVE_ON_EMPTY_KEY),
+                parse_facts("p(5).\np(1).\ne(1).\ne(2).\ne(3)."),
+                marks=pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning"),
+            ),
             # no rules: one K0 step, no component
             (parse_program("e(1).\n"), ()),
         ],
         ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail",
              "undefined-into-definite", "undefined-read-negatively", "stacked-negative",
-             "base-and-lower-head", "no-rules"],
+             "base-and-lower-head", "held-by-two-keys", "positive-and-negative-on-empty-key",
+             "no-rules"],
     )
     def test_optimized_driver_agrees_with_naive(self, checked, program, facts):
         before = Counter(checked)

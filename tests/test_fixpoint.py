@@ -267,6 +267,20 @@ class TestSolveOptimized:
         assert [step.label for step in result.stats.steps] == ["K0"]
         assert sum(job.reduce_groups for job in engine.stats_log) == n + 1
 
+    def test_a_delta_written_second_still_leads_its_join(self):
+        # the delta variant joins reach first whatever the body order: the
+        # full first round reduces the n e groups, then each round one key
+        n = 300
+        program = parse_program("reach(1).\nreach(Y) :- e(X,Y), reach(X).\n")
+        facts = [Fact("e", (i, i + 1)) for i in range(1, n + 1)]
+        engine = Engine()
+        result = solve(program, facts, engine=engine)
+        assert result_atoms(result) == result_atoms(
+            solve(program, facts, options=SolveOptions(mode="naive"))
+        )
+        assert ("reach", (n + 1,)) in result_atoms(result)[0]
+        assert sum(job.reduce_groups for job in engine.stats_log) == 2 * n
+
     @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
     def test_random_programs_match_naive_and_oracle(self):
         rng = random.Random(777)

@@ -260,17 +260,22 @@ class TestEvalRule:
                 assert got == want, str(rule)
 
 
-def _delta_renamed(rule, at):
-    """The rule with its ``at``-th positive subgoal reading predicate ``delta``."""
-    body = []
-    seen = 0
-    for lit in rule.body:
-        if not lit.negated:
-            if seen == at:
-                lit = Literal(Atom("delta", lit.atom.args))
-            seen += 1
-        body.append(lit)
-    return Rule(rule.head, tuple(body))
+def _variants(plan):
+    """Each variant of ``plan`` with its rule as brute force reads it: the
+    body literal the variant reads in the delta becomes a positive subgoal
+    over predicate ``delta``."""
+    body = plan.rule.body
+    at = [i for i, lit in enumerate(body) if not lit.negated]
+    at += [i for i, lit in enumerate(body) if lit.negated]
+    assert len(at) == len(plan.deltas) + len(plan.seeds)
+    for variant, i in zip(plan.deltas + plan.seeds, at):
+        assert variant.delta.atom == body[i].atom
+        renamed = body[:i] + (Literal(Atom("delta", body[i].atom.args)),) + body[i + 1:]
+        yield variant, Rule(plan.rule.head, renamed)
+
+
+def _as_delta(variant, delta):
+    return {("delta", args) for p, args in db_atoms(delta) if p == variant.delta.atom.predicate}
 
 
 def _shape_cases():
@@ -313,15 +318,13 @@ class TestRulePipelineShape:
             assert len(engine.stats_log) == want_jobs
             want = eval_rule_bruteforce(rule, db_atoms(pos), db_atoms(neg))
             assert decoded(sym, got) == {args for _, args in want}
-            for at, atom in enumerate(rule.positive()):
+            for variant, renamed in _variants(plan):
                 engine.stats_log.clear()
-                got = eval_rule(engine, plan, pos, neg, delta=delta, delta_at=at)
+                got = eval_rule(engine, variant, pos, neg, delta=delta)
                 assert len(engine.stats_log) == want_jobs
-                delta_atoms = {("delta", args) for p, args in db_atoms(delta) if p == atom.predicate}
-                want = eval_rule_bruteforce(
-                    _delta_renamed(rule, at), db_atoms(pos) | delta_atoms, db_atoms(neg)
-                )
-                assert decoded(sym, got) == {args for _, args in want}, at
+                atoms = db_atoms(pos) | _as_delta(variant, delta)
+                want = eval_rule_bruteforce(renamed, atoms, db_atoms(neg))
+                assert decoded(sym, got) == {args for _, args in want}, str(renamed)
 
     @pytest.mark.parametrize("name,plan", _shape_cases(), ids=[n for n, _ in _shape_cases()])
     def test_warm_cache_runs_no_more_jobs(self, name, plan):
@@ -349,22 +352,21 @@ class TestRulePipelineShape:
         neg_atoms = db_atoms(base) | db_atoms(negated)
         cache = InputCache(base, [plan.head_predicate])
         want_jobs = max(1, len(plan.joins) + len(plan.anti_joins))
-        cases = [(None, None, rule, pos_atoms)]
-        for at, atom in enumerate(rule.positive()):
-            source = base if atom.predicate != plan.head_predicate else delta
-            delta_atoms = {("delta", args) for p, args in db_atoms(source) if p == atom.predicate}
-            cases.append((source, at, _delta_renamed(rule, at), pos_atoms | delta_atoms))
+        cases = [(plan, None, rule, pos_atoms)]
+        for variant, renamed in _variants(plan):
+            source = base if variant.delta.atom.predicate != plan.head_predicate else delta
+            cases.append((variant, source, renamed, pos_atoms | _as_delta(variant, source)))
         with Engine() as engine:
-            for source, at, renamed, atoms in cases:
+            for variant, source, renamed, atoms in cases:
                 mapped = []
                 for _ in ("cold", "warm"):
                     engine.stats_log.clear()
-                    got = eval_rule(engine, plan, pos, neg, delta=source, delta_at=at, cache=cache)
+                    got = eval_rule(engine, variant, pos, neg, delta=source, cache=cache)
                     assert len(engine.stats_log) <= want_jobs
                     want = eval_rule_bruteforce(renamed, atoms, neg_atoms)
-                    assert decoded(sym, got) == {args for _, args in want}, at
+                    assert decoded(sym, got) == {args for _, args in want}, str(renamed)
                     mapped.append(sum(s.map_in for s in engine.stats_log))
-                assert mapped[1] <= mapped[0], at
+                assert mapped[1] <= mapped[0], str(renamed)
 
     def test_invariant_subgoal_streams_from_the_base(self):
         # e has base facts and heads no rule: its subgoals read the base,
@@ -410,6 +412,34 @@ class TestRulePipelineShape:
             key = spec.inputs[0][0](row)  # the positive input's key function
             assert (key is row) == key_is_row, text
             assert key == (row if key_is_row else (2,))
+
+
+class TestHeldGroupsOfVariants:
+    def test_an_invariant_subgoal_held_under_each_key_it_is_joined_on(self):
+        # b is a base predicate: the variant that reads the a delta first
+        # joins b on Y, the one that reads the c delta first joins it on Z;
+        # one cache serves them all, cold and warm
+        plan = compile_rule(parse_program("h(X,W) :- a(X,Y), b(Y,Z), c(Z,W).\n").rules[0])
+        rng = random.Random(6)
+        sym = SymbolTable()
+        base, derived, delta = Database(sym), Database(sym), Database(sym)
+        for pred, db in (("b", base), ("a", derived), ("c", derived), ("a", delta), ("c", delta)):
+            db.insert_many(Fact(pred, row) for row in random_relation(rng, 2, max_rows=8, domain=4))
+        pos = DatabaseView(base, derived)
+        pos_atoms = db_atoms(base) | db_atoms(derived)
+        cache = InputCache(base, ["h", "a", "c"])
+        cases = [(plan, None, plan.rule, pos_atoms)]
+        cases += [(variant, delta, renamed, pos_atoms | _as_delta(variant, delta))
+                  for variant, renamed in _variants(plan)]
+        with Engine() as engine:
+            for _ in ("cold", "warm"):
+                for variant, source, renamed, atoms in cases:
+                    got = eval_rule(engine, variant, pos, Database(sym), delta=source, cache=cache)
+                    want = eval_rule_bruteforce(renamed, atoms, set())
+                    assert decoded(sym, got) == {args for _, args in want}, str(renamed)
+        # b grouped by Y (the written order and the a variant) and by Z
+        assert len(cache.grouped) == 2
+        assert {held.values for held in cache.grouped.values()} == {base.count()}
 
 
 class TestPartitionIndependence:

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -95,6 +96,57 @@ class TestCompileRule:
     def test_cartesian_product_warns(self):
         with pytest.warns(PlanWarning):
             plan_for("p(X,Y) <- a(X), b(Y).")
+
+
+class TestVariants:
+    def test_one_variant_per_subgoal_reading_the_delta_first(self):
+        plan = plan_for("p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).")
+        assert [v.delta.atom.predicate for v in plan.deltas] == ["a", "b"]
+        assert [v.delta.atom.predicate for v in plan.seeds] == ["c", "d"]
+        for variant in plan.deltas:
+            assert variant.base is variant.delta
+            assert not any(step.right.delta for step in variant.joins)
+        for variant in plan.seeds:
+            # the written joins, then the seed before the other anti-join
+            assert variant.joins == plan.joins
+            assert variant.anti_joins[0].access is variant.delta
+            assert not variant.anti_joins[1].access.delta
+        assert plan.delta is None and plan.deltas[0].deltas == ()
+
+    def test_no_variant_reads_a_predicate_no_rule_heads(self):
+        # a delta holds rule output only, so b, a base predicate, never
+        # reads one
+        plans = compile_program(parse_program(
+            "tc(X,Y) :- par(X,Z), tc(Z,Y).\npar(X,Y) :- b(X,Y), b(Y,Z), not q(Y,Z).\n"
+            "q(X,Y) :- b(X,Y), not par(X,Y).\n"
+        ))
+        assert [[v.delta.atom.predicate for v in p.deltas] for p in plans] == [["par", "tc"], [], []]
+        assert [[v.delta.atom.predicate for v in p.seeds] for p in plans] == [[], ["q"], ["par"]]
+
+    @pytest.mark.parametrize("text", [
+        "h(X,W) <- a(X,Y), b(Y,Z), c(Z,W).",
+        # the written order has a Cartesian product, the body none
+        "h(X,W) <- a(X,Y), c(Z,W), b(Y,Z).",
+        "h(X) <- a(X,Y), b(V,W), c(Y,V), d(W,X), not e(X,W).",
+        "h(X) <- a(X), b(X,Y), c(X,Z), d(Y,Z).",
+    ])
+    def test_a_connected_body_gets_no_cartesian_variant(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PlanWarning)
+            plan = plan_for(text)
+        for variant in plan.deltas:
+            assert all(step.join_vars for step in variant.joins), variant.explain()
+
+    @pytest.mark.parametrize("text", [
+        "p(X,Y) <- a(X), b(Y).",
+        "p(X,Y) <- a(X), b(Y), c(Y), not d(X,Y).",
+        "h(X,W) <- a(X,Y), c(Z,W), b(Y,Z).",
+    ])
+    def test_a_rule_warns_once_whatever_its_variants(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan_for(text)
+        assert [w.category for w in caught] == [PlanWarning]
 
 
 class TestBrokenInvariants:
@@ -195,6 +247,13 @@ class TestExplain:
         assert "anti-join not c(X,Z) on (X,Z)" in text
         assert "anti-join not d(Z,Y) on (Z,Y)" in text
         assert text.splitlines()[0].startswith("rule:")
+
+    def test_each_variant_lists_its_join_order(self):
+        text = plan_for("tc(X,Y) <- par(X,Z), tc(Z,Y), not q(X,Y).").explain()
+        assert "  delta par(X,Z): par(X,Z) * tc(Z,Y)" in text.splitlines()
+        assert "  delta tc(Z,Y): tc(Z,Y) * par(X,Z)" in text.splitlines()
+        # a seed joins the positive goal of the written order
+        assert "  seed not q(X,Y): par(X,Z) * tc(Z,Y) * q(X,Y)" in text.splitlines()
 
 
 @pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning")
