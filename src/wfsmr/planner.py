@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Container, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .program import Atom, InvariantError, Program, Rule, SafetyError, Symbol, Variable, check_safety
 
@@ -140,7 +140,7 @@ class RulePlan:
     head_cols: tuple[HeadCol, ...]
     index: int = 0  # position among the program's rules, for job names
     component: int = 0  # strongly connected component of the head, bottom-up
-    deltas: tuple[RulePlan, ...] = ()  # one per positive subgoal a delta can hold, in body order
+    deltas: tuple[RulePlan, ...] = ()  # one variant per positive subgoal, in body order
     seeds: tuple[RulePlan, ...] = ()  # one variant per negative subgoal, in body order
 
     @property
@@ -195,12 +195,8 @@ def _ordered_vars(atoms: Iterable[Atom]) -> list[str]:
     return seen
 
 
-def compile_rule(
-    rule: Rule, index: int = 0, component: int = 0, heads: Optional[Container[str]] = None
-) -> RulePlan:
-    """Compile one safe rule in its written order, with its variants. Given
-    ``heads``, the predicates rules head, a positive subgoal over any other
-    predicate gets no variant: no delta, which holds rule output, reads it."""
+def compile_rule(rule: Rule, index: int = 0, component: int = 0) -> RulePlan:
+    """Compile one safe rule in its written order, with its variants."""
     offending = check_safety(rule)
     if offending:
         raise SafetyError([(rule, offending)])
@@ -208,10 +204,9 @@ def compile_rule(
     negatives = [subgoal_access(a) for a in rule.negative()]
     plan = _compile(rule, positives, negatives, index, component, warn=True)
     deltas, seeds = [], []
-    for i, access in enumerate(positives):
-        if heads is None or access.atom.predicate in heads:
-            order = _delta_first(positives, i)
-            deltas.append(_compile(rule, order, negatives, index, component, warn=False))
+    for i in range(len(positives)):
+        order = _delta_first(positives, i)
+        deltas.append(_compile(rule, order, negatives, index, component, warn=False))
     for j, step in enumerate(plan.anti_joins):
         seed = replace(step, access=replace(step.access, delta=True))
         others = plan.anti_joins[:j] + plan.anti_joins[j + 1:]
@@ -384,6 +379,6 @@ def compile_program(program: Program) -> list[RulePlan]:
     rules = program.proper_rules()
     component = _components(rules)
     return [
-        compile_rule(rule, index, component[rule.head.predicate], component)
+        compile_rule(rule, index, component[rule.head.predicate])
         for index, rule in enumerate(rules)
     ]

@@ -113,16 +113,6 @@ class TestVariants:
             assert not variant.anti_joins[1].access.delta
         assert plan.delta is None and plan.deltas[0].deltas == ()
 
-    def test_no_variant_reads_a_predicate_no_rule_heads(self):
-        # a delta holds rule output only, so b, a base predicate, never
-        # reads one
-        plans = compile_program(parse_program(
-            "tc(X,Y) :- par(X,Z), tc(Z,Y).\npar(X,Y) :- b(X,Y), b(Y,Z), not q(Y,Z).\n"
-            "q(X,Y) :- b(X,Y), not par(X,Y).\n"
-        ))
-        assert [[v.delta.atom.predicate for v in p.deltas] for p in plans] == [["par", "tc"], [], []]
-        assert [[v.delta.atom.predicate for v in p.seeds] for p in plans] == [[], ["q"], ["par"]]
-
     @pytest.mark.parametrize("text", [
         "h(X,W) <- a(X,Y), b(Y,Z), c(Z,W).",
         # the written order has a Cartesian product, the body none
