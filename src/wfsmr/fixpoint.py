@@ -8,52 +8,48 @@ partitions:
 * the naive driver runs the paper's alternating fixpoint over the whole
   program, recomputes every least fixpoint from scratch and keeps the full
   true/possible sets of consecutive rounds (up to four stored sets);
-* the optimized driver solves the program one strongly connected component
-  of its predicate dependency graph at a time, bottom-up (see
-  :func:`~wfsmr.planner.compile_program`). A component with no negative
-  subgoal over its own predicates, whose rules read no undefined atom, is
-  definite: one least fixpoint, K0, solves it. Any other component runs the
-  alternating fixpoint on its own rules. K0 runs the rules with no negative
-  subgoal over the component's predicates, and each later least fixpoint
-  starts from the facts already established. A component that has no such
-  negative subgoal but reads undefined atoms stops after U0, since its K
-  steps read the negative facts K0 read. The driver stores at most three
-  sets of the component at any instant: the established true set, the
-  possible-but-not-true delta, and the delta currently being derived. When
-  a round shows the fixpoint has not been reached, its possible delta stays
-  as the previous one, counted by the live-set ledger, until the next
-  possible delta has passed the check that it lies inside it. Its inner
-  rounds are semi-naive: after the first round of a least fixpoint, each
-  round runs the rules' positive variants (see :mod:`wfsmr.planner`) on
-  the facts the round before added, skipping those whose delta predicate
+* the optimized driver solves the strongly connected components of the
+  predicate dependency graph bottom-up (see
+  :func:`~wfsmr.planner.compile_program`). K0 runs a component's rules
+  without a negative subgoal over its own predicates. A component without
+  such a subgoal stops there, or after U0 if it reads undefined atoms. Any
+  other component runs the alternating fixpoint on its own rules, each
+  least fixpoint starting from the facts already established, and stores
+  at most three of its sets at any instant: the true set, the
+  possible-but-not-true delta, and the delta being derived, or the
+  previous possible delta until the next one has passed the check that it
+  lies inside it. Inner rounds are semi-naive: after the first, each round
+  runs the rules' positive variants (see :mod:`wfsmr.planner`) on the
+  facts the round before added, skipping those whose delta predicate
   gained none.
 
-  From K2 on, the first round of a K step is semi-naive too, on the
-  negative side (after Brass, Dix, Freitag and Zukowski, TPLP 2001, who
-  reuse the previous step's result rather than restart): it runs the seed
-  variants on D, the atoms that left the possible set between the last two
-  U steps, which the previous K step read negatively and this one does
-  not. Every rule instance new to this K step has a negative atom in D, or
-  a positive atom that a later round derives. The previous possible delta
-  becomes D in place and takes its place in the ledger until that first
-  round ends, so the round costs the atoms that changed rather than the
-  whole negative set. K1 stays a full round, since K0 ran only the rules
-  without such a negative subgoal.
+  From K2 on, a K step's first round is semi-naive on the negative side
+  too (after Brass, Dix, Freitag and Zukowski, TPLP 2001): it runs the
+  seed variants on D, the atoms that left the possible set between the
+  last two U steps, as every rule instance new to the step has a negative
+  atom in D or a positive one that a later round derives. After a full U
+  step, the previous possible delta becomes D in place.
 
-Every least fixpoint round runs a rule set through the MapReduce operator
-pipelines. The base facts, and the true facts of the components the
-optimized driver has finished, form the fixed, read-only part of every
-source a round reads, positive and negative (``Session.fixed``); no
-derived set copies them. The undefined atoms of finished components form a
-second fixed part (``Session.undefined``), which U steps read positively
-and K steps negatively. Every stored set holds rule output only, and
-:func:`solve` adds the base facts to the true set once, when it returns.
-Job inputs that read only predicates whose facts all lie in the fixed part,
-and which no rule still to run heads, are the same in every later round and
-step, so each solve keeps them in one :class:`~wfsmr.operators.InputCache`,
-grouped once and reused, and releases it when it returns. The optimized
-driver adds a finished component's predicates without undefined atoms to
-it.
+  A component whose rules read neither its own predicates positively nor
+  undefined atoms takes one round per U step, so from U1 on its U steps
+  count rule instances (the counting algorithm of Gupta, Mumick and
+  Subrahmanian, SIGMOD 1993; see :func:`count_instances`). A live instance
+  of a possible atom has a possible negative atom, or K1 would have made
+  its head true, so U1 runs the seed variants on the possible delta; each
+  later U step runs them on what the K step before added, and the atoms
+  whose instances they all kill are the next K step's D.
+
+Rounds run rule sets through the MapReduce operator pipelines. The base
+facts and the true facts of finished components form the fixed, read-only
+part of every source (``Session.fixed``), which no derived set copies; the
+undefined atoms of finished components form a second one
+(``Session.undefined``), which U steps read positively and K steps
+negatively. Stored sets hold rule output only; :func:`solve` adds the base
+facts to the true set when it returns. Job inputs over predicates whose
+facts all lie in the fixed part, and which no rule still to run heads, stay
+grouped in the solve's :class:`~wfsmr.operators.InputCache`, to which the
+optimized driver adds a finished component's predicates without undefined
+atoms.
 
 The per-step checks always run, and a broken invariant raises
 :class:`InvariantError`. No loop has an iteration cap: every round of every
@@ -62,20 +58,21 @@ round, the optimized driver's true set) or that the naive true set grew or
 its possible set shrank. Each such set lies within the finite set of ground
 atoms over the input's constants, so every loop ends.
 
-:func:`trace_records` serializes a solve's :class:`StepStat` per least
-fixpoint, its engine's job statistics and its :class:`SolveStats` as one
-record stream in run order, which ``solve --trace`` prints as JSON lines.
+:func:`trace_records` serializes a solve's :class:`StepStat` per step, its
+engine's job statistics and its :class:`SolveStats` as one record stream
+in run order, which ``solve --trace`` prints as JSON lines.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass, field
 from itertools import islice
+from string import digits
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .mapreduce import Engine, gc_paused
-from .operators import InputCache, eval_rule
-from .planner import RulePlan, compile_program
+from .operators import InputCache, eval_rule, head_picker
+from .planner import RulePlan, compile_program, instance_seeds
 from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
 from .store import Database, DatabaseView, FactSource, SymbolTable
 
@@ -138,11 +135,11 @@ class SolveStats:
     fixed_facts: int = 0
 
     def __post_init__(self) -> None:
-        self._live: dict[str, Database] = {}
+        self._live: dict[str, Database | DerivationCounts] = {}
 
     # Live-set ledger: the named fact sets the driver keeps between jobs,
     # including those kept only for the per-step checks.
-    def register_live(self, name: str, db: Database) -> None:
+    def register_live(self, name: str, db: Database | DerivationCounts) -> None:
         self._live[name] = db
         self.snapshot_live()
 
@@ -241,8 +238,8 @@ class Session:
 def _record_step(
     session: Session, label: str, new_facts: int, inner: int, jobs_before: int
 ) -> None:
-    """Record one least fixpoint as a step, with the jobs the engine ran
-    since its log held ``jobs_before``."""
+    """Record one least fixpoint or counted U step as a step, with the jobs
+    the engine ran since its log held ``jobs_before``."""
     stats = session.stats
     stats.lfp_calls += 1
     jobs = len(session.engine.stats_log) - jobs_before
@@ -353,6 +350,78 @@ def least_fixpoint_delta(
     return result
 
 
+@dataclass
+class DerivationCounts:
+    """A counted component's possible delta, each atom with one live rule
+    instance or ``extra[predicate][row]``; ``extra`` is None until counted."""
+
+    possible: Database
+    extra: Optional[dict[str, dict[tuple, int]]] = None
+
+    def count(self) -> int:  # the live-set ledger's measure
+        return self.possible.count() + sum(map(len, (self.extra or {}).values()))
+
+
+def count_instances(
+    session: Session, plans: Sequence[RulePlan], known: Database, grown: Database,
+    counts: DerivationCounts, label: str,
+) -> Database:
+    """A counted U step, in place on ``counts``: ``grown`` is what the last
+    K step added to ``known``. Returns D, the atoms whose count reached 0."""
+    engine, stats = session.engine, session.stats
+    jobs_before = len(engine.stats_log)
+    first = counts.extra is None
+    if first:  # the atoms of grown are true: they need no count
+        counts.possible.difference_update(grown)
+    # a first count seeds the possible atoms under the whole true set, a
+    # decrement grown under the true set from before it
+    delta = counts.possible if first else grown
+    neg = DatabaseView(session.fixed, known, grown) if first else DatabaseView(session.fixed, known)
+    truth = (known, grown, *session.fixed.parts)  # heads that need no count
+    extra = counts.extra = counts.extra or {}
+    out = Database(session.symbols)  # the first count's live atoms, else D
+    for plan in plans:
+        found = [eval_rule(engine, seed, session.fixed, neg, delta, session.cache)
+                 for seed in instance_seeds(plan) if delta.relation(seed.delta.atom.predicate)]
+        rows = found[0] if len(found) == 1 else set().union(*found)  # each instance once
+        stats.derived_facts += len(rows)
+        predicate, width = plan.head_predicate, len(plan.goal_schema)
+        head = head_picker(plan, session.symbols, range(width), width)
+        for db in (counts.possible, out):
+            db.add_encoded(predicate, plan.head_arity, ())
+        held, into = counts.possible.relation(predicate).tuples, out.relation(predicate).tuples
+        more = extra.setdefault(predicate, {})
+        for atom in map(head, rows):
+            if first:  # each possible atom's live instances
+                if atom in into:
+                    more[atom] = more.get(atom, 1) + 1
+                elif atom in held:
+                    into.add(atom)
+                elif not any(part.contains(predicate, atom) for part in truth):
+                    raise InvariantError(f"{label}: possible set grew")
+                continue
+            n = more.pop(atom, 1)  # an instance the atoms of grown killed
+            if n > 2:
+                more[atom] = n - 1
+            elif n == 1 and atom in held:
+                held.remove(atom)
+                into.add(atom)
+            elif n == 1 and not any(part.contains(predicate, atom) for part in truth):
+                raise InvariantError(f"{label}: derivation count below zero")
+        del found, rows  # before the next rule's jobs run
+    if first:  # the atoms left without an instance are D
+        counts.possible.difference_update(out)
+        counts.possible, out = out, counts.possible
+    if out.difference(grown).count() != out.count():
+        raise InvariantError(f"{label}: a true atom left the possible set")
+    counts.possible.difference_update(grown)
+    for predicate in grown.predicates():
+        for atom in grown.tuples(predicate):
+            extra[predicate].pop(atom, None)
+    _record_step(session, label, 0, 1, jobs_before)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -402,7 +471,8 @@ def solve_component(
         plan for plan in plans
         if not any(step.access.atom.predicate in heads for step in plan.anti_joins)
     ]
-    reads = {lit.atom.predicate for plan in plans for lit in plan.rule.body}
+    reads_undefined = any(
+        session.undefined.relation(lit.atom.predicate) for plan in plans for lit in plan.rule.body)
     true_fixed = session.base.count() + session.finished.count()
     undefined_fixed = session.undefined.count()
 
@@ -420,43 +490,49 @@ def solve_component(
     # without a negative subgoal over the component's own predicates, every
     # K step reads the negative facts K0 read: K0 is the true set
     negative_cycle = len(definite) < len(plans)
-    if not negative_cycle and not any(map(session.undefined.relation, reads)):
+    if not negative_cycle and not reads_undefined:
         # and with no undefined atom to read, the possible set too
         stats.inference_steps += 1
         return known, Database(session.symbols)
 
+    # no rule reads the component positively, nor any undefined atom: from
+    # U1 on, U steps count
+    counted = negative_cycle and not reads_undefined and not any(
+        atom.predicate in heads for plan in plans for atom in plan.rule.positive())
+    counts: Optional[DerivationCounts] = None
     # the previous possible delta stays (as "U_prev") until the next one has
     # passed the shrinkage check against it, and then becomes the atoms that
     # left the possible set, which seed the next K step
     previous: Optional[Database] = None
     i = 0
     while True:
-        unknown = least_fixpoint_delta(
-            session,
-            plans,
-            (known,),
-            DatabaseView(known),
-            label=f"U{i}",
-            live_as="U_delta",
-            assumed=(session.undefined,),
-        )
+        if counts is None:
+            unknown = least_fixpoint_delta(
+                session,
+                plans,
+                (known,),
+                DatabaseView(known),
+                label=f"U{i}",
+                live_as="U_delta",
+                assumed=(session.undefined,),
+            )
+            if unknown.difference(known).count() != unknown.count():
+                raise InvariantError("possible delta overlaps the true set")
+            if previous is not None:
+                # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true
+                # set is, by the check on the K step before
+                if not unknown.issubset(DatabaseView(known, previous)):
+                    raise InvariantError("possible set grew between inference steps")
+                # D, in place: the atoms the last K step read negatively that
+                # the next one does not; any rule instance new to the next K
+                # step has a negative atom in D or a positive one it derives
+                previous.difference_update(DatabaseView(known, unknown))
+                stats.drop_live("U_prev")
         finish_step(known.count(), unknown.count())
-        if unknown.difference(known).count() != unknown.count():
-            raise InvariantError("possible delta overlaps the true set")
         if not negative_cycle:
             # U0 read the undefined atoms below; K1 would add nothing
             stats.inference_steps += 1
             return known, unknown
-        if previous is not None:
-            # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true
-            # set is, by the check on the K step before
-            if not unknown.issubset(DatabaseView(known, previous)):
-                raise InvariantError("possible set grew between inference steps")
-            # D, in place: the atoms the last K step read negatively that
-            # the next one does not; any rule instance new to the next K
-            # step has a negative atom in D or a positive one it derives
-            previous.difference_update(DatabaseView(known, unknown))
-            stats.drop_live("U_prev")
 
         grown = least_fixpoint_delta(
             session,
@@ -476,11 +552,18 @@ def solve_component(
             break
         if not grown.issubset(DatabaseView(known, unknown)):
             raise InvariantError("true set escaped the possible set")
-        # fixpoint not reached: the possible delta stays as the previous
-        # one; new facts replace the prior true set in place
-        stats.drop_live("U_delta")
-        previous = unknown
-        stats.register_live("U_prev", previous)
+        if counted:
+            # U_i, before the true set takes in grown, which it reads apart
+            if counts is None:
+                counts = DerivationCounts(unknown)
+            stats.register_live("U_delta", counts)
+            previous = count_instances(session, plans, known, grown, counts, f"U{i}")
+            unknown = counts.possible
+        else:  # the possible delta stays as the previous one
+            stats.drop_live("U_delta")
+            previous = unknown
+            stats.register_live("U_prev", previous)
+        # new facts replace the prior true set in place
         before = known.count()
         known.update(grown)
         if known.count() != before + grown.count():
@@ -489,7 +572,7 @@ def solve_component(
             raise InvariantError("true delta overlaps the true set")
         stats.drop_live("K_delta")
         stats.snapshot_live()
-        del unknown, grown
+        del grown
     stats.inference_steps += i
     return known, unknown
 
@@ -601,14 +684,17 @@ def classify(fact: Fact, result: FixpointResult) -> TruthValue:
 
 def trace_records(result: FixpointResult, engine: Engine) -> Iterator[dict]:
     """The run of one solve as records, in run order: each step's ``job``
-    records, the step's own ``step`` record, and last one ``solve`` record
-    with the :class:`SolveStats` scalars. ``engine`` is the one the solve
-    ran on; its last ``jobs_total`` logged jobs are the solve's."""
+    records, with the rule index and kind parsed from the job's name, the
+    step's own ``step`` record, and last one ``solve`` record with the
+    :class:`SolveStats` scalars. ``engine`` is the one the solve ran on; its
+    last ``jobs_total`` logged jobs are the solve's."""
     stats = result.stats
     jobs = iter(engine.stats_log[len(engine.stats_log) - stats.jobs_total:])
     for step in stats.steps:
         for job in islice(jobs, step.jobs):
-            yield {"record": "job", "step": step.label, "component": step.component, **asdict(job)}
+            rule, _, kind = job.name.split(":")  # r<rule index>:<head>:<kind><n>
+            yield {"record": "job", "step": step.label, "component": step.component,
+                   "rule": int(rule[1:]), "kind": kind.rstrip(digits), **asdict(job)}
         yield {"record": "step", **asdict(step)}
     yield {"record": "solve", **{k: v for k, v in asdict(stats).items() if k != "steps"}}
 

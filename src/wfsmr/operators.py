@@ -44,12 +44,13 @@ no job when every input is.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .mapreduce import Engine, GroupedInput, JobSpec
 from .planner import RulePlan, SubgoalAccess
-from .store import FactSource
+from .store import FactSource, SymbolTable
 
 __all__ = [
     "single_join",
@@ -269,15 +270,8 @@ def rule_pipeline(
     columns that key them. Jobs are named ``r<rule index>:<head predicate>:<kind>``.
     """
     prefix = f"r{plan.index}:{plan.head_predicate}"
-    consts = tuple(pos.symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
+    head_pick = partial(head_picker, plan, pos.symbols)
     cache = cache if cache is not None else InputCache()
-
-    def head_pick(goal_at: Sequence[int], width: int) -> Callable[[tuple], tuple]:
-        """Head projection of rows of ``width`` columns that hold goal column
-        ``g`` at ``goal_at[g]``; the head constants follow the row's columns."""
-        const_at = iter(range(width, width + len(consts)))
-        indices = [goal_at[v] if k == "v" else next(const_at) for k, v in plan.head_cols]
-        return _picker(indices, consts)
 
     def stream(
         access: SubgoalAccess, source: FactSource, cols: Optional[Sequence[int]] = None
@@ -342,6 +336,16 @@ def rule_pipeline(
         spec = _project_spec(f"{prefix}:head", head_pick(range(width), width), left)
         jobs.append((spec, (held(made, ()),)))
     return jobs
+
+
+def head_picker(plan: RulePlan, symbols: SymbolTable, goal_at: Sequence[int],
+                width: int) -> Callable[[tuple], tuple]:
+    """Head projection of rows of ``width`` columns that hold goal column
+    ``g`` at ``goal_at[g]``; the head constants follow the row's columns."""
+    consts = tuple(symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
+    const_at = iter(range(width, width + len(consts)))
+    indices = [goal_at[v] if k == "v" else next(const_at) for k, v in plan.head_cols]
+    return _picker(indices, consts)
 
 
 def _fed(spec: JobSpec) -> int:

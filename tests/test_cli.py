@@ -12,6 +12,7 @@ from wfsmr.bench import TC_NEG, gen_chain, gen_cycle
 from wfsmr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from wfsmr.fixpoint import SolveOptions, SolveStats, solve
 from wfsmr.mapreduce import Engine, EngineConfig
+from wfsmr.planner import compile_program
 from wfsmr.program import facts_to_text, parse_facts, parse_program
 
 SECTION3_PROGRAM = "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).\n"
@@ -200,6 +201,17 @@ class TestTrace:
             assert step_records == [vars(step) for step in stats.steps]
             assert [job["name"] for job in jobs] == [job.name for job in engine.stats_log]
             assert all(job["map_ms"] >= 0 and job["reduce_ms"] >= 0 for job in jobs)
+            # each job names its rule and kind apart from its name
+            heads = [plan.head_predicate for plan in compile_program(parse_program(program_text))]
+            for job in jobs:
+                assert job["kind"] in ("join", "antijoin", "head")
+                assert job["name"].startswith(f"r{job['rule']}:{heads[job['rule']]}:{job['kind']}")
+            if mode == "optimized":
+                # tc-chain's q counts its instances from U1 on; from U2 on
+                # its U steps run only seed joins
+                late_u = [job["kind"] for job in jobs if job["step"][0] == "U"
+                          and int(job["step"][1:]) >= 2 and job["component"] == 0]
+                assert set(late_u) == ({"join"} if case == "tc-chain" else set())
 
     def test_facts_only_program_has_no_job_records(self, tmp_path, capsys):
         summary, by_mode = solve_records(tmp_path, capsys, "e(1,2).\n", parse_facts("e(2,3)."))

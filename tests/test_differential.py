@@ -9,14 +9,18 @@ variables, and int and text constants together.
 
 A second strategy, ``wide_programs``, draws a negative cycle over a graph
 that holds a path, plus random rules of the shapes the seeded K steps must
-handle, so that solves reach K2 and later.
+handle, so that solves reach K2 and later, and where a component reads
+none of its own predicates positively, U steps that decrement counts.
 
-Every optimized solve in this module also checks the two obligations the
-optimized driver's shortcut rests on, which the driver itself takes on
+Every optimized solve in this module also checks the obligations the
+optimized driver's shortcuts rest on, which the driver itself takes on
 trust: each delta least fixpoint starts inside the least fixpoint it
 extends, which reads the same fixed parts and assumed facts, and returns
-exactly what that fixpoint adds to its start, and at termination the
-possible delta of the whole program is the one the final true set yields.
+exactly what that fixpoint adds to its start; each counted U step leaves
+the possible delta that fixpoint yields under the same true set, with the
+counts that counting its instances from scratch gives; and at termination
+the possible delta of the whole program is the one the final true set
+yields.
 """
 from __future__ import annotations
 
@@ -153,8 +157,10 @@ def _probe(session: fixpoint.Session) -> fixpoint.Session:
 @pytest.fixture(autouse=True, scope="module")
 def checked():
     """Patch the optimized driver so every solve of this module checks its
-    seeds and its final possible delta; yields the count of each check."""
+    seeds, its counted U steps and its final possible delta; yields the
+    count of each check."""
     least_fixpoint_delta = fixpoint.least_fixpoint_delta
+    count_instances = fixpoint.count_instances
     solve_optimized = fixpoint.solve_optimized
     counts = Counter()
 
@@ -176,6 +182,28 @@ def checked():
         assert result.same_content(want), f"{label}: delta is not the least fixpoint minus its seed"
         return result
 
+    def count_checked(session, plans, known, grown, derivations, label):
+        # a counted U step yields the possible delta that the from-scratch
+        # fixpoint under the same true set yields, D is what left it, and
+        # each count equals the one a first count of the instances makes
+        before = derivations.possible.copy()
+        recount = fixpoint.DerivationCounts(before.copy())
+        decrement = derivations.extra is not None
+        dropped = count_instances(session, plans, known, grown, derivations, label)
+        true = DatabaseView(known, grown)
+        full = fixpoint.least_fixpoint(
+            _probe(session), plans, true, f"{label}:seed", "seed", (session.undefined,)
+        )
+        assert derivations.possible.same_content(full.difference(true)), f"{label}: possible delta"
+        assert dropped.same_content(before.difference(DatabaseView(grown, derivations.possible)))
+        count_instances(_probe(session), plans, known, grown, recount, label)
+        assert recount.possible.same_content(derivations.possible)
+        assert {p: n for p, n in recount.extra.items() if n} == {
+            p: n for p, n in derivations.extra.items() if n}, f"{label}: counts"
+        counts["seed"] += 1
+        counts["decremented"] += decrement
+        return dropped
+
     def stability_checked(session):
         result = solve_optimized(session)
         # the true set stood still, so the possible set it yields, computed
@@ -195,11 +223,13 @@ def checked():
         return result
 
     fixpoint.least_fixpoint_delta = seed_checked
+    fixpoint.count_instances = count_checked
     fixpoint.solve_optimized = stability_checked
     try:
         yield counts
     finally:
         fixpoint.least_fixpoint_delta = least_fixpoint_delta
+        fixpoint.count_instances = count_instances
         fixpoint.solve_optimized = solve_optimized
 
 
@@ -261,7 +291,7 @@ class TestSeededSteps:
             return eval_rule(engine, plan, pos, neg, delta, cache)
 
         monkeypatch.setattr(fixpoint, "eval_rule", spied)
-        before = checked["seeded"]
+        before, decremented = checked["seeded"], checked["decremented"]
 
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @given(wide_programs())
@@ -280,6 +310,7 @@ class TestSeededSteps:
 
         agree()
         assert checked["seeded"] > before
+        assert checked["decremented"] > decremented
         assert set(reached) == set(SHAPES), reached
 
 
@@ -330,49 +361,72 @@ POSITIVE_AND_NEGATIVE_ON_EMPTY_KEY = (
     "r(Z) :- e(Z), not p(Z), not s(Z).\n"
     "s(Z) :- e(Z), p(Z), not r(Z).\n"
 )
+# a chain game of ten positions, two of them, and a rule whose instances
+# have two negative atoms over the game's predicate
+WIN = "w(X) :- m(X,Y), not w(Y).\n"
+CHAIN = " ".join(f"m({i},{i + 1})." for i in range(1, 10))
+CHAINS = CHAIN + " " + " ".join(f"m({i},{i + 1})." for i in range(11, 20))
+TWO_NEGATIVES = "w(X) :- t(X,Y,Z), not w(Y), not w(Z).\n"
 
 
 class TestCheckedSolves:
     @pytest.mark.parametrize(
-        "program, facts",
+        "program, facts, decrements",
         [
-            (builtin_program("tc-neg"), gen_chain(6, 2)),
-            (builtin_program("win-not-win"), gen_cycle(50)),
-            (builtin_program("win-not-win"), gen_tree(15)),  # 31 nodes
+            (builtin_program("tc-neg"), gen_chain(6, 2), 0),
+            (builtin_program("win-not-win"), gen_cycle(50), 0),
+            (builtin_program("win-not-win"), gen_tree(15), 1),  # 31 nodes
             # c's component reads the undefined a of the component below
-            (parse_program("a :- not b.\nb :- not a.\nc :- a.\n"), ()),
+            (parse_program("a :- not b.\nb :- not a.\nc :- a.\n"), (), 0),
             # an undefined atom flows through a definite component into one
             # whose rule reads e, which has no facts
-            (parse_program(UNDEFINED_INTO_DEFINITE), ()),
-            (parse_program("a :- not b.\nb :- not a.\nc :- not a.\n"), ()),
-            (parse_program(STACKED_NEGATIVE), ()),
-            (parse_program(BASE_AND_LOWER_HEAD), parse_facts("e(1).\ne(2).\ne(3).\nf(2).")),
+            (parse_program(UNDEFINED_INTO_DEFINITE), (), 0),
+            (parse_program("a :- not b.\nb :- not a.\nc :- not a.\n"), (), 0),
+            (parse_program(STACKED_NEGATIVE), (), 0),
+            (parse_program(BASE_AND_LOWER_HEAD), parse_facts("e(1).\ne(2).\ne(3).\nf(2)."), 0),
             (parse_program(HELD_BY_TWO_KEYS), parse_facts(
                 "s(2,2). s(1,4). s(4,3). s(4,4). b(1,4). b(3,3). b(4,2). b(2,3). b(2,1). "
                 "t(3,1). t(1,4). t(1,2). t(4,2)."
-            )),
+            ), 0),
             pytest.param(
                 parse_program(POSITIVE_AND_NEGATIVE_ON_EMPTY_KEY),
                 parse_facts("p(5).\np(1).\ne(1).\ne(2).\ne(3)."),
+                0,
                 marks=pytest.mark.filterwarnings("ignore::wfsmr.planner.PlanWarning"),
             ),
             # no rules: one K0 step, no component
-            (parse_program("e(1).\n"), ()),
+            (parse_program("e(1).\n"), (), 0),
+            # both negative atoms of the instance t(30,7,17) enter K2, so U2
+            # kills it through two seeds; those of t(30,7,3) and t(31,7,5)
+            # enter K in different steps
+            (parse_program(WIN + TWO_NEGATIVES),
+             parse_facts(CHAINS + " t(30,7,17). t(30,7,3). t(31,7,5)."), 4),
+            # w(4) is a base fact, whose instance dies at U3
+            (parse_program(WIN), parse_facts(CHAIN + " w(4)."), 2),
+            # w(0) loses one instance at U2 and enters K3 with the other
+            (parse_program(WIN + "w(0) :- not w(7).\nw(0) :- not w(6).\n"),
+             parse_facts(CHAIN), 4),
+            # w(0) loses its only instance at U2
+            (parse_program(WIN + "w(0) :- m(X,5), not w(X), not w(7).\n"), parse_facts(CHAIN), 4),
         ],
         ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail",
              "undefined-into-definite", "undefined-read-negatively", "stacked-negative",
              "base-and-lower-head", "held-by-two-keys", "positive-and-negative-on-empty-key",
-             "no-rules"],
+             "no-rules", "two-negatives-enter-together-and-apart", "counted-base-head",
+             "counted-without-positive-subgoal", "counted-head-constant"],
     )
-    def test_optimized_driver_agrees_with_naive(self, checked, program, facts):
+    def test_optimized_driver_agrees_with_naive(self, checked, program, facts, decrements):
         before = Counter(checked)
         optimized = solve(program, facts)
         naive = solve(program, facts, options=SolveOptions(mode="naive"))
         assert partitions_agree(optimized, naive)
         assert result_atoms(optimized) == ground_afp(program, facts)
         assert optimized.stats.peak_live_sets <= 3
-        # one seed check per delta least fixpoint, one stability check per
-        # solve, and every K step from K2 on seeded
-        assert checked - before == Counter(
-            seed=optimized.stats.lfp_calls, stable=1, seeded=seeded_steps(optimized.stats)
+        # one seed check per delta least fixpoint or counted U step, one
+        # stability check per solve, and every K step from K2 on seeded
+        ran = checked - before
+        assert (ran["seed"], ran["stable"], ran["seeded"]) == (
+            optimized.stats.lfp_calls, 1, seeded_steps(optimized.stats)
         )
+        # and each U step of a counted component from U2 on decremented
+        assert ran["decremented"] == decrements

@@ -518,15 +518,28 @@ class TestStats:
             original(stats, name, db)
 
         monkeypatch.setattr(fixpoint.SolveStats, "register_live", spy)
-        result = solve(builtin_program("tc-neg"), gen_chain(16, 2))
-        # q's component, the lowest, takes more than 2 inference steps
-        q_steps = [s.label for s in result.stats.steps if s.component == 0]
-        assert sum(label.startswith("U") for label in q_steps) > 2
-        assert "U_prev" in registered
-        # from K2 on, the atoms that left the possible set take U_prev's
-        # place until the K step's first round ends, which empties them
-        assert seeds and not any(db.count() for db in seeds)
-        assert result.stats.peak_live_sets <= 3
+        # win reads itself positively through jump, so its U steps are full
+        # rounds; q, the lowest component of tc-neg, reads itself only
+        # under not, so from U1 on its U steps count instances, find D
+        # themselves and keep no previous possible delta
+        cases = (
+            (parse_program(WIN + "win(X) :- jump(X,Y), win(Y).\n"),
+             gen_tree(15) + [Fact("jump", (40, 2))], True),
+            (builtin_program("tc-neg"), gen_chain(16, 2), False),
+        )
+        for program, facts, full in cases:
+            registered.clear()
+            seeds.clear()
+            result = solve(program, facts)
+            # the lowest component takes more than 2 inference steps
+            labels = [s.label for s in result.stats.steps if s.component == 0]
+            assert sum(label.startswith("U") for label in labels) > 2
+            assert ("U_prev" in registered) is full
+            # from K2 on, D takes the place of U_prev or of the atoms it
+            # held in the count map until the K step's first round ends,
+            # which empties it
+            assert seeds and not any(db.count() for db in seeds)
+            assert result.stats.peak_live_sets <= 3
 
     def test_k_steps_from_k2_join_only_the_atoms_that_left(self):
         engine = Engine()
@@ -552,6 +565,79 @@ class TestStats:
             # the move groups the anti-join holds serve as the index
             assert job["cached_groups"] == 30
         assert result_atoms(result) == ground_afp(builtin_program("win-not-win"), gen_tree(15))
+
+
+    def test_u_steps_from_u2_reduce_only_the_atoms_that_entered_k(self):
+        engine = Engine()
+        result = solve(builtin_program("win-not-win"), gen_tree(15), engine=engine)
+        steps = {s.label: s for s in result.stats.steps}
+        jobs: dict[str, list] = {}
+        for record in trace_records(result, engine):
+            if record["record"] == "job":
+                jobs.setdefault(record["step"], []).append(record)
+        # U1 seeds the atoms still possible after K1 became true, and each
+        # later U step the atoms the K step before it added; the move groups
+        # held by the anti-join of U0 and K1 serve as the index
+        seeded = {
+            "U1": steps["U0"].u_extra - (steps["K1"].k_size - steps["K0"].k_size),
+            "U2": steps["K2"].k_size - steps["K1"].k_size,
+        }
+        for label, atoms in seeded.items():
+            [job] = jobs[label]
+            assert job["kind"] == "join"
+            assert job["map_in"] == job["reduce_groups"] == atoms > 0
+            assert job["cached_groups"] == 30
+        # win-cycle stops after K1, so no U step is counted: U0's anti-join
+        # maps the moves and K1's reads them from the cache, as before
+        engine = Engine()
+        solve(builtin_program("win-not-win"), gen_cycle(20), engine=engine)
+        assert [(job.name, job.map_in, job.reduce_groups, job.reduce_out, job.cached_groups)
+                for job in engine.stats_log] == [
+            ("r0:win:antijoin1", 20, 20, 20, 0), ("r0:win:antijoin1", 20, 20, 0, 20)]
+
+
+class TestCountedUSteps:
+    """``count_instances`` on the chain 1 -> 2 -> 3 -> 4, where win(3) and
+    win(1) are true and win(2) is false."""
+
+    def count(self, possible, known, grown, extra=None):
+        session = new_session(WIN, [Fact("move", (i, i + 1)) for i in (1, 2, 3)])
+
+        def wins(*nodes):
+            return make_db([Fact("win", (n,)) for n in nodes], session.symbols)
+
+        counts = fixpoint.DerivationCounts(wins(*possible))
+        counts.extra = extra
+        dropped = fixpoint.count_instances(
+            session, session.plans, wins(*known), wins(*grown), counts, "U1")
+        return db_atoms(counts.possible), db_atoms(dropped), counts.extra
+
+    def test_a_first_count_finds_d_and_drops_the_new_true_atoms(self):
+        possible, dropped, extra = self.count((1, 2, 3), (), (3,))
+        assert possible == {("win", (1,))}
+        assert dropped == {("win", (2,))}
+        assert extra == {"win": {}}  # one live instance each
+
+    def test_a_true_atom_leaving_the_possible_set_raises(self):
+        # win(2) is claimed true with win(3), which kills its only instance
+        with pytest.raises(InvariantError, match="U1: a true atom left the possible set"):
+            self.count((1, 2, 3), (), (2, 3), extra={})
+
+    def test_a_possible_set_that_grew_raises(self):
+        # win(2) is possible, so its seed finds win(1)'s instance, but win(1)
+        # is neither possible nor true
+        with pytest.raises(InvariantError, match="U1: possible set grew"):
+            self.count((2,), (), ())
+
+    def test_a_count_below_zero_raises(self):
+        # win(2) entering K kills win(1)'s only instance, but win(1) has no
+        # count left
+        with pytest.raises(InvariantError, match="U1: derivation count below zero"):
+            self.count((2,), (), (2,), extra={})
+
+    def test_a_decrement_drops_the_atoms_whose_count_reaches_zero(self):
+        possible, dropped, extra = self.count((1, 2), (), (2,), extra={})
+        assert (possible, dropped) == (set(), {("win", (1,))})
 
 
 class TestCollectorPause:
