@@ -67,7 +67,6 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-from string import digits
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .mapreduce import Engine, gc_paused
@@ -350,13 +349,13 @@ def least_fixpoint_delta(
     return result
 
 
-@dataclass
 class DerivationCounts:
     """A counted component's possible delta, each atom with one live rule
     instance or ``extra[predicate][row]``; ``extra`` is None until counted."""
 
-    possible: Database
-    extra: Optional[dict[str, dict[tuple, int]]] = None
+    def __init__(self, possible: Database):
+        self.possible = possible
+        self.extra: Optional[dict[str, dict[tuple, int]]] = None
 
     def count(self) -> int:  # the live-set ledger's measure
         return self.possible.count() + sum(map(len, (self.extra or {}).values()))
@@ -653,9 +652,11 @@ def solve(
         result = solve_optimized(session)
     else:
         result = solve_naive(session)
-    result.true_facts.update(session.base)
-    # nothing leaves the cache, so its size now is its peak
+    # nothing leaves the cache, so its size now is its peak; it goes before
+    # the true set takes in the base facts
     result.stats.peak_cache_records = session.cache.records()
+    session.cache = None
+    result.true_facts.update(session.base)
     result.stats.jobs_total = len(engine.stats_log) - jobs_before
     return result
 
@@ -694,7 +695,7 @@ def trace_records(result: FixpointResult, engine: Engine) -> Iterator[dict]:
         for job in islice(jobs, step.jobs):
             rule, _, kind = job.name.split(":")  # r<rule index>:<head>:<kind><n>
             yield {"record": "job", "step": step.label, "component": step.component,
-                   "rule": int(rule[1:]), "kind": kind.rstrip(digits), **asdict(job)}
+                   "rule": int(rule[1:]), "kind": kind.rstrip("0123456789"), **asdict(job)}
         yield {"record": "step", **asdict(step)}
     yield {"record": "solve", **{k: v for k, v in asdict(stats).items() if k != "steps"}}
 
