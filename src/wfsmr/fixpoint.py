@@ -31,13 +31,8 @@ partitions:
   step, the previous possible delta becomes D in place.
 
   A component whose rules read neither its own predicates positively nor
-  undefined atoms takes one round per U step, so from U1 on its U steps
-  count rule instances (the counting algorithm of Gupta, Mumick and
-  Subrahmanian, SIGMOD 1993; see :func:`count_instances`). A live instance
-  of a possible atom has a possible negative atom, or K1 would have made
-  its head true, so U1 runs the seed variants on the possible delta; each
-  later U step runs them on what the K step before added, and the atoms
-  whose instances they all kill are the next K step's D.
+  undefined atoms counts rule instances in its U steps from U1 on (see
+  :mod:`wfsmr.counting`).
 
 Rounds run rule sets through the MapReduce operator pipelines. The base
 facts and the true facts of finished components form the fixed, read-only
@@ -70,8 +65,9 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .mapreduce import Engine, gc_paused
-from .operators import InputCache, eval_rule, head_picker
-from .planner import RulePlan, compile_program, instance_seeds
+from .counting import DerivationCounts, count_instances
+from .operators import InputCache, eval_rule
+from .planner import RulePlan, compile_program
 from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
 from .store import Database, DatabaseView, FactSource, SymbolTable
 
@@ -349,78 +345,6 @@ def least_fixpoint_delta(
     return result
 
 
-class DerivationCounts:
-    """A counted component's possible delta, each atom with one live rule
-    instance or ``extra[predicate][row]``; ``extra`` is None until counted."""
-
-    def __init__(self, possible: Database):
-        self.possible = possible
-        self.extra: Optional[dict[str, dict[tuple, int]]] = None
-
-    def count(self) -> int:  # the live-set ledger's measure
-        return self.possible.count() + sum(map(len, (self.extra or {}).values()))
-
-
-def count_instances(
-    session: Session, plans: Sequence[RulePlan], known: Database, grown: Database,
-    counts: DerivationCounts, label: str,
-) -> Database:
-    """A counted U step, in place on ``counts``: ``grown`` is what the last
-    K step added to ``known``. Returns D, the atoms whose count reached 0."""
-    engine, stats = session.engine, session.stats
-    jobs_before = len(engine.stats_log)
-    first = counts.extra is None
-    if first:  # the atoms of grown are true: they need no count
-        counts.possible.difference_update(grown)
-    # a first count seeds the possible atoms under the whole true set, a
-    # decrement grown under the true set from before it
-    delta = counts.possible if first else grown
-    neg = DatabaseView(session.fixed, known, grown) if first else DatabaseView(session.fixed, known)
-    truth = (known, grown, *session.fixed.parts)  # heads that need no count
-    extra = counts.extra = counts.extra or {}
-    out = Database(session.symbols)  # the first count's live atoms, else D
-    for plan in plans:
-        found = [eval_rule(engine, seed, session.fixed, neg, delta, session.cache)
-                 for seed in instance_seeds(plan) if delta.relation(seed.delta.atom.predicate)]
-        rows = found[0] if len(found) == 1 else set().union(*found)  # each instance once
-        stats.derived_facts += len(rows)
-        predicate, width = plan.head_predicate, len(plan.goal_schema)
-        head = head_picker(plan, session.symbols, range(width), width)
-        for db in (counts.possible, out):
-            db.add_encoded(predicate, plan.head_arity, ())
-        held, into = counts.possible.relation(predicate).tuples, out.relation(predicate).tuples
-        more = extra.setdefault(predicate, {})
-        for atom in map(head, rows):
-            if first:  # each possible atom's live instances
-                if atom in into:
-                    more[atom] = more.get(atom, 1) + 1
-                elif atom in held:
-                    into.add(atom)
-                elif not any(part.contains(predicate, atom) for part in truth):
-                    raise InvariantError(f"{label}: possible set grew")
-                continue
-            n = more.pop(atom, 1)  # an instance the atoms of grown killed
-            if n > 2:
-                more[atom] = n - 1
-            elif n == 1 and atom in held:
-                held.remove(atom)
-                into.add(atom)
-            elif n == 1 and not any(part.contains(predicate, atom) for part in truth):
-                raise InvariantError(f"{label}: derivation count below zero")
-        del found, rows  # before the next rule's jobs run
-    if first:  # the atoms left without an instance are D
-        counts.possible.difference_update(out)
-        counts.possible, out = out, counts.possible
-    if out.difference(grown).count() != out.count():
-        raise InvariantError(f"{label}: a true atom left the possible set")
-    counts.possible.difference_update(grown)
-    for predicate in grown.predicates():
-        for atom in grown.tuples(predicate):
-            extra[predicate].pop(atom, None)
-    _record_step(session, label, 0, 1, jobs_before)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -470,8 +394,7 @@ def solve_component(
         plan for plan in plans
         if not any(step.access.atom.predicate in heads for step in plan.anti_joins)
     ]
-    reads_undefined = any(
-        session.undefined.relation(lit.atom.predicate) for plan in plans for lit in plan.rule.body)
+    reads = {lit.atom.predicate for plan in plans for lit in plan.rule.body}
     true_fixed = session.base.count() + session.finished.count()
     undefined_fixed = session.undefined.count()
 
@@ -489,14 +412,13 @@ def solve_component(
     # without a negative subgoal over the component's own predicates, every
     # K step reads the negative facts K0 read: K0 is the true set
     negative_cycle = len(definite) < len(plans)
-    if not negative_cycle and not reads_undefined:
+    if not negative_cycle and not any(map(session.undefined.relation, reads)):
         # and with no undefined atom to read, the possible set too
         stats.inference_steps += 1
         return known, Database(session.symbols)
 
-    # no rule reads the component positively, nor any undefined atom: from
-    # U1 on, U steps count
-    counted = negative_cycle and not reads_undefined and not any(
+    # from U1 on, its U steps may count instances (see wfsmr.counting)
+    counted = negative_cycle and not any(map(session.undefined.relation, reads)) and not any(
         atom.predicate in heads for plan in plans for atom in plan.rule.positive())
     counts: Optional[DerivationCounts] = None
     # the previous possible delta stays (as "U_prev") until the next one has
@@ -553,8 +475,7 @@ def solve_component(
             raise InvariantError("true set escaped the possible set")
         if counted:
             # U_i, before the true set takes in grown, which it reads apart
-            if counts is None:
-                counts = DerivationCounts(unknown)
+            counts = counts or DerivationCounts(unknown)
             stats.register_live("U_delta", counts)
             previous = count_instances(session, plans, known, grown, counts, f"U{i}")
             unknown = counts.possible
@@ -652,8 +573,7 @@ def solve(
         result = solve_optimized(session)
     else:
         result = solve_naive(session)
-    # nothing leaves the cache, so its size now is its peak; it goes before
-    # the true set takes in the base facts
+    # nothing leaves the cache, so its size now is its peak; it goes first
     result.stats.peak_cache_records = session.cache.records()
     session.cache = None
     result.true_facts.update(session.base)

@@ -21,8 +21,6 @@ positive subgoal's variant joins it first, then each other subgoal on a
 variable already bound if one can, so it has no Cartesian product that the
 written order lacks. A negative subgoal's variant, its seed, keeps the
 positive-goal tuples whose key the delta holds, before the other anti-joins.
-The instance form of the seeds (:func:`instance_seeds`) yields goal rows,
-one per rule instance, for :mod:`wfsmr.fixpoint`'s counted U steps.
 
 :func:`compile_program` also tags each plan with the strongly connected
 component of its head in the predicate dependency graph, which has an edge
@@ -214,13 +212,6 @@ def compile_rule(rule: Rule, index: int = 0, component: int = 0) -> RulePlan:
         others = plan.anti_joins[:j] + plan.anti_joins[j + 1:]
         seeds.append(replace(plan, anti_joins=(seed, *others)))
     return replace(plan, deltas=tuple(deltas), seeds=tuple(seeds))
-
-
-def instance_seeds(plan: RulePlan) -> tuple[RulePlan, ...]:
-    """The seeds of ``plan`` with the positive-goal schema as their head;
-    job names and held groups stay the plan's own."""
-    goal = tuple(("v", g) for g in range(len(plan.goal_schema)))
-    return tuple(replace(seed, head_cols=goal) for seed in plan.seeds)
 
 
 def _delta_first(positives: list[SubgoalAccess], i: int) -> list[SubgoalAccess]:
