@@ -56,7 +56,7 @@ def count_instances(
         session.stats.derived_facts += len(rows)
         head = head_picker(plan, session.symbols, range(width), width)
         for db in (counts.possible, out):
-            db.add_encoded(predicate, plan.head_arity, ())
+            db.add_encoded(predicate, plan.head_arity, set())
         held, into = counts.possible.relation(predicate).tuples, out.relation(predicate).tuples
         more = extra.setdefault(predicate, {})
         for atom in map(head, rows):
@@ -80,7 +80,7 @@ def count_instances(
     if first:  # the atoms left without an instance are D
         counts.possible.difference_update(out)
         counts.possible, out = out, counts.possible
-    if out.difference(grown).count() != out.count():
+    if not out.isdisjoint(grown):
         raise InvariantError(f"{label}: a true atom left the possible set")
     counts.possible.difference_update(grown)
     for p in grown.predicates():  # drop the counts of the atoms that became true

@@ -174,7 +174,7 @@ def immediate_consequences(
     """Heads of rules whose positive body lies in ``pos`` and whose negative
     body misses ``neg``, one evaluation per plan. With ``delta``, ``plans``
     are variants, and a variant whose delta subgoal's predicate ``delta``
-    lacks is skipped: it would derive nothing."""
+    lacks is skipped: it would derive nothing. It keeps the rules' output sets."""
     out = Database(pos.symbols)
     for plan in plans:
         if delta is not None and not delta.relation(plan.delta.atom.predicate):
@@ -262,8 +262,8 @@ def least_fixpoint(
     while True:
         inner += 1
         nxt = immediate_consequences(
-            engine, plans, DatabaseView(fixed, current), neg, stats, session.cache
-        ).difference(fixed)  # rules may derive fixed facts again
+            engine, plans, DatabaseView(fixed, current), neg, stats, session.cache)
+        nxt.difference_update(fixed)  # rules may derive fixed facts again
         if nxt.count() == current.count():
             # the chain is increasing, so equal counts mean equal sets
             if not nxt.same_content(current):
@@ -319,7 +319,7 @@ def least_fixpoint_delta(
     new_total = 0
     while True:
         inner += 1
-        derived = immediate_consequences(
+        new = immediate_consequences(
             engine, variants, accumulated, neg, stats, session.cache, delta)
         if inner == 1:
             if dropped is not None:
@@ -329,8 +329,7 @@ def least_fixpoint_delta(
             stats.drop_live("D")
             stats.register_live(live_as, result)
             variants = [variant for plan in plans for variant in plan.deltas]
-        new = derived.difference(accumulated)
-        stats.snapshot_live()
+        new.difference_update(accumulated)
         if new.count() == 0:
             break
         result.update(new)
@@ -437,7 +436,7 @@ def solve_component(
                 live_as="U_delta",
                 assumed=(session.undefined,),
             )
-            if unknown.difference(known).count() != unknown.count():
+            if not unknown.isdisjoint(known):
                 raise InvariantError("possible delta overlaps the true set")
             if previous is not None:
                 # Lemma-style shrinkage: U_i must be inside U_{i-1}; the true

@@ -29,17 +29,16 @@ job; a seed runs as a join of the delta's atoms with the positive goal.
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
 the length of one solve: subgoals over predicates whose facts all lie in
 the fixed part of every source and which no rule still to run heads, so
-that no job can change them and they stream from the fixed part alone. A
-job whose inputs are all invariant runs once per cache and its output is
-reused, and that output is an invariant input of the next job.
-In a job with other inputs too, each invariant input is mapped and grouped
-by the first job that reads it and later jobs map only the rest (see
-:class:`~wfsmr.mapreduce.GroupedInput`). A seeded join whose positive goal
-is invariant shares the goal's groups with the rule's first anti-join when
-both key it alike, so then it maps only the seed's atoms.
-So with a warm cache an evaluation runs at most as many jobs as without:
-it resumes at the first job with an input that is not invariant, or runs
-no job when every input is.
+that no job can change them and they stream from the fixed part alone. The
+output of a job whose inputs are all invariant is an invariant input of the
+next job. In a job with other inputs too, each invariant input is mapped and
+grouped by the first job that reads it and later jobs map only the rest (see
+:class:`~wfsmr.mapreduce.GroupedInput`), so with a warm cache an evaluation
+resumes at the first job with an input that is not invariant. A seeded join
+whose positive goal is invariant shares the goal's groups with the rule's
+first anti-join when both key it alike, so then it maps only the seed's
+atoms. No output is kept: a rule whose inputs are all invariant runs all
+of its jobs again.
 """
 from __future__ import annotations
 
@@ -96,26 +95,21 @@ class InputCache:
     of a rule without positive subgoals and the output of a job whose inputs
     are all invariant.
 
-    ``outputs`` keeps the output of each rule whose jobs read only
-    invariant inputs, keyed by rule index, and ``grouped`` each grouped
-    invariant input of a job with other inputs too, under the key that
-    :func:`rule_pipeline` gives it. The output of a job with only invariant
-    inputs that feeds another job is not kept: the next job keeps it
-    grouped, or is such a job itself. Nothing is evicted. ``InputCache()``
-    knows no invariant predicate, so across calls it never hits.
+    ``grouped`` holds each grouped invariant input of a job with other
+    inputs too, under the key that :func:`rule_pipeline` gives it; the
+    output of a job with only invariant inputs is held there by the next
+    job. Nothing is evicted. ``InputCache()`` knows no invariant predicate,
+    so across calls it never hits.
     """
 
     def __init__(self, base: Optional[FactSource] = None, heads: Iterable[str] = ()):
         self.base = base
         self.invariant = set(base.predicates() if base is not None else ()).difference(heads)
-        self.outputs: dict[int, set] = {}
         self.grouped: dict[tuple, GroupedInput] = {}
 
     def records(self) -> int:
-        """Records held: kept job outputs plus grouped values."""
-        return sum(map(len, self.outputs.values())) + sum(
-            held.values for held in self.grouped.values()
-        )
+        """Records held: the grouped values."""
+        return sum(held.values for held in self.grouped.values())
 
 
 def _access_stream(source: FactSource, access: SubgoalAccess, cols: tuple) -> Iterable[Row]:
@@ -367,20 +361,15 @@ def eval_rule(
 
     ``cache`` keeps the invariant inputs between the calls of one solve;
     each call without one maps all of its inputs. The returned set is the
-    last job's output, which ``cache`` may keep: it must not be modified."""
+    last job's output, new to this call."""
     cache = cache if cache is not None else InputCache()
     jobs = rule_pipeline(plan, pos, neg, delta, cache)
 
     # resume at the first job with an input that is not invariant, whose
-    # held fed input took in the output of the all-invariant jobs before it;
-    # when every job is invariant, the rule's kept output stands for them all
-    first = next((at for at, (_, keys) in enumerate(jobs) if None in keys), len(jobs))
+    # held fed input took in the output of the all-invariant jobs before it
+    first = next((at for at, (_, keys) in enumerate(jobs) if None in keys), 0)
     output = None
-    if first == len(jobs):
-        output = cache.outputs.get(plan.index)
-        if output is None:
-            first = 0
-    elif first:
+    if first:
         spec, keys = jobs[first]
         held = cache.grouped.get(keys[_fed(spec)])
         if held is None or held.tasks is None:
@@ -400,6 +389,4 @@ def eval_rule(
                         held = cache.grouped[key] = GroupedInput(*inputs[slot])
                     inputs[slot] = held
         output, _ = engine.run_job(replace(spec, inputs=inputs))
-        if position == len(jobs) - 1 and None not in keys:
-            cache.outputs[plan.index] = output
     return output

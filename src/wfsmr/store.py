@@ -85,11 +85,14 @@ class Database:
                 raise ArityError(fact.predicate, fact.arity, rel.arity)
             rel.tuples.add(tuple(map(intern, fact.args)))
 
-    def add_encoded(self, predicate: str, arity: int, rows: Iterable[tuple[int, ...]]) -> int:
+    def add_encoded(self, predicate: str, arity: int, rows: set[tuple[int, ...]]) -> None:
+        """Add ``rows`` to the relation of ``predicate``. With no fact of it
+        here yet, ``rows`` itself becomes the relation: the caller hands it over."""
         rel = self._relation_for(predicate, arity)
-        before = len(rel.tuples)
-        rel.tuples.update(rows)
-        return len(rel.tuples) - before
+        if rel.tuples:
+            rel.tuples.update(rows)
+        else:
+            rel.tuples = rows
 
     def take(self, other: "Database") -> None:
         """Move the relations of ``other``, none of whose predicates this
@@ -184,6 +187,13 @@ class Database:
         mine = {p: rel.tuples for p, rel in self._relations.items() if rel.tuples}
         theirs = {p: rel.tuples for p, rel in other._relations.items() if rel.tuples}
         return mine == theirs
+
+    def isdisjoint(self, other: "FactSource") -> bool:
+        """No fact lies both here and in ``other`` (database or view)."""
+        self._require_shared_symbols(other)
+        parts = self._parts(other)
+        return all(rel.tuples.isdisjoint(held) for rel in self._relations.values()
+                   for held in self._part_sets(parts, rel.predicate))
 
     def issubset(self, other: "FactSource") -> bool:
         self._require_shared_symbols(other)

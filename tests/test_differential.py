@@ -408,12 +408,18 @@ class TestCheckedSolves:
              parse_facts(CHAIN), 4),
             # w(0) loses its only instance at U2
             (parse_program(WIN + "w(0) :- m(X,5), not w(X), not w(7).\n"), parse_facts(CHAIN), 4),
+            # the first rule reads only base facts, so it runs again in every
+            # U and K step; p(9) is a base fact of the head
+            (parse_program("p(X) :- s(X).\np(X) :- b(X,Y), not p(Y).\n"),
+             parse_facts(" ".join(f"b({i},{i + 1})." for i in range(1, 20)) + " s(4). s(7). p(9)."),
+             4),
         ],
         ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail",
              "undefined-into-definite", "undefined-read-negatively", "stacked-negative",
              "base-and-lower-head", "held-by-two-keys", "positive-and-negative-on-empty-key",
              "no-rules", "two-negatives-enter-together-and-apart", "counted-base-head",
-             "counted-without-positive-subgoal", "counted-head-constant"],
+             "counted-without-positive-subgoal", "counted-head-constant",
+             "base-only-rule-beside-a-negative-cycle"],
     )
     def test_optimized_driver_agrees_with_naive(self, checked, program, facts, decrements):
         before = Counter(checked)

@@ -443,7 +443,7 @@ class TestStats:
             return consequences(*args, **kwargs)
 
         monkeypatch.setattr(fixpoint, "immediate_consequences", counted)
-        monkeypatch.setattr(Database, "difference", lambda self, other: self)
+        monkeypatch.setattr(Database, "difference_update", lambda self, other: None)
         with pytest.raises(InvariantError, match="K0: delta set received duplicate facts"):
             solve(program, [Fact("s", (1,)), Fact("e", (1, 1))])
         assert len(rounds) == 2  # K0's two rounds
@@ -505,6 +505,14 @@ class TestStats:
         assert stats.peak_cache_records > 0
         assert [job.name for job in engine.stats_log].count("r3:par:join1") == 1
         assert any(job.cached_groups for job in engine.stats_log)
+
+    def test_only_grouped_inputs_are_held(self):
+        # the cache holds b grouped for each join and anti-join that reads
+        # it, and the output of rule 3's b x b join grouped for its
+        # anti-join; no rule result is kept beside them
+        result = solve(builtin_program("tc-neg"), gen_chain(400, 40))
+        assert result.stats.peak_cache_records == 720
+        assert result.stats.jobs_total == 26
 
     def test_previous_possible_set_is_in_the_ledger(self, monkeypatch):
         registered = []

@@ -414,6 +414,41 @@ class TestRulePipelineShape:
             assert key == (row if key_is_row else (2,))
 
 
+class TestInputCache:
+    def test_an_all_invariant_rule_returns_a_new_set_each_call(self):
+        # b, e and f are base predicates, so every input of the rule is
+        # invariant: a warm cache runs all of its jobs again
+        plan = compile_rule(parse_program("p(X) :- b(X,Y), e(Y), not f(Y).\n").rules[0])
+        sym = SymbolTable()
+        base = make_db(parse_facts("b(1,2).\nb(2,3).\nb(3,4).\ne(2).\ne(3).\nf(3)."), sym)
+        cache = InputCache(base, ["p"])
+        with Engine() as engine:
+            first = eval_rule(engine, plan, base, base, cache=cache)
+            second = eval_rule(engine, plan, base, base, cache=cache)
+            assert len(engine.stats_log) == 4  # a join and an anti-join per call
+        assert first == second == {(sym.lookup(1),)}
+        assert first is not second
+        second.clear()  # the caller owns it
+        assert eval_rule(Engine(), plan, base, base, cache=cache) == first
+
+    def test_records_are_the_grouped_values(self):
+        # r1 reads only base predicates; r2 reads e from the cache beside
+        # the derived p
+        plans = compile_program(parse_program(
+            "p(X) :- e(X), not f(X).\nq(X) :- p(X), e(X), not f(X).\n"))
+        sym = SymbolTable()
+        base = make_db(parse_facts("e(1).\ne(2).\ne(3).\nf(3)."), sym)
+        derived = make_db([Fact("p", (1,)), Fact("p", (2,))], sym)
+        cache = InputCache(base, ["p", "q"])
+        pos = DatabaseView(base, derived)
+        with Engine() as engine:
+            for _ in ("cold", "warm"):
+                for plan in plans:
+                    eval_rule(engine, plan, pos, base, cache=cache)
+        assert cache.grouped
+        assert cache.records() == sum(held.values for held in cache.grouped.values())
+
+
 class TestHeldGroupsOfVariants:
     def test_an_invariant_subgoal_held_under_each_key_it_is_joined_on(self):
         # b is a base predicate: the variant that reads the a delta first

@@ -60,6 +60,61 @@ class TestInsert:
             db.insert_many([Fact("b", ()), Fact("b", (1,))])
 
 
+class TestAddEncoded:
+    def test_keeps_the_handed_set_when_the_relation_has_no_facts(self):
+        db = Database()
+        rows = {(1, 2), (2, 3)}
+        db.add_encoded("a", 2, rows)
+        assert db.relation("a").tuples is rows
+        db.add_encoded("b", 1, set())  # an empty relation has no facts either
+        handed = {(4,)}
+        db.add_encoded("b", 1, handed)
+        assert db.relation("b").tuples is handed
+        assert db.count() == 3
+
+    def test_unions_into_a_relation_with_facts(self):
+        db = make_db([Fact("a", (1, 2))])
+        held = db.relation("a").tuples
+        rows = {(7, 8), next(iter(held))}
+        db.add_encoded("a", 2, rows)
+        assert db.relation("a").tuples is held
+        assert db.count() == 2
+        assert len(rows) == 2  # the handed set is left alone
+
+    def test_arity_clash(self):
+        db = make_db([Fact("a", (1, 2))])
+        with pytest.raises(ArityError):
+            db.add_encoded("a", 1, {(1,)})
+        db.add_encoded("b", 1, set())
+        with pytest.raises(ArityError):
+            db.add_encoded("b", 2, {(1, 2)})
+
+
+class TestIsDisjoint:
+    def test_against_a_database(self):
+        sym = SymbolTable()
+        a = make_db([Fact("p", (1,)), Fact("q", (1, 2))], sym)
+        b = make_db([Fact("p", (2,)), Fact("r", (1,))], sym)  # q only in a, r only in b
+        assert a.isdisjoint(b) and b.isdisjoint(a)
+        assert Database(sym).isdisjoint(a) and a.isdisjoint(Database(sym))
+        b.insert_many([Fact("q", (1, 2))])
+        assert not a.isdisjoint(b) and not b.isdisjoint(a)
+        assert not a.isdisjoint(a)
+
+    def test_against_a_view(self):
+        sym = SymbolTable()
+        a = make_db([Fact("p", (1,)), Fact("p", (2,)), Fact("q", (5,))], sym)
+        part1 = make_db([Fact("p", (3,)), Fact("r", (1,))], sym)
+        part2 = make_db([Fact("p", (4,))], sym)
+        assert a.isdisjoint(DatabaseView(part1, part2))
+        part2.insert_many([Fact("p", (2,))])
+        assert not a.isdisjoint(DatabaseView(part1, part2))
+
+    def test_requires_shared_symbols(self):
+        with pytest.raises(ValueError):
+            Database().isdisjoint(Database())
+
+
 def _two_cycle_partition():
     """Frozen from the ground alternating-fixpoint oracle on the 2-cycle."""
     program = parse_program("win(X) :- move(X,Y), not win(Y).\n")
