@@ -82,8 +82,9 @@ def _load_program(path: str) -> Program:
 
 
 def _load_facts(paths: Sequence[str]) -> list[Fact]:
+    # a fact in several files is stored once: the solver's base is a set
     texts = (Path(path).read_text(encoding="utf-8-sig") for path in paths)
-    return list(dict.fromkeys(fact for text in texts for fact in parse_facts(text)))
+    return [fact for text in texts for fact in parse_facts(text)]
 
 
 def _write_atoms(path: Path, db: Database) -> None:

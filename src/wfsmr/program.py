@@ -1,7 +1,6 @@
 """AST, text parser, and validation for safe normal logic programs.
 
-Rules are written one per statement, with ``%`` starting a comment that runs
-to the end of the line::
+Rules are written one per statement::
 
     win(X) :- move(X,Y), not win(Y).
     move(1,2).
@@ -13,6 +12,12 @@ letter or a digit. A rule with an empty body is a fact and must be ground.
 Every rule must be safe: each variable occurring anywhere in the rule must
 also occur in a positive body subgoal. Function symbols, arithmetic, and
 comparison builtins are not supported.
+
+Programs and facts inputs share one lexical grammar. A token is a name of
+ASCII letters, digits and ``_``, an arrow, or one of ``( ) , .``. Whitespace
+(``str.isspace``) and comments, each a ``%`` and the rest of its line, may
+stand between any two tokens. Errors are reported at ``line:column``, where
+only line feeds start a line and columns count code points.
 """
 from __future__ import annotations
 
@@ -46,7 +51,6 @@ __all__ = [
 Symbol = Union[str, int]
 
 VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
-CONSTANT_RE = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
 
 
 class ProgramError(Exception):
@@ -258,23 +262,26 @@ class Program:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_ARROWS = (":-", "<-")
-_PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", ".": "dot"}
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_WORD = "[A-Za-z0-9_]"
+_NAME_RE = re.compile(rf"{_WORD}+")
 
-# The facts grammar over the tokenizer's classes (``\s`` is ``str.isspace``):
-# whitespace and comments between any two tokens; constants are ASCII names
-# starting lowercase or with a digit, never ``not``. A comment cannot end
-# before its line does, so a failing match backtracks in linear time.
+# The lexical grammar of the module docstring. A comment cannot end before its
+# line does, so a failing match backtracks in linear time.
 _SKIP = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
-_CONST = r"(?!not(?![A-Za-z0-9_]))[a-z0-9][A-Za-z0-9_]*"
 _SKIP_RE = re.compile(_SKIP)
+# Facts over the token classes: ASCII constants starting lowercase or with a
+# digit, never ``not``.
+_CONST = rf"(?!not(?!{_WORD}))[a-z0-9]{_WORD}*"
 _FACT_RE = re.compile(
     rf"({_CONST}){_SKIP}"
     rf"(?:\({_SKIP}(?:({_CONST}{_SKIP}(?:,{_SKIP}{_CONST}{_SKIP})*))?\){_SKIP})?"
     rf"\.{_SKIP}"
 )
-_COMMENT_RE = re.compile(r"%[^\n]*")
+# One token after the gap before it: a constant, a symbol or the end of the
+# input, another name, or any other character, which is an error. Every
+# position matches, so ``finditer`` yields the tokens back to back.
+_TOKEN_RE = re.compile(rf"{_SKIP}(?:({_CONST})|(:-|<-|[(),.]|\Z)|({_WORD}+)|(.))")
+_SYMBOLS = {":-": "arrow", "<-": "arrow", "(": "lparen", ")": "rparen", ",": "comma", ".": "dot", "": "eof"}
 
 
 @dataclass(frozen=True)
@@ -287,53 +294,30 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "%":
-            start = i
-            while i < n and text[i] != "\n":
-                i += 1
-            col += i - start
-            continue
-        two = text[i : i + 2]
-        if two in _ARROWS:
-            tokens.append(_Token("arrow", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        match = _NAME_RE.match(text, i)
-        if match:
-            word = match.group()
-            if word == "not":
-                kind = "not"
-            elif VARIABLE_RE.match(word):
-                kind = "var"
-            elif CONSTANT_RE.match(word):
-                kind = "const"
-            else:
-                raise ParseError(f"invalid name '{word}'", line, col)
-            tokens.append(_Token(kind, word, line, col))
-            i += len(word)
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        gap, start = match.start(), match.start(group)
+        if gap != start:  # only the gap before a token can hold a newline
+            line += text.count("\n", gap, start)
+            line_start = max(line_start, text.rfind("\n", gap, start) + 1)
+        col = start - line_start + 1
+        word = match[group]
+        if group == 1:
+            kind = "const"
+        elif group == 2:
+            kind = _SYMBOLS[word]
+        elif group == 4:
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        elif word == "not":
+            kind = "not"
+        elif VARIABLE_RE.match(word):
+            kind = "var"
+        else:
+            raise ParseError(f"invalid name '{word}'", line, col)
+        tokens.append(_Token(kind, word, line, col))
+        if kind == "eof":
+            break
     return tokens
 
 
@@ -352,14 +336,15 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def expected(self, what: str) -> NoReturn:
+        tok = self.peek()
+        found = f", found {tok.text!r}" if tok.text else ""
+        raise ParseError(f"expected {what}{found}", tok.line, tok.col)
+
     def take(self, kind: str, what: str) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}",
-                tok.line,
-                tok.col,
-            )
+            self.expected(what)
         self.pos += 1
         return tok
 
@@ -368,11 +353,7 @@ class _Parser:
         if tok.kind != "const":
             if tok.kind == "not":
                 raise ParseError("'not' is reserved and cannot name a predicate", tok.line, tok.col)
-            raise ParseError(
-                f"expected predicate name, found {tok.text!r}" if tok.text else "expected predicate name",
-                tok.line,
-                tok.col,
-            )
+            self.expected("predicate name")
         self.pos += 1
         predicate = tok.text
         if self.peek().kind != "lparen":
@@ -389,11 +370,7 @@ class _Parser:
             elif t.kind == "const":
                 args.append(Constant(_canonical_symbol(t.text)))
             else:
-                raise ParseError(
-                    f"expected term, found {t.text!r}" if t.text else "expected term",
-                    t.line,
-                    t.col,
-                )
+                self.expected("term")
             self.pos += 1
             if self.peek().kind == "comma":
                 self.pos += 1
@@ -458,7 +435,7 @@ def parse_facts(text: str) -> tuple[Fact, ...]:
         pos = found.end()
         predicate, body = found.groups()
         if body and "%" in body:
-            body = _COMMENT_RE.sub("", body)
+            body = _SKIP_RE.sub("", body)
         args = tuple(map(_canonical_symbol, names(body))) if body else ()
         if arities.setdefault(predicate, len(args)) != len(args):
             _raise_facts_error(text)

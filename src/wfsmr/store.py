@@ -175,6 +175,9 @@ class Database:
         """Drop every fact."""
         self._relations = {}
 
+    # ``copy`` has no caller in this package. It stays only because the
+    # benchmark's tracing (perfbench/tracing.py) wraps it by name; removing
+    # it waits for the next change to the benchmark.
     def copy(self) -> "Database":
         out = Database(self.symbols)
         for rel in self._relations.values():

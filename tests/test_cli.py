@@ -138,6 +138,21 @@ class TestSolve:
         out = str(tmp_path / "r")
         assert main(["solve", "--program", program, "--out", out]) == EXIT_VALIDATION
 
+    def test_facts_shared_by_files_and_program_count_once(self, tmp_path, capsys):
+        program = write(tmp_path, "win.lp", WIN + "move(3,4).\n")
+        first = write(tmp_path, "a.facts", "move(1,2).\nmove(2,3).\nmove(3,4).\n")
+        second = write(tmp_path, "b.facts", "move(2,3).\nmove(3,1).\nmove(4,5).\n")
+        merged = write(tmp_path, "ab.facts", "move(1,2).\nmove(2,3).\nmove(3,4).\nmove(3,1).\nmove(4,5).\n")
+        runs = []
+        for tag, files in (("two", [first, second]), ("one", [merged])):
+            out = str(tmp_path / tag)
+            args = ["solve", "--program", program, "--out", out, "--mode", "both"]
+            assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_OK
+            summary = capsys.readouterr().out.splitlines()[0]
+            runs.append([summary] + [Path(out + suffix).read_bytes() for suffix in (".true", ".undef")])
+        assert runs[0] == runs[1]
+        assert runs[0][0].startswith("true=6 undefined=3 ")
+
 
 def solve_records(tmp_path, capsys, program_text, facts):
     """Run ``solve --mode both --partitions 3 --trace`` and return the summary lines and

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsmr import program as program_mod
+from wfsmr.bench import gen_cycle
 from wfsmr.fixpoint import SolveOptions, solve, trace_records
 from wfsmr.mapreduce import Engine
 from wfsmr.planner import compile_program
@@ -215,6 +216,13 @@ class TestParseFactsAgainstTokenParser:
          "predicate 'p' used with arity 1 but previously with arity 0"),
         # the tokenizer reads the whole input before any arity is checked
         ("p(1).\np(1,2).\né", ParseError, 3, 1, "unexpected character 'é'"),
+        # only a line feed starts a line; every other space, "\r" included,
+        # takes one column
+        ("p(1).\r\nq(é).", ParseError, 2, 3, "unexpected character 'é'"),
+        ("p(1)\t\t.x", ParseError, 1, 9, "expected '.'"),
+        ("p(1).\u2028é", ParseError, 1, 7, "unexpected character 'é'"),
+        ("p(1).\x0b\x0cé", ParseError, 1, 8, "unexpected character 'é'"),
+        ("\tp(1)\r.\r\n\t% c\r\n  q(2 3).", ParseError, 3, 7, "expected ')', found '3'"),
     ]
 
     @pytest.mark.parametrize("text, error, line, col, message", BROKEN)
@@ -235,6 +243,13 @@ class TestParseFactsAgainstTokenParser:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    def test_error_after_many_lines(self):
+        text = facts_to_text(gen_cycle(20000)) + "move(1,,2).\n"
+        with pytest.raises(ParseError) as err:
+            parse_facts(text)
+        assert (err.value.line, err.value.col) == (20001, 8)
+        assert str(err.value).endswith("expected term, found ','")
 
     def test_token_parser_never_supplies_the_facts(self, monkeypatch):
         monkeypatch.setattr(program_mod, "_FACT_RE", re.compile(r"(?!)()()"))
