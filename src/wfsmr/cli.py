@@ -13,13 +13,15 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bench as bench_mod
 from .fixpoint import SolveOptions, partitions_agree, solve, trace_records
 from .mapreduce import Engine, EngineConfig, wordcount
 from .planner import compile_program
-from .program import Fact, Program, ProgramError, facts_to_text, parse_facts, parse_program
+from .program import (
+    ArityError, Fact, ParseError, Program, ProgramError, facts_to_text, parse_facts, parse_program,
+)
 from .store import Database
 
 EXIT_OK = 0
@@ -77,14 +79,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_file(path: str, parse: Callable):
+    """``parse`` of the file's text, its validation errors naming the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
+    except ParseError as exc:  # path:line:col
+        raise ProgramError(f"{path}:{exc}") from exc
+    except ProgramError as exc:
+        raise ProgramError(f"{path}: {exc}") from exc
+
+
 def _load_program(path: str) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8-sig"))
+    return _parse_file(path, parse_program)
 
 
-def _load_facts(paths: Sequence[str]) -> list[Fact]:
-    # a fact in several files is stored once: the solver's base is a set
-    texts = (Path(path).read_text(encoding="utf-8-sig") for path in paths)
-    return [fact for text in texts for fact in parse_facts(text)]
+def _load_facts(paths: Sequence[str]) -> dict[str, tuple[Fact, ...]]:
+    """The facts of each file, by path."""
+    return {path: _parse_file(path, parse_facts) for path in paths}
 
 
 def _write_atoms(path: Path, db: Database) -> None:
@@ -106,13 +117,21 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     program = _load_program(args.program)
-    facts = _load_facts(args.facts)
+    files = _load_facts(args.facts)
+    # a fact in several files is stored once: the solver's base is a set
+    facts = [fact for file_facts in files.values() for fact in file_facts]
     config = EngineConfig(partitions=args.partitions)
     modes = ["optimized", "naive"] if args.mode == "both" else [args.mode]
     results = {}
     for mode in modes:
         engine = Engine(config)
-        results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
+        try:
+            results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
+        except ArityError as exc:  # name the first file with a fact of the clashing arity
+            for path, file_facts in files.items():
+                if any(f.predicate == exc.predicate and f.arity == exc.seen for f in file_facts):
+                    raise ProgramError(f"{path}: {exc}") from exc
+            raise
         if args.trace:
             for record in trace_records(results[mode], engine):
                 print(json.dumps({"mode": mode, **record}))

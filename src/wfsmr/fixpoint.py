@@ -11,17 +11,17 @@ partitions:
 * the optimized driver solves the strongly connected components of the
   predicate dependency graph bottom-up (see
   :func:`~wfsmr.planner.compile_program`). K0 runs a component's rules
-  without a negative subgoal over its own predicates. A component without
-  such a subgoal stops there, or after U0 if it reads undefined atoms. Any
-  other component runs the alternating fixpoint on its own rules, each
-  least fixpoint starting from the facts already established, and stores
-  at most three of its sets at any instant: the true set, the
-  possible-but-not-true delta, and the delta being derived, or the
-  previous possible delta until the next one has passed the check that it
-  lies inside it. Inner rounds are semi-naive: after the first, each round
-  runs the rules' positive variants (see :mod:`wfsmr.planner`) on the
-  facts the round before added, skipping those whose delta predicate
-  gained none.
+  without a negative subgoal over its own predicates, and its least
+  fixpoint is the component's true set. A component without such a subgoal
+  stops there, or after U0 if it reads undefined atoms. Any other component
+  runs the alternating fixpoint on its own rules, each least fixpoint
+  starting from the facts already established, and stores at most three of
+  its sets at any instant: the true set, the possible-but-not-true delta,
+  and the delta being derived, or the previous possible delta until the
+  next one has passed the check that it lies inside it. Inner rounds are
+  semi-naive: after the first, each round runs the rules' positive variants
+  (see :mod:`wfsmr.planner`) on the facts the round before added, skipping
+  those whose delta predicate gained none.
 
   From K2 on, a K step's first round is semi-naive on the negative side
   too (after Brass, Dix, Freitag and Zukowski, TPLP 2001): it runs the
@@ -394,30 +394,26 @@ def solve_component(
         if not any(step.access.atom.predicate in heads for step in plan.anti_joins)
     ]
     reads = {lit.atom.predicate for plan in plans for lit in plan.rule.body}
+    reads_undefined = any(map(session.undefined.relation, reads))
     true_fixed = session.base.count() + session.finished.count()
     undefined_fixed = session.undefined.count()
 
     def finish_step(k_derived: int, u_derived: int) -> None:
         _finish_step(stats, true_fixed + k_derived, undefined_fixed + u_derived, index)
 
-    known = Database(session.symbols)
-    stats.register_live("K", known)
-    first = least_fixpoint_delta(
-        session, definite, (), DatabaseView(session.undefined), label="K0", live_as="delta"
-    )
-    known.update(first)
-    stats.drop_live("delta")
+    known = least_fixpoint_delta(
+        session, definite, (), DatabaseView(session.undefined), label="K0", live_as="K")
     finish_step(known.count(), 0)
-    # without a negative subgoal over the component's own predicates, every
-    # K step reads the negative facts K0 read: K0 is the true set
+    # with no negative subgoal over the component's own predicates, every K
+    # step reads the negative facts K0 read: K0 is the whole true set
     negative_cycle = len(definite) < len(plans)
-    if not negative_cycle and not any(map(session.undefined.relation, reads)):
+    if not negative_cycle and not reads_undefined:
         # and with no undefined atom to read, the possible set too
         stats.inference_steps += 1
         return known, Database(session.symbols)
 
     # from U1 on, its U steps may count instances (see wfsmr.counting)
-    counted = negative_cycle and not any(map(session.undefined.relation, reads)) and not any(
+    counted = negative_cycle and not reads_undefined and not any(
         atom.predicate in heads for plan in plans for atom in plan.rule.positive())
     counts: Optional[DerivationCounts] = None
     # the previous possible delta stays (as "U_prev") until the next one has

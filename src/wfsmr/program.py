@@ -292,10 +292,11 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, offset: int = 0) -> list[_Token]:
+    """The tokens of ``text`` from ``offset``, which lies between two tokens."""
     tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
+    line, line_start = 1 + text.count("\n", 0, offset), text.rfind("\n", 0, offset) + 1
+    for match in _TOKEN_RE.finditer(text, offset):
         group = match.lastindex
         gap, start = match.start(), match.start(group)
         if gap != start:  # only the gap before a token can hold a newline
@@ -329,8 +330,8 @@ def _canonical_symbol(text: str) -> Symbol:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, start: int = 0):
+        self.tokens = _tokenize(text, start)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -431,22 +432,23 @@ def parse_facts(text: str) -> tuple[Fact, ...]:
     while pos < end:
         found = match(text, pos)
         if found is None:
-            _raise_facts_error(text)
+            _raise_facts_error(text, pos, arities)
         pos = found.end()
         predicate, body = found.groups()
         if body and "%" in body:
             body = _SKIP_RE.sub("", body)
         args = tuple(map(_canonical_symbol, names(body))) if body else ()
         if arities.setdefault(predicate, len(args)) != len(args):
-            _raise_facts_error(text)
+            _raise_facts_error(text, found.start(), arities)
         unique[predicate, args] = None
     return tuple([Fact(predicate, args) for predicate, args in unique])
 
 
-def _raise_facts_error(text: str) -> NoReturn:
-    """Raise the token parser's error for a facts input ``parse_facts`` rejected."""
-    parser = _Parser(text)
-    arities: dict[str, int] = {}
+def _raise_facts_error(text: str, start: int, arities: dict[str, int]) -> NoReturn:
+    """Raise the token parser's error for a facts input ``parse_facts`` rejected
+    at the statement at offset ``start``. The statements before it hold no
+    error and declared ``arities``, so the parser reads from there on."""
+    parser = _Parser(text, start)
     while not parser.at_eof():
         tok = parser.peek()
         atom = parser.parse_atom()

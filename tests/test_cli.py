@@ -138,6 +138,32 @@ class TestSolve:
         out = str(tmp_path / "r")
         assert main(["solve", "--program", program, "--out", out]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "name, program, files, message",
+        [
+            ("game.lp", WIN, ["a.facts", "b.facts"], "b.facts:2:8: expected ')', found '4'"),
+            ("bad.lp", "win(X) :- move(X,Y), not win(Y)\n", [], "bad.lp:2:1: expected '.'"),
+            ("g3.lp", WIN + "move(1,2,3).\n", [],
+             "g3.lp: predicate 'move' used with arity 3 but previously with arity 2"),
+            ("game.lp", WIN, ["a.facts", "c.facts"],
+             "c.facts: predicate 'move' used with arity 3 but previously with arity 2"),
+            ("game.lp", WIN, ["c.facts"],
+             "c.facts: predicate 'move' used with arity 3 but previously with arity 2"),
+        ],
+        ids=["facts-syntax", "program-syntax", "program-arity", "facts-arity", "facts-against-program"],
+    )
+    def test_validation_error_names_its_file(
+        self, tmp_path, capsys, monkeypatch, name, program, files, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, name, program)
+        write(tmp_path, "a.facts", "move(1,2).\n")
+        write(tmp_path, "b.facts", "move(2,3).\nmove(3 4).")
+        write(tmp_path, "c.facts", "move(2,3,4).\n")
+        args = ["solve", "--program", name, "--out", "r"]
+        assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_facts_shared_by_files_and_program_count_once(self, tmp_path, capsys):
         program = write(tmp_path, "win.lp", WIN + "move(3,4).\n")
         first = write(tmp_path, "a.facts", "move(1,2).\nmove(2,3).\nmove(3,4).\n")

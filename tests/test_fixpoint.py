@@ -549,6 +549,33 @@ class TestStats:
             assert seeds and not any(db.count() for db in seeds)
             assert result.stats.peak_live_sets <= 3
 
+    def test_k0_result_is_the_true_set(self, monkeypatch):
+        # K0's least fixpoint becomes the component's true set itself, with
+        # no copy held beside it under another ledger name
+        k0_relations = []
+        registered = []
+        original_lfp = fixpoint.least_fixpoint_delta
+        original_register = fixpoint.SolveStats.register_live
+
+        def lfp(session, plans, start, neg, label, live_as, **kwargs):
+            result = original_lfp(session, plans, start, neg, label, live_as, **kwargs)
+            if label == "K0":
+                k0_relations.extend(map(result.relation, result.predicates()))
+            return result
+
+        def spy(stats, name, db):
+            registered.append(name)
+            original_register(stats, name, db)
+
+        monkeypatch.setattr(fixpoint, "least_fixpoint_delta", lfp)
+        monkeypatch.setattr(fixpoint.SolveStats, "register_live", spy)
+        result = solve(builtin_program("tc-neg"), gen_chain(400, 40))
+        tc = result.true_facts.relation("tc")
+        assert len(tc) > 0
+        assert any(relation is tc for relation in k0_relations)
+        assert "delta" not in registered
+        assert result.stats.peak_live_sets == 3
+
     def test_k_steps_from_k2_join_only_the_atoms_that_left(self):
         engine = Engine()
         result = solve(builtin_program("win-not-win"), gen_tree(15), engine=engine)
@@ -646,6 +673,32 @@ class TestCountedUSteps:
     def test_a_decrement_drops_the_atoms_whose_count_reaches_zero(self):
         possible, dropped, extra = self.count((1, 2), (), (2,), extra={})
         assert (possible, dropped) == (set(), {("win", (1,))})
+
+
+    def test_a_count_above_two_falls_by_one(self, monkeypatch):
+        # win(a) has three live instances, through b, c and d; win(b)
+        # entering K at K2 kills one. win(c) and win(d) stay undefined on
+        # their two-cycle, so win(a) does too
+        moves = ["ab", "ac", "ad", "cd", "dc", "be", "ef", "fg"]
+        facts = [Fact("move", tuple(move)) for move in moves]
+        counted = {}
+        original = fixpoint.count_instances
+
+        def spy(session, plans, known, grown, counts, label):
+            dropped = original(session, plans, known, grown, counts, label)
+            a = (session.symbols.lookup("a"),)
+            counted[label] = counts.extra["win"].get(a, 1 if counts.possible.contains("win", a) else 0)
+            return dropped
+
+        monkeypatch.setattr(fixpoint, "count_instances", spy)
+        program = parse_program(WIN)
+        result = solve(program, facts)
+        assert counted["U1"] == 3
+        assert counted["U2"] == 2
+        true_atoms, undef_atoms = result_atoms(result)
+        assert {atom for atom in true_atoms if atom[0] == "win"} == {("win", ("b",)), ("win", ("f",))}
+        assert undef_atoms == {("win", (x,)) for x in "acd"}
+        assert (true_atoms, undef_atoms) == ground_afp(program, facts)
 
 
 class TestCollectorPause:

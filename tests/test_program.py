@@ -251,6 +251,22 @@ class TestParseFactsAgainstTokenParser:
         assert (err.value.line, err.value.col) == (20001, 8)
         assert str(err.value).endswith("expected term, found ','")
 
+    def test_error_tokenizes_from_the_rejected_statement(self, monkeypatch):
+        # the 20,000 statements before the bad one hold no error, so the
+        # token parser starts at the statement the fast path rejected
+        built = []
+        token = program_mod._Token
+
+        def counted(*args):
+            built.append(args)
+            return token(*args)
+
+        monkeypatch.setattr(program_mod, "_Token", counted)
+        text = facts_to_text(gen_cycle(20000)) + "move(1,,2).\n"
+        with pytest.raises(ParseError, match=r"^20001:8: expected term, found ','$"):
+            parse_facts(text)
+        assert 0 < len(built) < 20
+
     def test_token_parser_never_supplies_the_facts(self, monkeypatch):
         monkeypatch.setattr(program_mod, "_FACT_RE", re.compile(r"(?!)()()"))
         with pytest.raises(InvariantError):
