@@ -674,7 +674,6 @@ class TestCountedUSteps:
         possible, dropped, extra = self.count((1, 2), (), (2,), extra={})
         assert (possible, dropped) == (set(), {("win", (1,))})
 
-
     def test_a_count_above_two_falls_by_one(self, monkeypatch):
         # win(a) has three live instances, through b, c and d; win(b)
         # entering K at K2 kills one. win(c) and win(d) stay undefined on
