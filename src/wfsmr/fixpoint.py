@@ -21,7 +21,9 @@ partitions:
   next one has passed the check that it lies inside it. Inner rounds are
   semi-naive: after the first, each round runs the rules' positive variants
   (see :mod:`wfsmr.planner`) on the facts the round before added, skipping
-  those whose delta predicate gained none.
+  those whose delta predicate gained none. Every round, in either driver,
+  skips a rule with a positive subgoal over a predicate that holds no fact
+  yet.
 
   From K2 on, a K step's first round is semi-naive on the negative side
   too (after Brass, Dix, Freitag and Zukowski, TPLP 2001): it runs the
@@ -174,10 +176,18 @@ def immediate_consequences(
     """Heads of rules whose positive body lies in ``pos`` and whose negative
     body misses ``neg``, one evaluation per plan. With ``delta``, ``plans``
     are variants, and a variant whose delta subgoal's predicate ``delta``
-    lacks is skipped: it would derive nothing. It keeps the rules' output sets."""
+    lacks is skipped: it would derive nothing. So is any plan with a
+    positive subgoal over a predicate ``pos`` holds no fact of, such as a
+    recursive rule in the first round of its least fixpoint; a seed variant
+    too, since its join with the delta reads the positive goal. It keeps the
+    rules' output sets."""
     out = Database(pos.symbols)
     for plan in plans:
         if delta is not None and not delta.relation(plan.delta.atom.predicate):
+            continue
+        reads = (plan.base, *(step.right for step in plan.joins))
+        if any(next(pos.tuples(access.atom.predicate), None) is None
+               for access in reads if access is not None and not access.delta):
             continue
         rows = eval_rule(engine, plan, pos, neg, delta, cache)
         if stats is not None:

@@ -2,18 +2,26 @@
 
 A job reads one or more inputs, each a record stream with its own key
 function. The map phase groups every record, as its own value, under
-``key_of(record)``, separately for each input, and the engine calls the
-user reduce function exactly once per distinct key of input 0 as
+``key_of(record)``, separately for each input. Jobs run serially on the
+calling thread: one loop keys and groups, then each distinct key is routed
+to one of the engine's partitions by ``hash(key) % partitions``, and the
+partitions are reduced in turn as the reduce tasks of the job.
+
+A job reduces in one of two ways. By default the engine calls the user
+reduce function exactly once per distinct key of input 0 as
 ``reducer(key, groups)``: ``groups[i]`` holds the records of input ``i``
-under the key and is empty when that input has none. A key that only a
-later input has is never reduced. The output is the set of records
-emitted by all reduce calls, so it is independent of the partition count.
-Jobs run serially on the calling thread: one loop keys and groups, then
-each distinct key is routed to one of the engine's partitions by
-``hash(key) % partitions``, and the partitions are reduced in turn as the
-reduce tasks of the job. String hashes are salted per process, so the
-routing, and with it the order of the reduce calls, may differ between
-runs; the output does not.
+under the key and is empty when that input has none. A failing call is
+reported as a :class:`JobError` that names the key. A job may instead
+carry a task-level reduce, the hook Hadoop offers by overriding
+``Reducer.run``. The engine calls it exactly once per reduce task with all
+of that task's groups, and it emits the output of every key of input 0 in
+the task at once; what it emits for a key may depend only on the records
+under that key. A failing call is reported as a :class:`JobError` that
+names the index of the reduce task. Either way, a key that only a later
+input has is never reduced, and the output is the set of records emitted
+by all reduce calls, so it is independent of the partition count. String
+hashes are salted per process, so the routing, and with it the order of
+the reduce calls, may differ between runs; the output does not.
 
 This departs from the reduce-side joins of Hadoop that the source paper
 runs, where all inputs share one map function, which may emit any number
@@ -43,6 +51,7 @@ import threading
 import time
 from contextlib import ContextDecorator
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Union
 
@@ -62,6 +71,9 @@ KeyOf = Callable[[Any], Hashable]
 # an input's groups: (key -> its only record, key -> its two or more records)
 Groups = tuple[dict, dict]
 Reducer = Callable[[Any, Sequence[Sequence]], Iterable]
+# (input 0's groups, the other inputs' groups, the output list) of one
+# reduce task -> the values in the task's largest group, all inputs
+TaskReduce = Callable[[Groups, Sequence[Groups], list], int]
 
 
 class _CollectorPause(ContextDecorator):
@@ -100,7 +112,9 @@ gc_paused = _CollectorPause()
 
 
 class JobError(RuntimeError):
-    """A user map or reduce function failed; identifies the offending item."""
+    """A user map or reduce function failed; identifies the offending item:
+    the record in the map phase, and in the reduce phase the key for a
+    per-key reducer or the reduce task's index for a task-level reduce."""
 
     def __init__(self, job: str, phase: str, item: object, cause: BaseException):
         super().__init__(f"job '{job}' failed in {phase} phase on {item!r}: {cause}")
@@ -122,7 +136,7 @@ class JobStats:
     map_ms: float = 0.0
     reduce_ms: float = 0.0  # the reduce calls and the output set
     partitions: int = 1
-    max_group: int = 0  # values in the largest reduced group, all inputs
+    max_group: int = 0  # values under the largest reduced key, all inputs
     cached_groups: int = 0  # distinct keys of the held inputs reused without mapping
     warnings: tuple[str, ...] = ()
 
@@ -157,18 +171,22 @@ class JobSpec:
 
     Each input is a ``(key_of, records)`` pair or a :class:`GroupedInput`;
     a job needs one at least. ``key_of`` takes a record and returns its
-    hashable key; ``reducer`` takes a key of input 0 and, per input, the
-    sequence of that input's records under it, the record objects
-    themselves, and returns an iterable of output records.
-    Both must be pure with respect to the job input, and the reducer must
-    not modify the sequences it is given: those of a ``GroupedInput`` are
-    the held ones.
+    hashable key. A job has a ``reducer`` or a ``reduce_task``, not both.
+    ``reducer`` takes a key of input 0 and, per input, the sequence of that
+    input's records under it, the record objects themselves, and returns an
+    iterable of output records. ``reduce_task`` takes one reduce task's
+    groups of input 0, those of the other inputs and the output list; it
+    appends the output of input 0's keys and returns the number of records,
+    all inputs, under the key with the most. All must be pure with respect
+    to the job input and must not modify the groups they are given: those
+    of a ``GroupedInput`` are the held ones.
     """
 
     name: str
-    reducer: Reducer
+    reducer: Optional[Reducer]
     inputs: Sequence[Input]
     warnings: tuple[str, ...] = ()
+    reduce_task: Optional[TaskReduce] = None
 
 
 @dataclass
@@ -181,6 +199,30 @@ class EngineConfig:
 
 
 _MISSING = object()
+
+
+def _cogroup(name: str, reducer: Reducer, own: Groups, others: Sequence[Groups],
+             out: list) -> int:
+    """The default task-level reduce: one ``reducer(key, groups)`` call per
+    key of input 0, with each other input's records under the key."""
+    single, multi = own
+    max_group = 0
+    # a single value comes as a 1-tuple, made by zip
+    for key, values in chain(zip(single, zip(single.values())), multi.items()):
+        groups = [values]
+        size = len(values)
+        for one, many in others:
+            value = one.get(key, _MISSING)
+            theirs = many.get(key, ()) if value is _MISSING else (value,)
+            groups.append(theirs)
+            size += len(theirs)
+        if size > max_group:
+            max_group = size
+        try:
+            out.extend(reducer(key, groups))
+        except Exception as exc:  # noqa: BLE001 - reported with the key
+            raise JobError(name, "reduce", key, exc) from exc
+    return max_group
 
 
 def _map_and_group(
@@ -251,6 +293,8 @@ class Engine:
         """Run one job; returns (output record set, stats)."""
         if not spec.inputs:
             raise ValueError(f"job '{spec.name}' has no inputs")
+        if (spec.reducer is None) == (spec.reduce_task is None):
+            raise ValueError(f"job '{spec.name}' needs either a reducer or a reduce_task")
         start = time.perf_counter()
         partitions = self.config.partitions
         map_in = 0
@@ -276,28 +320,19 @@ class Engine:
             sides.append(tasks)
 
         mapped_at = time.perf_counter()
-        reducer = spec.reducer
+        reduce_task = spec.reduce_task or partial(_cogroup, spec.name, spec.reducer)
         reduced: list = []
         reduce_groups = 0
         max_group = 0
         for index in range(partitions):
-            (single, multi), *others = [side[index] for side in sides]
-            # a single value comes as a 1-tuple, made by zip
-            for key, own in chain(zip(single, zip(single.values())), multi.items()):
-                groups = [own]
-                size = len(own)
-                for one, many in others:
-                    value = one.get(key, _MISSING)
-                    values = many.get(key, ()) if value is _MISSING else (value,)
-                    groups.append(values)
-                    size += len(values)
-                reduce_groups += 1
-                if size > max_group:
-                    max_group = size
-                try:
-                    reduced.extend(reducer(key, groups))
-                except Exception as exc:  # noqa: BLE001 - reported with the key
-                    raise JobError(spec.name, "reduce", key, exc) from exc
+            own, *others = [side[index] for side in sides]
+            reduce_groups += len(own[0]) + len(own[1])
+            try:
+                max_group = max(max_group, reduce_task(own, others, reduced))
+            except JobError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - reported with the task
+                raise JobError(spec.name, "reduce", index, exc) from exc
         output = set(reduced)
 
         stats = JobStats(

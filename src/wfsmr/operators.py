@@ -8,9 +8,13 @@ positive side, because the engine reduces only the keys of slot 0 and a
 join or anti-join emits nothing for a key that side lacks. A join keys each
 side by its join columns and crosses the left rows of a key with its right
 rows. An anti-join keys the positive rows by the anti-join columns and the
-negative rows, which hold exactly those columns, by the row object itself;
-it emits the positive rows of a key when no negative row arrived under it.
-Every reducer emits bare rows, so a job's output is its result as is. The
+negative rows, which hold exactly those columns, by the row object itself,
+and emits the positive rows of a key when no negative row arrived under it.
+It asks that one question of every key of a reduce task at once, with a
+task-level reduce (see :mod:`wfsmr.mapreduce`) rather than a per-key
+reducer: it streams the task's positive groups through a filter on
+membership in the negative groups, which runs in C and builds no key set.
+Every job emits bare rows, so a job's output is its result as is. The
 source paper's Hadoop mappers instead emit each record once, tagged with its
 relation; here each relation is its own input, so no record carries a tag.
 
@@ -19,7 +23,7 @@ per anti-join over the negative subgoals; slot 0 of every job after the
 first reads the output of the job before it. Job output is a set, so no job
 between them removes duplicates. Projections run inside these jobs: the
 positive-goal projection in the job that produces the goal, and the head
-projection, head constants included, in the reducer of the last job. A rule
+projection, head constants included, in the reduce of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, which keys
 each row by its projection and emits each key once, so every rule evaluation
 runs ``max(1, joins + anti-joins)`` jobs. A variant of the rule (see
@@ -44,10 +48,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
+from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .mapreduce import Engine, GroupedInput, JobSpec
+from .mapreduce import Engine, GroupedInput, Groups, JobSpec
 from .planner import RulePlan, SubgoalAccess
 from .store import FactSource, SymbolTable
 
@@ -178,6 +183,32 @@ def _project_spec(name: str, pick: Callable[[tuple], tuple], rows: Iterable[Row]
     return JobSpec(name, reducer, [(pick, rows)])
 
 
+def _antijoin_task(
+    pick: Optional[Callable[[tuple], tuple]], own: Groups, others: Sequence[Groups], out: list
+) -> int:
+    """The anti-join's task-level reduce: the positive rows of every key the
+    negative side lacks, through ``pick`` when given, streamed into ``out``
+    without a per-key call; returns the values under the largest key."""
+    (single, multi), [(neg_single, neg_multi)] = own, others
+    # neg_multi holds a negative row met twice, through overlapping parts
+    negative = {**neg_single, **neg_multi} if neg_multi else neg_single
+    rows, lists = single.values(), multi.values()
+    if negative:
+        rows = map(single.__getitem__, filterfalse(negative.__contains__, single))
+        lists = map(multi.__getitem__, filterfalse(negative.__contains__, multi))
+    start = len(out)
+    out.extend(rows if pick is None else map(pick, rows))
+    hits = len(single) - (len(out) - start)
+    rows = chain.from_iterable(lists)
+    out.extend(rows if pick is None else map(pick, rows))
+    # a group of two positive rows or more, or one that neg_multi hit, is at
+    # least as large as any group of one positive row and one negative row
+    sizes = [len(values) + (len(neg_multi.get(key, ())) or key in neg_single)
+             for key, values in multi.items()]
+    sizes += [1 + len(values) for key, values in neg_multi.items() if key in single]
+    return max(sizes, default=2 if hits else min(len(single), 1))
+
+
 def _antijoin_spec(
     name: str,
     pos_key: Sequence[int],
@@ -191,17 +222,9 @@ def _antijoin_spec(
     rows, each row is its own key and no key tuple is built."""
     warnings = ("empty anti-join key: ground negative subgoal",) if not pos_key else ()
     whole_row = width and tuple(pos_key) == tuple(range(width))
-
-    def reducer(key, groups) -> Iterable[Row]:
-        positives, negatives = groups
-        if negatives:
-            return ()  # a negative match kills the whole group
-        if pick is None:
-            return positives
-        return map(pick, positives)
-
     pos_key_of = _itself if whole_row else _picker(pos_key)
-    return JobSpec(name, reducer, [(pos_key_of, positive), (_itself, negative)], warnings)
+    inputs = [(pos_key_of, positive), (_itself, negative)]
+    return JobSpec(name, None, inputs, warnings, reduce_task=partial(_antijoin_task, pick))
 
 
 # ---------------------------------------------------------------------------

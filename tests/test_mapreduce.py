@@ -125,6 +125,46 @@ class TestRunJob:
         assert err.value.phase == "reduce"
         assert err.value.item == "k"
 
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
+    def test_a_task_reduce_runs_once_per_reduce_task(self, partitions):
+        records = [(i % 5, i) for i in range(20)] + [(7, 0)]
+        others = [(0, -1), (3, -1), (3, -2), (9, -1)]
+        calls = []
+
+        def reduce_task(own, theirs, out):
+            (single, multi), [(one, many)] = own, theirs
+            calls.append(len(single) + len(multi))
+            # input 1's keys in this task that input 0 has too
+            assert set(one) | set(many) <= {0, 3, 9}
+            out.extend(key for key in chain(single, multi) if key not in one and key not in many)
+            return 0
+
+        spec = JobSpec("task", None, [(by_key, records), (by_key, others)],
+                       reduce_task=reduce_task)
+        with Engine(EngineConfig(partitions=partitions)) as engine:
+            output, stats = engine.run_job(spec)
+        assert len(calls) == partitions
+        assert output == {1, 2, 4, 7}
+        assert stats.reduce_groups == sum(calls) == 6
+        assert stats.reduce_out == 4
+
+    def test_a_task_reduce_failure_identifies_the_task(self):
+        def reduce_task(own, others, out):
+            raise RuntimeError("nope")
+
+        spec = JobSpec("bad", None, [(by_key, [("k", 1)])], reduce_task=reduce_task)
+        with Engine() as engine, pytest.raises(JobError) as err:
+            engine.run_job(spec)
+        assert (err.value.job, err.value.phase, err.value.item) == ("bad", "reduce", 0)
+        assert isinstance(err.value.cause, RuntimeError)
+
+    def test_a_job_needs_a_reducer_or_a_task_reduce_not_both(self):
+        inputs = [(by_key, [("k", 1)])]
+        both = JobSpec("both", collect_reducer, inputs, reduce_task=lambda *args: 0)
+        for spec in (JobSpec("neither", None, inputs), both):
+            with Engine() as engine, pytest.raises(ValueError, match=f"job '{spec.name}'"):
+                engine.run_job(spec)
+
     def test_a_job_without_inputs_is_refused_by_name(self):
         with Engine() as engine, pytest.raises(ValueError, match="job 'nothing'"):
             engine.run_job(JobSpec("nothing", collect_reducer, []))

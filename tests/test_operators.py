@@ -1,11 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from wfsmr.mapreduce import Engine, EngineConfig
+from wfsmr.mapreduce import Engine, EngineConfig, JobError
 from wfsmr.operators import (
-    InputCache, anti_join, eval_rule, rule_pipeline, single_join,
+    InputCache, _antijoin_spec, anti_join, eval_rule, rule_pipeline, single_join,
 )
 from wfsmr.fixpoint import immediate_consequences
 from wfsmr.planner import compile_program, compile_rule
@@ -157,6 +158,28 @@ class TestDedup:
         assert db_atoms(out) == {("ab", (1, 2, 4))}
 
 
+class TestEmptyPositiveRelation:
+    def test_a_round_runs_no_job_over_an_empty_positive_relation(self, engine):
+        # tc holds no fact yet, so only the base rule runs
+        plans = compile_program(parse_program(
+            "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n"))
+        pos = make_db(parse_facts("e(1,2).\ne(2,3)."))
+        out = immediate_consequences(engine, plans, pos, pos)
+        assert [job.name for job in engine.stats_log] == ["r0:tc:head"]
+        assert db_atoms(out) == {("tc", (1, 2)), ("tc", (2, 3))}
+
+    def test_a_seed_over_an_empty_positive_goal_runs_no_job(self, engine):
+        [plan] = compile_program(parse_program("p(X) :- e(X), f(X), not q(X).\n"))
+        sym = SymbolTable()
+        dropped = make_db(parse_facts("q(1)."), sym)
+        for facts, jobs in (("e(1).", 0), ("e(1).\nf(1).", 2)):
+            engine.stats_log.clear()
+            pos = make_db(parse_facts(facts), sym)
+            out = immediate_consequences(engine, plan.seeds, pos, Database(sym), delta=dropped)
+            assert len(engine.stats_log) == jobs, facts
+            assert db_atoms(out) == ({("p", (1,))} if jobs else set())
+
+
 class TestAntiJoin:
     def test_first_negative_subgoal(self, engine):
         pos, neg = section3_databases()
@@ -193,6 +216,111 @@ class TestAntiJoin:
         key = [1]
         semijoin = {row for row in positive if (row[1],) in negative}
         assert anti_join(engine, positive, negative, key) == positive - semijoin
+
+
+def _run_on_partitions(spec, partitions):
+    """Output and stats of ``spec`` run on ``partitions`` reduce tasks, with
+    the largest group as the per-key co-group of the same inputs sees it."""
+    spec = replace(spec, inputs=[(key_of, list(records)) for key_of, records in spec.inputs])
+    output, stats = Engine(EngineConfig(partitions=partitions)).run_job(spec)
+    cogroup = replace(spec, reducer=lambda key, groups: (), reduce_task=None)
+    _, reference = Engine(EngineConfig(partitions=partitions)).run_job(cogroup)
+    return output, stats, reference.max_group
+
+
+class TestTaskLevelAntiJoin:
+    """The anti-join reduces each reduce task's keys in one pass; its output
+    and counts are the brute-force answer's on every partition count."""
+
+    CASES = {
+        "empty negative side": ({(1, 2), (3, 4), (3, 5)}, set(), [0]),
+        "empty positive side": (set(), {(1,), (2,)}, [1]),
+        "negative keys the positive side lacks": (
+            {(1, 2), (2, 2), (3, 1), (4, 4)}, {(2,), (7,), (8,)}, [1]),
+        "whole-row key": ({(1, 2), (2, 3)}, {(2, 3), (5, 5)}, [0, 1]),
+        "empty key": ({(1,), (2,)}, {()}, []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_brute_force_on_partitions_1_to_4(self, case):
+        positive, negative, key = self.CASES[case]
+        want = brute_anti_join(positive, negative, key)
+        keys = {tuple(row[i] for i in key) for row in positive}
+        for partitions in (1, 2, 3, 4):
+            spec = _antijoin_spec("aj", key, positive, negative, width=2)
+            output, stats, max_group = _run_on_partitions(spec, partitions)
+            assert output == want, partitions
+            assert (stats.reduce_groups, stats.reduce_out) == (len(keys), len(want)), partitions
+            assert stats.max_group == max_group, partitions
+
+    def test_pick_with_head_constants_matches_brute_force(self):
+        # one job: the anti-join projects onto the head, its constant included
+        plan = compile_rule(parse_program("p(X,7) :- b(X,Y), not q(Y).\n").rules[0])
+        b = {(x, y) for x in range(1, 6) for y in range(1, 6) if (x + y) % 3}
+        q = {(2,), (4,), (9,)}
+        sym = SymbolTable()
+        pos = make_db([Fact("b", row) for row in b], sym)
+        neg = make_db([Fact("q", row) for row in q], sym)
+        survivors = brute_anti_join(b, q, [1])
+        want = {(x, 7) for x, _ in survivors}
+        assert len(want) < len(survivors)  # the projection merges rows
+        seen = set()
+        for partitions in (1, 2, 3, 4):
+            [(spec, _)] = rule_pipeline(plan, pos, neg)
+            output, stats, max_group = _run_on_partitions(spec, partitions)
+            assert decoded(sym, output) == want, partitions
+            assert stats.reduce_groups == len({y for _, y in b}), partitions
+            assert stats.reduce_out == len(survivors), partitions
+            assert stats.max_group == max_group, partitions
+            seen.add(frozenset(output))
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_group_equals_the_cogroups_with_duplicate_negatives(self, seed):
+        rng = random.Random(700 + seed)
+        for _ in range(8):
+            positive = random_relation(rng, 2, max_rows=20, domain=4)
+            negative = random_relation(rng, 1, max_rows=4, domain=5)
+            twice = rng.sample(sorted(negative), len(negative) // 2)
+            for partitions in (1, 2, 3, 4):
+                spec = _antijoin_spec("aj", [0], positive, [*negative, *twice])
+                output, stats, max_group = _run_on_partitions(spec, partitions)
+                assert output == brute_anti_join(positive, negative, [0])
+                assert stats.max_group == max_group
+
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
+    def test_max_group_counts_the_negative_rows_of_a_hit_key(self, partitions):
+        engine = Engine(EngineConfig(partitions=partitions))
+        # one positive row under the key, and one negative row
+        anti_join(engine, {(1, 5)}, {(1,)}, [0])
+        assert engine.stats_log[-1].max_group == 2
+        # three positive rows under the key, and one negative row
+        anti_join(engine, {(1, 5), (1, 6), (1, 7), (2, 5)}, {(1,)}, [0])
+        assert engine.stats_log[-1].max_group == 4
+        # the negative row comes twice, through overlapping view parts
+        plan = compile_rule(parse_program("p(X) :- b(X,Y), not q(X).\n").rules[0])
+        sym = SymbolTable()
+        q = make_db(parse_facts("q(1).\nq(2)."), sym)
+        for facts, largest in (("b(1,5).\nb(3,5).", 3),  # b(1,5) once, q(1) twice
+                               ("b(1,5).\nb(2,5).\nb(2,6).\nb(2,7).", 5)):  # b(2,_) 3 times
+            b = make_db(parse_facts(facts), sym)
+            [(spec, _)] = rule_pipeline(plan, b, DatabaseView(q, q))
+            output, stats = engine.run_job(spec)
+            assert decoded(sym, output) == ({(3,)} if largest == 3 else set())
+            assert stats.max_group == largest
+
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_a_failing_pick_names_the_job_phase_and_reduce_task(self, partitions):
+        def pick(row):
+            raise ValueError("bad pick")
+
+        spec = _antijoin_spec("r0:p:antijoin1", [0], {(1, 2), (3, 4)}, [(3,)], pick)
+        with pytest.raises(JobError) as err:
+            Engine(EngineConfig(partitions=partitions)).run_job(spec)
+        assert (err.value.job, err.value.phase) == ("r0:p:antijoin1", "reduce")
+        assert err.value.item in range(partitions)  # the index of the reduce task
+        assert isinstance(err.value.cause, ValueError)
+        assert "reduce phase" in str(err.value)
 
 
 class TestEvalRule:

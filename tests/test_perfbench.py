@@ -60,7 +60,7 @@ PINNED = {
     "win-cycle": (2, 24, 24, 24, 12, 12, 24, 3),
     "win-cycle-par": (2, 24, 24, 24, 12, 12, 24, 3),
     "win-tree": (5, 27, 27, 34, 26, 14, 25, 3),
-    "tc-chain": (14, 147, 147, 111, 63, 45, 45, 3),
+    "tc-chain": (13, 147, 147, 102, 63, 45, 45, 3),
 }
 
 
