@@ -7,21 +7,21 @@ calling thread: one loop keys and groups, then each distinct key is routed
 to one of the engine's partitions by ``hash(key) % partitions``, and the
 partitions are reduced in turn as the reduce tasks of the job.
 
-A job reduces in one of two ways. By default the engine calls the user
-reduce function exactly once per distinct key of input 0 as
-``reducer(key, groups)``: ``groups[i]`` holds the records of input ``i``
-under the key and is empty when that input has none. A failing call is
-reported as a :class:`JobError` that names the key. A job may instead
-carry a task-level reduce, the hook Hadoop offers by overriding
-``Reducer.run``. The engine calls it exactly once per reduce task with all
-of that task's groups, and it emits the output of every key of input 0 in
-the task at once; what it emits for a key may depend only on the records
-under that key. A failing call is reported as a :class:`JobError` that
-names the index of the reduce task. Either way, a key that only a later
-input has is never reduced, and the output is the set of records emitted
-by all reduce calls, so it is independent of the partition count. String
-hashes are salted per process, so the routing, and with it the order of
-the reduce calls, may differ between runs; the output does not.
+Every job reduces with a task-level reduce, the hook Hadoop offers by
+overriding ``Reducer.run``. The engine calls it exactly once per reduce
+task with all of that task's groups, and it emits the output of every key
+of input 0 in the task at once; what it emits for a key may depend only on
+the records under that key. A failing call is reported as a
+:class:`JobError` that names the index of the reduce task. :func:`per_key`
+makes the usual one: it calls a user reduce function exactly once per
+distinct key of input 0 as ``reducer(key, groups)``, where ``groups[i]``
+holds the records of input ``i`` under the key and is empty when that
+input has none, and its :class:`JobError` names the key instead. Either
+way, a key that only a later input has is never reduced, and the output is
+the set of records emitted by all reduce calls, so it is independent of
+the partition count. String hashes are salted per process, so the routing,
+and with it the order of the reduce calls, may differ between runs; the
+output does not.
 
 This departs from the reduce-side joins of Hadoop that the source paper
 runs, where all inputs share one map function, which may emit any number
@@ -58,6 +58,7 @@ from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Union
 __all__ = [
     "GroupedInput",
     "JobSpec",
+    "per_key",
     "JobStats",
     "JobError",
     "EngineConfig",
@@ -171,22 +172,19 @@ class JobSpec:
 
     Each input is a ``(key_of, records)`` pair or a :class:`GroupedInput`;
     a job needs one at least. ``key_of`` takes a record and returns its
-    hashable key. A job has a ``reducer`` or a ``reduce_task``, not both.
-    ``reducer`` takes a key of input 0 and, per input, the sequence of that
-    input's records under it, the record objects themselves, and returns an
-    iterable of output records. ``reduce_task`` takes one reduce task's
-    groups of input 0, those of the other inputs and the output list; it
-    appends the output of input 0's keys and returns the number of records,
-    all inputs, under the key with the most. All must be pure with respect
-    to the job input and must not modify the groups they are given: those
-    of a ``GroupedInput`` are the held ones.
+    hashable key. ``reduce_task`` takes one reduce task's groups of input
+    0, those of the other inputs and the output list; it appends the output
+    of input 0's keys and returns the number of records, all inputs, under
+    the key with the most (:func:`per_key` makes one from a per-key
+    reducer). Both must be pure with respect to the job input, and
+    ``reduce_task`` must not modify the groups it is given: those of a
+    ``GroupedInput`` are the held ones.
     """
 
     name: str
-    reducer: Optional[Reducer]
+    reduce_task: TaskReduce
     inputs: Sequence[Input]
     warnings: tuple[str, ...] = ()
-    reduce_task: Optional[TaskReduce] = None
 
 
 @dataclass
@@ -201,10 +199,27 @@ class EngineConfig:
 _MISSING = object()
 
 
-def _cogroup(name: str, reducer: Reducer, own: Groups, others: Sequence[Groups],
-             out: list) -> int:
-    """The default task-level reduce: one ``reducer(key, groups)`` call per
-    key of input 0, with each other input's records under the key."""
+class _ReducerFailed(Exception):
+    """A per-key reducer failed on ``key``; the engine reports it as a
+    :class:`JobError` naming the key."""
+
+    def __init__(self, key: object, cause: Exception):
+        super().__init__(key, cause)
+        self.key = key
+        self.cause = cause
+
+
+def per_key(reducer: Reducer) -> TaskReduce:
+    """The task-level reduce that calls ``reducer(key, groups)`` once per key
+    of input 0. ``reducer`` takes the key and, per input, the sequence of
+    that input's records under it, the record objects themselves, and
+    returns an iterable of output records."""
+    return partial(_cogroup, reducer)
+
+
+def _cogroup(reducer: Reducer, own: Groups, others: Sequence[Groups], out: list) -> int:
+    """:func:`per_key`'s reduce: one ``reducer(key, groups)`` call per key of
+    input 0, with each other input's records under the key."""
     single, multi = own
     max_group = 0
     # a single value comes as a 1-tuple, made by zip
@@ -221,7 +236,7 @@ def _cogroup(name: str, reducer: Reducer, own: Groups, others: Sequence[Groups],
         try:
             out.extend(reducer(key, groups))
         except Exception as exc:  # noqa: BLE001 - reported with the key
-            raise JobError(name, "reduce", key, exc) from exc
+            raise _ReducerFailed(key, exc) from exc
     return max_group
 
 
@@ -293,8 +308,6 @@ class Engine:
         """Run one job; returns (output record set, stats)."""
         if not spec.inputs:
             raise ValueError(f"job '{spec.name}' has no inputs")
-        if (spec.reducer is None) == (spec.reduce_task is None):
-            raise ValueError(f"job '{spec.name}' needs either a reducer or a reduce_task")
         start = time.perf_counter()
         partitions = self.config.partitions
         map_in = 0
@@ -320,7 +333,6 @@ class Engine:
             sides.append(tasks)
 
         mapped_at = time.perf_counter()
-        reduce_task = spec.reduce_task or partial(_cogroup, spec.name, spec.reducer)
         reduced: list = []
         reduce_groups = 0
         max_group = 0
@@ -328,9 +340,9 @@ class Engine:
             own, *others = [side[index] for side in sides]
             reduce_groups += len(own[0]) + len(own[1])
             try:
-                max_group = max(max_group, reduce_task(own, others, reduced))
-            except JobError:
-                raise
+                max_group = max(max_group, spec.reduce_task(own, others, reduced))
+            except _ReducerFailed as failed:
+                raise JobError(spec.name, "reduce", failed.key, failed.cause) from failed.cause
             except Exception as exc:  # noqa: BLE001 - reported with the task
                 raise JobError(spec.name, "reduce", index, exc) from exc
         output = set(reduced)
@@ -369,7 +381,7 @@ def wordcount_job(lines: Iterable[str]) -> JobSpec:
     def reducer(key, groups) -> list:
         return [(key, len(groups[0]))]
 
-    return JobSpec(name="wordcount", reducer=reducer, inputs=[(lambda word: word, words)])
+    return JobSpec("wordcount", per_key(reducer), [(lambda word: word, words)])
 
 
 def wordcount(engine: Engine, lines: Iterable[str]) -> dict[str, int]:

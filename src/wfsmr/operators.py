@@ -52,7 +52,7 @@ from itertools import chain, filterfalse
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .mapreduce import Engine, GroupedInput, Groups, JobSpec
+from .mapreduce import Engine, GroupedInput, Groups, JobSpec, per_key
 from .planner import RulePlan, SubgoalAccess
 from .store import FactSource, SymbolTable
 
@@ -170,7 +170,7 @@ def _join_spec(
         return {pick(lrow + rrow) for lrow in lefts for rrow in rights}
 
     inputs = [(_picker(left_key), left), (_picker(right_key), right)]
-    return JobSpec(name, reducer, inputs, warnings)
+    return JobSpec(name, per_key(reducer), inputs, warnings)
 
 
 def _project_spec(name: str, pick: Callable[[tuple], tuple], rows: Iterable[Row]) -> JobSpec:
@@ -180,7 +180,7 @@ def _project_spec(name: str, pick: Callable[[tuple], tuple], rows: Iterable[Row]
     def reducer(key, groups) -> list:
         return [key]
 
-    return JobSpec(name, reducer, [(pick, rows)])
+    return JobSpec(name, per_key(reducer), [(pick, rows)])
 
 
 def _antijoin_task(
@@ -224,7 +224,7 @@ def _antijoin_spec(
     whole_row = width and tuple(pos_key) == tuple(range(width))
     pos_key_of = _itself if whole_row else _picker(pos_key)
     inputs = [(pos_key_of, positive), (_itself, negative)]
-    return JobSpec(name, None, inputs, warnings, reduce_task=partial(_antijoin_task, pick))
+    return JobSpec(name, partial(_antijoin_task, pick), inputs, warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from wfsmr.mapreduce import JobSpec
+from wfsmr.mapreduce import Reducer
 from wfsmr.program import (
     Atom,
     Constant,
@@ -54,17 +54,18 @@ def result_atoms(result) -> tuple[set[GroundAtom], set[GroundAtom]]:
 # ---------------------------------------------------------------------------
 
 
-def serial_mapreduce(spec: JobSpec) -> set:
-    """Naive single-threaded key, co-group, reduce reference run over
-    ``(key_of, records)`` inputs; only the keys of input 0 are reduced."""
+def serial_mapreduce(reducer: Reducer, inputs: Sequence[tuple]) -> set:
+    """Naive single-threaded key, co-group, reduce reference run of a per-key
+    ``reducer`` over ``(key_of, records)`` inputs; only the keys of input 0
+    are reduced."""
     groups: dict = {}
-    for slot, (key_of, records) in enumerate(spec.inputs):
+    for slot, (key_of, records) in enumerate(inputs):
         for record in records:
-            groups.setdefault(key_of(record), [[] for _ in spec.inputs])[slot].append(record)
+            groups.setdefault(key_of(record), [[] for _ in inputs])[slot].append(record)
     out: set = set()
     for key, values in groups.items():
         if values[0]:
-            out.update(spec.reducer(key, values))
+            out.update(reducer(key, values))
     return out
 
 

@@ -15,6 +15,7 @@ from wfsmr.mapreduce import (
     JobError,
     JobSpec,
     gc_paused,
+    per_key,
     wordcount,
     wordcount_job,
 )
@@ -52,7 +53,7 @@ class TestRunJob:
     def test_grouping_contract(self):
         spec = JobSpec(
             name="group",
-            reducer=collect_reducer,
+            reduce_task=per_key(collect_reducer),
             inputs=[(by_key, [("k", "v1"), ("k", "v2")])],
         )
         with Engine() as engine:
@@ -77,7 +78,7 @@ class TestRunJob:
         with Engine(EngineConfig(partitions=partitions)) as engine:
             for _ in range(2):  # the second job reads a held input from its groups
                 seen.clear()
-                _, stats = engine.run_job(JobSpec("cogroup", reducer, inputs))
+                _, stats = engine.run_job(JobSpec("cogroup", per_key(reducer), inputs))
                 # only the keys of input 0 are reduced: "right" never is
                 assert seen == {"both": [[1, 5], [3]], "left": [[2], []]}
                 assert (stats.reduce_groups, stats.max_group) == (2, 3)
@@ -95,7 +96,7 @@ class TestRunJob:
             return [(key, sum(values(groups[0])) + sum(values(groups[1])))]
 
         records = [(i % 5, 1) for i in range(40)]
-        spec = JobSpec("once", reducer, [(by_key, records[:25]), (by_key, records[25:])])
+        spec = JobSpec("once", per_key(reducer), [(by_key, records[:25]), (by_key, records[25:])])
         with Engine(EngineConfig(partitions=3)) as engine:
             _, stats = engine.run_job(spec)
         assert sorted(calls) == [0, 1, 2, 3, 4]
@@ -107,7 +108,7 @@ class TestRunJob:
                 raise ValueError("boom")
             return record[0]
 
-        spec = JobSpec("bad", collect_reducer, [(bad_key, [(i, i) for i in range(5)])])
+        spec = JobSpec("bad", per_key(collect_reducer), [(bad_key, [(i, i) for i in range(5)])])
         with Engine() as engine:
             with pytest.raises(JobError) as err:
                 engine.run_job(spec)
@@ -118,12 +119,12 @@ class TestRunJob:
         def bad_reducer(key, groups):
             raise RuntimeError("nope")
 
-        spec = JobSpec("bad", bad_reducer, [(by_key, [("k", 1)])])
+        spec = JobSpec("bad", per_key(bad_reducer), [(by_key, [("k", 1)])])
         with Engine() as engine:
             with pytest.raises(JobError) as err:
                 engine.run_job(spec)
-        assert err.value.phase == "reduce"
-        assert err.value.item == "k"
+        assert (err.value.job, err.value.phase, err.value.item) == ("bad", "reduce", "k")
+        assert isinstance(err.value.cause, RuntimeError)
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
     def test_a_task_reduce_runs_once_per_reduce_task(self, partitions):
@@ -139,8 +140,7 @@ class TestRunJob:
             out.extend(key for key in chain(single, multi) if key not in one and key not in many)
             return 0
 
-        spec = JobSpec("task", None, [(by_key, records), (by_key, others)],
-                       reduce_task=reduce_task)
+        spec = JobSpec("task", reduce_task, [(by_key, records), (by_key, others)])
         with Engine(EngineConfig(partitions=partitions)) as engine:
             output, stats = engine.run_job(spec)
         assert len(calls) == partitions
@@ -152,22 +152,15 @@ class TestRunJob:
         def reduce_task(own, others, out):
             raise RuntimeError("nope")
 
-        spec = JobSpec("bad", None, [(by_key, [("k", 1)])], reduce_task=reduce_task)
+        spec = JobSpec("bad", reduce_task, [(by_key, [("k", 1)])])
         with Engine() as engine, pytest.raises(JobError) as err:
             engine.run_job(spec)
         assert (err.value.job, err.value.phase, err.value.item) == ("bad", "reduce", 0)
         assert isinstance(err.value.cause, RuntimeError)
 
-    def test_a_job_needs_a_reducer_or_a_task_reduce_not_both(self):
-        inputs = [(by_key, [("k", 1)])]
-        both = JobSpec("both", collect_reducer, inputs, reduce_task=lambda *args: 0)
-        for spec in (JobSpec("neither", None, inputs), both):
-            with Engine() as engine, pytest.raises(ValueError, match=f"job '{spec.name}'"):
-                engine.run_job(spec)
-
     def test_a_job_without_inputs_is_refused_by_name(self):
         with Engine() as engine, pytest.raises(ValueError, match="job 'nothing'"):
-            engine.run_job(JobSpec("nothing", collect_reducer, []))
+            engine.run_job(JobSpec("nothing", per_key(collect_reducer), []))
         assert engine.stats_log == []
 
     def test_partitions_must_be_positive(self):
@@ -186,7 +179,7 @@ class TestRunJob:
 
         source = GroupedInput(by_key, records) if held else (by_key, records)
         with Engine(EngineConfig(partitions=partitions)) as engine:
-            _, stats = engine.run_job(JobSpec("itself", reducer, [source]))
+            _, stats = engine.run_job(JobSpec("itself", per_key(reducer), [source]))
         assert sorted(map(id, seen)) == sorted(map(id, records))
         assert stats.map_in == stats.map_out == len(records)
 
@@ -206,16 +199,16 @@ class TestDeterminism:
             return [(key, (sum(values(groups[0])) + 2 * sum(values(groups[1]))) * a)]
 
         cut = 2 * rng.randrange(len(records) + 1)
-        return lambda: JobSpec("arith", reducer, [(by_key, pairs[:cut]), (by_key, pairs[cut:])])
+        return reducer, lambda: [(by_key, pairs[:cut]), (by_key, pairs[cut:])]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_output_independent_of_partitions_and_workers(self, seed):
-        make_spec = self._random_spec(random.Random(seed))
-        reference = serial_mapreduce(make_spec())
+        reducer, make_inputs = self._random_spec(random.Random(seed))
+        reference = serial_mapreduce(reducer, make_inputs())
         counts = set()
         for workers, partitions in [(1, 1), (1, 2), (1, 7), (4, 1), (4, 7)]:
             with Engine(EngineConfig(workers=workers, partitions=partitions)) as engine:
-                output, stats = engine.run_job(make_spec())
+                output, stats = engine.run_job(JobSpec("arith", per_key(reducer), make_inputs()))
             assert output == reference, (workers, partitions)
             assert stats.partitions == partitions
             counts.add(
@@ -236,7 +229,7 @@ class TestDeterminism:
             return [(key, sum(values(chain.from_iterable(groups))))]
 
         records = [(i % 11, i) for i in range(60)]
-        spec = JobSpec("where", reducer, [(key_of, records[:30]), (key_of, records[30:])])
+        spec = JobSpec("where", per_key(reducer), [(key_of, records[:30]), (key_of, records[30:])])
         with Engine(EngineConfig(workers=4, partitions=7)) as engine:
             output, _ = engine.run_job(spec)
         assert len(output) == 11
@@ -269,7 +262,7 @@ class TestStats:
             return [(key, sum(values(groups[0])))]
 
         with Engine() as engine:
-            output, stats = engine.run_job(JobSpec("skew", reducer, [(by_key, records)]))
+            output, stats = engine.run_job(JobSpec("skew", per_key(reducer), [(by_key, records)]))
         assert dict(output) == {"hot": sum(range(50)), "cold": 1}
         assert stats.max_group == 50
 
@@ -279,7 +272,7 @@ class TestGroupedInput:
     HELD = [("a", 1), ("b", 2), ("a", 3), ("c", 4)]
 
     def jobs(self, held, fresh_inputs):
-        return [JobSpec("cached", collect_reducer, [held, (by_key, fresh)])
+        return [JobSpec("cached", per_key(collect_reducer), [held, (by_key, fresh)])
                 for fresh in fresh_inputs]
 
     @pytest.mark.parametrize("partitions", [1, 7])
@@ -290,8 +283,8 @@ class TestGroupedInput:
             for index, spec in enumerate(self.jobs(held, fresh_inputs)):
                 output, stats = engine.run_job(spec)
                 # equal to one job over all records, held ones included
-                want = serial_mapreduce(JobSpec("all", collect_reducer, [
-                    (by_key, self.HELD), (by_key, fresh_inputs[index])]))
+                want = serial_mapreduce(collect_reducer, [
+                    (by_key, self.HELD), (by_key, fresh_inputs[index])])
                 assert output == want
                 assert stats.reduce_groups == len(want)
                 fresh = len(fresh_inputs[index])
@@ -368,5 +361,5 @@ class TestCollectorPause:
 
         gc.enable()
         with Engine() as engine, pytest.raises(JobError):
-            engine.run_job(JobSpec("broken", collect_reducer, inputs=[(broken_key, [(1, 2)])]))
+            engine.run_job(JobSpec("broken", per_key(collect_reducer), inputs=[(broken_key, [(1, 2)])]))
         assert gc.isenabled()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from wfsmr.mapreduce import Engine, EngineConfig, JobError
+from wfsmr.mapreduce import Engine, EngineConfig, JobError, per_key
 from wfsmr.operators import (
     InputCache, _antijoin_spec, anti_join, eval_rule, rule_pipeline, single_join,
 )
@@ -223,7 +223,7 @@ def _run_on_partitions(spec, partitions):
     the largest group as the per-key co-group of the same inputs sees it."""
     spec = replace(spec, inputs=[(key_of, list(records)) for key_of, records in spec.inputs])
     output, stats = Engine(EngineConfig(partitions=partitions)).run_job(spec)
-    cogroup = replace(spec, reducer=lambda key, groups: (), reduce_task=None)
+    cogroup = replace(spec, reduce_task=per_key(lambda key, groups: ()))
     _, reference = Engine(EngineConfig(partitions=partitions)).run_job(cogroup)
     return output, stats, reference.max_group
 
