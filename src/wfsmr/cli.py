@@ -4,7 +4,8 @@ Subcommands: ``check`` validates a program (optionally dumping compiled
 plans), ``solve`` writes the true/undefined atom files, ``generate`` writes
 benchmark fact files, and ``wordcount`` runs the engine smoke test.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error.
+Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error,
+4 standard output closed before the command finished (as by ``| head``).
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_BROKEN_PIPE = 4
 
 _PARTITIONS_HELP = "reduce tasks per job (default: 1)"
 
@@ -202,10 +204,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return code
     except ProgramError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader is gone: stop quietly, and send what is still buffered
+        # to devnull so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -5,15 +5,17 @@ Operator jobs read encoded rows (tuples of symbol ids) from two inputs,
 each a key function and its rows, which the engine co-groups by key, each
 row as itself (see :mod:`wfsmr.mapreduce`). Slot 0 holds the left or
 positive side, because the engine reduces only the keys of slot 0 and a
-join or anti-join emits nothing for a key that side lacks. A join keys each
-side by its join columns and crosses the left rows of a key with its right
-rows. An anti-join keys the positive rows by the anti-join columns and the
-negative rows, which hold exactly those columns, by the row object itself,
-and emits the positive rows of a key when no negative row arrived under it.
-It asks that one question of every key of a reduce task at once, with a
-task-level reduce (see :mod:`wfsmr.mapreduce`) rather than a per-key
-reducer: it streams the task's positive groups through a filter on
-membership in the negative groups, which runs in C and builds no key set.
+join or anti-join emits nothing for a key that side lacks. Every job reduces
+all keys of a reduce task at once, with a task-level reduce (see
+:mod:`wfsmr.mapreduce`) rather than a per-key reducer. A join keys each side
+by its join columns. It streams the keys with one row on each side, through
+a filter on membership in the right side's groups and maps of its
+concatenated rows, all in C; it crosses the left rows of any other key both
+sides hold with its right rows and emits their distinct picks. An
+anti-join keys the positive rows by the anti-join columns and the negative
+rows, which hold exactly those columns, by the row object itself, and
+streams the positive rows of the keys the negative side lacks through a
+filter on membership in the negative groups, building no key set.
 Every job emits bare rows, so a job's output is its result as is. The
 source paper's Hadoop mappers instead emit each record once, tagged with its
 relation; here each relation is its own input, so no record carries a tag.
@@ -25,10 +27,11 @@ between them removes duplicates. Projections run inside these jobs: the
 positive-goal projection in the job that produces the goal, and the head
 projection, head constants included, in the reduce of the last job. A rule
 with neither joins nor anti-joins runs a single projection job, which keys
-each row by its projection and emits each key once, so every rule evaluation
-runs ``max(1, joins + anti-joins)`` jobs. A variant of the rule (see
-:mod:`wfsmr.planner`) reads one subgoal in a delta, which is slot 0 of its
-job; a seed runs as a join of the delta's atoms with the positive goal.
+each row by its projection and emits the task's keys as they are, so every
+rule evaluation runs ``max(1, joins + anti-joins)`` jobs. A variant of the
+rule (see :mod:`wfsmr.planner`) reads one subgoal in a delta, which is slot
+0 of its job; a seed runs as a join of the delta's atoms with the positive
+goal.
 
 An :class:`InputCache` keeps the loop-invariant inputs of these jobs for
 the length of one solve: subgoals over predicates whose facts all lie in
@@ -49,10 +52,10 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import partial
 from itertools import chain, filterfalse
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .mapreduce import Engine, GroupedInput, Groups, JobSpec, per_key
+from .mapreduce import Engine, GroupedInput, Groups, JobSpec
 from .planner import RulePlan, SubgoalAccess
 from .store import FactSource, SymbolTable
 
@@ -150,6 +153,27 @@ def _itself(row: Row) -> Row:
     return row
 
 
+def _join_task(pick: Callable[[tuple], tuple], own: Groups, others: Sequence[Groups],
+               out: list) -> int:
+    """The join's task-level reduce: ``pick(left + right)`` of the rows of
+    every key both sides hold, streamed into ``out`` for the keys with one
+    row on each side and deduplicated per key for the rest; returns the
+    values under the largest key."""
+    (single, multi), [(r_single, r_multi)] = own, others
+    keys = [*filter(r_single.__contains__, single)]
+    out.extend(map(pick, map(add, map(single.__getitem__, keys), map(r_single.__getitem__, keys))))
+    sizes = [2] if keys else [1] if single else []
+    for key in filter(r_multi.__contains__, single):
+        lrow, rights = single[key], r_multi[key]
+        sizes.append(1 + len(rights))
+        out.extend({pick(lrow + rrow) for rrow in rights})
+    for key, lefts in multi.items():
+        rights = (r_single[key],) if key in r_single else r_multi.get(key, ())
+        sizes.append(len(lefts) + len(rights))
+        out.extend({pick(lrow + rrow) for lrow in lefts for rrow in rights})
+    return max(sizes, default=0)
+
+
 def _join_spec(
     name: str,
     left_key: Sequence[int],
@@ -161,26 +185,22 @@ def _join_spec(
     """Join job; ``pick`` maps a left row concatenated with a right row to
     the output row."""
     warnings = ("empty join key: all records meet in one reduce group",) if not left_key else ()
-
-    def reducer(key, groups) -> Iterable[Row]:
-        lefts, rights = groups
-        if not rights:
-            return ()
-        # duplicates are pruned inside the group before emission
-        return {pick(lrow + rrow) for lrow in lefts for rrow in rights}
-
     inputs = [(_picker(left_key), left), (_picker(right_key), right)]
-    return JobSpec(name, per_key(reducer), inputs, warnings)
+    return JobSpec(name, partial(_join_task, pick), inputs, warnings)
+
+
+def _project_task(own: Groups, others: Sequence[Groups], out: list) -> int:
+    """The projection's task-level reduce: every key once."""
+    single, multi = own
+    out.extend(single)
+    out.extend(multi)
+    return max(map(len, multi.values()), default=1 if single else 0)
 
 
 def _project_spec(name: str, pick: Callable[[tuple], tuple], rows: Iterable[Row]) -> JobSpec:
     """Projection job: each row is keyed by ``pick(row)``, and each key is
     emitted once."""
-
-    def reducer(key, groups) -> list:
-        return [key]
-
-    return JobSpec(name, per_key(reducer), [(pick, rows)])
+    return JobSpec(name, _project_task, [(pick, rows)])
 
 
 def _antijoin_task(

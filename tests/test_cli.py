@@ -9,7 +9,9 @@ import pytest
 
 import wfsmr
 from wfsmr.bench import TC_NEG, gen_chain, gen_cycle
-from wfsmr.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from wfsmr.cli import (
+    EXIT_BROKEN_PIPE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main,
+)
 from wfsmr.fixpoint import SolveOptions, SolveStats, solve
 from wfsmr.mapreduce import Engine, EngineConfig
 from wfsmr.planner import compile_program
@@ -402,6 +404,23 @@ class TestUsage:
             err = capsys.readouterr().err
             assert message in err and "_positive" not in err, flags
         assert not Path(out).exists()
+
+    def test_a_reader_that_closes_the_pipe_early_gets_no_error(self, tmp_path):
+        # as `wfsmr solve ... --trace | head -1`: the trace is far larger
+        # than a pipe buffer, so the solve writes on after the reader is gone
+        program = write(tmp_path, "tc.lp", TC_NEG)
+        facts = write(tmp_path, "chain.facts", facts_to_text(gen_chain(400, 40)))
+        src = str(Path(wfsmr.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "wfsmr.cli", "solve", "--program", program,
+                "--facts", facts, "--out", str(tmp_path / "r"), "--trace"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert json.loads(proc.stdout.readline())["mode"] == "optimized"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait() == EXIT_BROKEN_PIPE
+        assert err == b""
 
     def test_routing_does_not_leak_into_results_across_processes(self, tmp_path):
         # keys route by hash(key), and the str tags in keys hash differently

@@ -6,7 +6,8 @@ import pytest
 
 from wfsmr.mapreduce import Engine, EngineConfig, JobError, per_key
 from wfsmr.operators import (
-    InputCache, _antijoin_spec, anti_join, eval_rule, rule_pipeline, single_join,
+    InputCache, _antijoin_spec, _join_spec, _project_spec, anti_join, eval_rule, rule_pipeline,
+    single_join,
 )
 from wfsmr.fixpoint import immediate_consequences
 from wfsmr.planner import compile_program, compile_rule
@@ -218,14 +219,14 @@ class TestAntiJoin:
         assert anti_join(engine, positive, negative, key) == positive - semijoin
 
 
-def _run_on_partitions(spec, partitions):
-    """Output and stats of ``spec`` run on ``partitions`` reduce tasks, with
-    the largest group as the per-key co-group of the same inputs sees it."""
+def _run_on_partitions(spec, partitions, reducer=lambda key, groups: ()):
+    """Output and stats of ``spec`` run on ``partitions`` reduce tasks, and
+    the stats of the per-key co-group of the same inputs with ``reducer``."""
     spec = replace(spec, inputs=[(key_of, list(records)) for key_of, records in spec.inputs])
     output, stats = Engine(EngineConfig(partitions=partitions)).run_job(spec)
-    cogroup = replace(spec, reduce_task=per_key(lambda key, groups: ()))
+    cogroup = replace(spec, reduce_task=per_key(reducer))
     _, reference = Engine(EngineConfig(partitions=partitions)).run_job(cogroup)
-    return output, stats, reference.max_group
+    return output, stats, reference
 
 
 class TestTaskLevelAntiJoin:
@@ -248,10 +249,10 @@ class TestTaskLevelAntiJoin:
         keys = {tuple(row[i] for i in key) for row in positive}
         for partitions in (1, 2, 3, 4):
             spec = _antijoin_spec("aj", key, positive, negative, width=2)
-            output, stats, max_group = _run_on_partitions(spec, partitions)
+            output, stats, reference = _run_on_partitions(spec, partitions)
             assert output == want, partitions
             assert (stats.reduce_groups, stats.reduce_out) == (len(keys), len(want)), partitions
-            assert stats.max_group == max_group, partitions
+            assert stats.max_group == reference.max_group, partitions
 
     def test_pick_with_head_constants_matches_brute_force(self):
         # one job: the anti-join projects onto the head, its constant included
@@ -267,11 +268,11 @@ class TestTaskLevelAntiJoin:
         seen = set()
         for partitions in (1, 2, 3, 4):
             [(spec, _)] = rule_pipeline(plan, pos, neg)
-            output, stats, max_group = _run_on_partitions(spec, partitions)
+            output, stats, reference = _run_on_partitions(spec, partitions)
             assert decoded(sym, output) == want, partitions
             assert stats.reduce_groups == len({y for _, y in b}), partitions
             assert stats.reduce_out == len(survivors), partitions
-            assert stats.max_group == max_group, partitions
+            assert stats.max_group == reference.max_group, partitions
             seen.add(frozenset(output))
         assert len(seen) == 1
 
@@ -284,9 +285,9 @@ class TestTaskLevelAntiJoin:
             twice = rng.sample(sorted(negative), len(negative) // 2)
             for partitions in (1, 2, 3, 4):
                 spec = _antijoin_spec("aj", [0], positive, [*negative, *twice])
-                output, stats, max_group = _run_on_partitions(spec, partitions)
+                output, stats, reference = _run_on_partitions(spec, partitions)
                 assert output == brute_anti_join(positive, negative, [0])
-                assert stats.max_group == max_group
+                assert stats.max_group == reference.max_group
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
     def test_max_group_counts_the_negative_rows_of_a_hit_key(self, partitions):
@@ -321,6 +322,117 @@ class TestTaskLevelAntiJoin:
         assert err.value.item in range(partitions)  # the index of the reduce task
         assert isinstance(err.value.cause, ValueError)
         assert "reduce phase" in str(err.value)
+
+
+def _pick_of(flat):
+    return lambda row: tuple(row[i] for i in flat)
+
+
+def _counts(stats):
+    return stats.reduce_groups, stats.reduce_out, stats.max_group
+
+
+def _join_reducer(pick):
+    """The per-key join: each key's distinct picks of its left rows crossed
+    with its right rows."""
+    def reducer(key, groups):
+        lefts, rights = groups
+        return {pick(lrow + rrow) for lrow in lefts for rrow in rights}
+    return reducer
+
+
+class TestTaskLevelJoin:
+    """The join reduces each reduce task's keys in one pass; its output is
+    the nested-loop join's and its counts are the per-key co-group's on
+    every partition count."""
+
+    OUT = [("l", 0), ("r", 1)]
+    CASES = {
+        "one row per key on both sides": ({(1, 2), (2, 3), (3, 4)}, {(2, 5), (3, 6), (9, 9)}),
+        "one left row, several right rows": ({(1, 2), (5, 3)}, {(2, 5), (2, 6), (2, 7), (3, 3)}),
+        "several left rows, one right row": ({(1, 2), (4, 2), (5, 2)}, {(2, 5), (7, 1)}),
+        "several rows on both sides": ({(1, 2), (4, 2), (3, 3)}, {(2, 5), (2, 6), (3, 1), (3, 2)}),
+        "empty left side": (set(), {(2, 5)}),
+        "empty right side": ({(1, 2), (1, 3)}, set()),
+        "left keys the right side lacks": ({(1, 2), (1, 7), (3, 8), (4, 7), (5, 7)}, {(2, 5), (6, 6)}),
+    }
+
+    def check(self, left, right, left_key, right_key, out_cols):
+        want = nested_loop_join(left, right, left_key, right_key, out_cols)
+        width = len(next(iter(left), ()))
+        pick = _pick_of([i if side == "l" else width + i for side, i in out_cols])
+        for partitions in (1, 2, 3, 4):
+            spec = _join_spec("j", left_key, right_key, pick, left, right)
+            output, stats, reference = _run_on_partitions(spec, partitions, _join_reducer(pick))
+            assert output == want, partitions
+            assert _counts(stats) == _counts(reference), partitions
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_nested_loops_and_the_cogroups_counts(self, case):
+        left, right = self.CASES[case]
+        self.check(left, right, [1], [0], self.OUT)
+
+    def test_a_key_emits_each_pick_once(self):
+        # key 2 has two rows a side, key 3 one left row and two right rows
+        left, right = {(1, 2), (1, 3), (2, 2)}, {(2, 5), (2, 6), (3, 5), (3, 6)}
+        self.check(left, right, [1], [0], [("l", 0)])
+
+    def test_empty_key(self):
+        self.check({(1,), (2,)}, {(3,), (4,)}, [], [], [("l", 0), ("r", 0)])
+        self.check({(1,)}, {(3,), (4,)}, [], [], [("r", 0)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_relations_with_many_rows_per_key(self, seed):
+        rng = random.Random(800 + seed)
+        for _ in range(8):
+            left = random_relation(rng, 2, max_rows=20, domain=4)
+            right = random_relation(rng, 2, max_rows=20, domain=4)
+            self.check(left, right, [1], [0], self.OUT)
+
+    def test_pick_with_a_head_constant(self):
+        # one job: the join projects onto the head, its constant included
+        plan = compile_rule(parse_program("p(X,7) :- b(X,Y), c(Y,Z).\n").rules[0])
+        b = {(1, 2), (3, 2), (4, 5), (6, 9)}
+        c = {(2, 1), (2, 8), (5, 5), (7, 7)}
+        want = {(x, 7) for x, _ in nested_loop_join(b, c, [1], [0], [("l", 0), ("r", 1)])}
+        sym = SymbolTable()
+        pos = make_db([Fact("b", row) for row in b] + [Fact("c", row) for row in c], sym)
+        for partitions in (1, 2, 3, 4):
+            [(spec, _)] = rule_pipeline(plan, pos, pos)
+            pick = spec.reduce_task.args[0]
+            output, stats, reference = _run_on_partitions(spec, partitions, _join_reducer(pick))
+            assert decoded(sym, output) == want, partitions
+            assert _counts(stats) == _counts(reference), partitions
+
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_a_failing_pick_names_the_job_phase_and_reduce_task(self, partitions):
+        def pick(row):
+            raise ValueError("bad pick")
+
+        for right in ({(2, 5)}, {(2, 5), (2, 6)}):  # the streamed and the other keys
+            spec = _join_spec("r0:p:join1", [1], [0], pick, {(1, 2), (3, 4)}, right)
+            with pytest.raises(JobError) as err:
+                Engine(EngineConfig(partitions=partitions)).run_job(spec)
+            assert (err.value.job, err.value.phase) == ("r0:p:join1", "reduce")
+            assert err.value.item in range(partitions)  # the index of the reduce task
+            assert isinstance(err.value.cause, ValueError)
+
+
+class TestTaskLevelProjection:
+    """A projection emits each key of a task once, with the per-key
+    co-group's counts."""
+
+    @pytest.mark.parametrize("rows", [
+        set(), {(1, 2)}, {(1, 2), (2, 2)}, {(1, 2), (1, 3), (1, 4), (2, 2), (5, 5), (5, 6)},
+    ], ids=["empty", "one row", "distinct keys", "duplicate keys"])
+    def test_matches_the_cogroup(self, rows):
+        want = {(x,) for x, _ in rows}
+        for partitions in (1, 2, 3, 4):
+            spec = _project_spec("r0:p:head", _pick_of([0]), rows)
+            output, stats, reference = _run_on_partitions(
+                spec, partitions, lambda key, groups: [key])
+            assert output == want, partitions
+            assert _counts(stats) == _counts(reference), partitions
 
 
 class TestEvalRule:
