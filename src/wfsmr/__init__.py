@@ -20,7 +20,7 @@ from .program import (
     parse_facts,
     parse_program,
 )
-from .store import Database, DatabaseView, SymbolTable
+from .store import Database, DatabaseView
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "Program",
     "Rule",
     "SolveOptions",
-    "SymbolTable",
     "TruthValue",
     "check_safety",
     "classify",

@@ -101,7 +101,8 @@ def _load_facts(paths: Sequence[str]) -> dict[str, tuple[Fact, ...]]:
 
 
 def _write_atoms(path: Path, db: Database) -> None:
-    lines = sorted(str(fact) for fact in db.iter_facts())
+    # sorted as text, so the facts need no order of their own
+    lines = sorted(str(Fact(p, row)) for p in db.predicates() for row in db.tuples(p))
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

@@ -8,6 +8,7 @@ the next K step's D."""
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 from typing import Optional, Sequence
 
 from .operators import head_picker
@@ -46,17 +47,18 @@ def count_instances(
     neg = DatabaseView(session.fixed, known, grown) if first else DatabaseView(session.fixed, known)
     truth = (known, grown, *session.fixed.parts)  # heads that need no count
     extra = counts.extra = counts.extra or {}
-    out = Database(session.symbols)  # the first count's live atoms, else D
+    out = Database()  # the first count's live atoms, else D
     for plan in plans:
         predicate, width = plan.head_predicate, len(plan.goal_schema)
         goal = tuple(("v", g) for g in range(width))  # the seeds yield goal rows, not heads
         seeds = [replace(s, head_cols=goal) for s in plan.seeds if delta.relation(s.delta.atom.predicate)]
         found = [eval_rule(session.engine, s, session.fixed, neg, delta, session.cache) for s in seeds]
-        rows = found[0] if len(found) == 1 else set().union(*found)  # each instance once
+        # each instance once
+        rows = found[0] if len(found) == 1 else dict.fromkeys(chain.from_iterable(found))
         session.stats.derived_facts += len(rows)
-        head = head_picker(plan, session.symbols, range(width), width)
+        head = head_picker(plan, range(width), width)
         for db in (counts.possible, out):
-            db.add_encoded(predicate, plan.head_arity, set())
+            db.add_rows(predicate, plan.head_arity, {})
         held, into = counts.possible.relation(predicate).tuples, out.relation(predicate).tuples
         more = extra.setdefault(predicate, {})
         for atom in map(head, rows):
@@ -64,7 +66,7 @@ def count_instances(
                 if atom in into:
                     more[atom] = more.get(atom, 1) + 1
                 elif atom in held:
-                    into.add(atom)
+                    into[atom] = None
                 elif not any(part.contains(predicate, atom) for part in truth):
                     raise InvariantError(f"{label}: possible set grew")
                 continue
@@ -72,8 +74,8 @@ def count_instances(
             if n > 2:
                 more[atom] = n - 1
             elif n == 1 and atom in held:
-                held.remove(atom)
-                into.add(atom)
+                del held[atom]
+                into[atom] = None
             elif n == 1 and not any(part.contains(predicate, atom) for part in truth):
                 raise InvariantError(f"{label}: derivation count below zero")
         del found, rows  # before the next rule's jobs run

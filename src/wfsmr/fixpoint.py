@@ -71,7 +71,7 @@ from .counting import DerivationCounts, count_instances
 from .operators import InputCache, eval_rule
 from .planner import RulePlan, compile_program
 from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
-from .store import Database, DatabaseView, FactSource, SymbolTable
+from .store import Database, DatabaseView, FactSource
 
 __all__ = [
     "TruthValue",
@@ -181,7 +181,7 @@ def immediate_consequences(
     recursive rule in the first round of its least fixpoint; a seed variant
     too, since its join with the delta reads the positive goal. It keeps the
     rules' output sets."""
-    out = Database(pos.symbols)
+    out = Database()
     for plan in plans:
         if delta is not None and not delta.relation(plan.delta.atom.predicate):
             continue
@@ -192,7 +192,7 @@ def immediate_consequences(
         rows = eval_rule(engine, plan, pos, neg, delta, cache)
         if stats is not None:
             stats.derived_facts += len(rows)
-        out.add_encoded(plan.head_predicate, plan.head_arity, rows)
+        out.add_rows(plan.head_predicate, plan.head_arity, rows)
     return out
 
 
@@ -204,8 +204,7 @@ def immediate_consequences(
 class Session:
     def __init__(self, program: Program, facts: Iterable[Fact], engine: Engine):
         self.engine = engine
-        self.symbols = SymbolTable()
-        self.base = Database(self.symbols)
+        self.base = Database()
         self.signatures = dict(program.signatures)
         self.base.insert_many(program.facts())
         self.base.insert_many(facts)
@@ -219,16 +218,16 @@ class Session:
         self.plans = compile_program(program)
         # the true facts of the components the optimized driver has
         # finished; with the base they form the fixed part of every source
-        self.finished = Database(self.symbols)
+        self.finished = Database()
         self.fixed = DatabaseView(self.base, self.finished)
         # the undefined atoms of finished components
-        self.undefined = Database(self.symbols)
+        self.undefined = Database()
         # set by solve for the drivers, whose sets hold rule output only, so
         # an invariant predicate has no facts but the fixed ones in their
         # sources; other callers of the least fixpoints may pass any facts,
         # so they map every input
         self.cache: Optional[InputCache] = None
-        self.empty = Database(self.symbols)
+        self.empty = Database()
         self.stats = SolveStats(fixed_facts=self.base.count())
 
     def empty_view(self) -> DatabaseView:
@@ -266,7 +265,7 @@ def least_fixpoint(
     jobs_before = len(engine.stats_log)
     fixed = DatabaseView(session.fixed, *assumed)
     neg = DatabaseView(session.fixed, neg)
-    current = Database(session.symbols)
+    current = Database()
     stats.register_live(live_as, current)
     inner = 0
     while True:
@@ -318,7 +317,7 @@ def least_fixpoint_delta(
     engine, stats = session.engine, session.stats
     jobs_before = len(engine.stats_log)
     neg = DatabaseView(session.fixed, neg)
-    result = Database(session.symbols)
+    result = Database()
     accumulated = DatabaseView(session.fixed, *assumed, *start, result)
     variants: Sequence[RulePlan] = plans
     if dropped is not None:
@@ -420,7 +419,7 @@ def solve_component(
     if not negative_cycle and not reads_undefined:
         # and with no undefined atom to read, the possible set too
         stats.inference_steps += 1
-        return known, Database(session.symbols)
+        return known, Database()
 
     # from U1 on, its U steps may count instances (see wfsmr.counting)
     counted = negative_cycle and not reads_undefined and not any(
@@ -593,17 +592,9 @@ def classify(fact: Fact, result: FixpointResult) -> TruthValue:
         raise UnknownPredicateError(f"unknown predicate '{fact.predicate}'")
     if expected != fact.arity:
         raise ArityError(fact.predicate, fact.arity, expected)
-    symbols = result.true_facts.symbols
-    row = []
-    for arg in fact.args:
-        sid = symbols.lookup(arg)
-        if sid is None:
-            return TruthValue.FALSE
-        row.append(sid)
-    encoded = tuple(row)
-    if result.true_facts.contains(fact.predicate, encoded):
+    if result.true_facts.contains(fact.predicate, fact.args):
         return TruthValue.TRUE
-    if result.undefined_facts.contains(fact.predicate, encoded):
+    if result.undefined_facts.contains(fact.predicate, fact.args):
         return TruthValue.UNDEFINED
     return TruthValue.FALSE
 
@@ -626,8 +617,6 @@ def trace_records(result: FixpointResult, engine: Engine) -> Iterator[dict]:
 
 
 def partitions_agree(a: FixpointResult, b: FixpointResult) -> bool:
-    """Structural agreement of two results (decoded comparison)."""
-    return (
-        set(a.true_facts.iter_facts()) == set(b.true_facts.iter_facts())
-        and set(a.undefined_facts.iter_facts()) == set(b.undefined_facts.iter_facts())
-    )
+    """Structural agreement of two results: the same true and undefined facts."""
+    return (a.true_facts.same_content(b.true_facts)
+            and a.undefined_facts.same_content(b.undefined_facts))

@@ -17,11 +17,12 @@ makes the usual one: it calls a user reduce function exactly once per
 distinct key of input 0 as ``reducer(key, groups)``, where ``groups[i]``
 holds the records of input ``i`` under the key and is empty when that
 input has none, and its :class:`JobError` names the key instead. Either
-way, a key that only a later input has is never reduced, and the output is
-the set of records emitted by all reduce calls, so it is independent of
-the partition count. String hashes are salted per process, so the routing,
-and with it the order of the reduce calls, may differ between runs; the
-output does not.
+way, a key that only a later input has is never reduced, and the output
+holds each record emitted by the reduce calls once, as the keys of a dict in
+the order they were emitted, so as a set it is independent of the partition
+count. String hashes are salted per process, so the routing, and with it
+the order of the reduce calls, may differ between runs; the output's rows do
+not.
 
 This departs from the reduce-side joins of Hadoop that the source paper
 runs, where all inputs share one map function, which may emit any number
@@ -290,22 +291,18 @@ class Engine:
             raise ValueError("partitions must be >= 1")
         self.stats_log: list[JobStats] = []
 
-    # -- lifecycle: the engine holds no resources --------------------------
-
+    # The engine holds no resources, so ``close`` does nothing. It stays only
+    # because the benchmark (perfbench/sample.py) calls it; removing it waits
+    # for the next change to the benchmark.
     def close(self) -> None:
         pass
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # -- job execution -----------------------------------------------------
 
     @gc_paused
-    def run_job(self, spec: JobSpec) -> tuple[set, JobStats]:
-        """Run one job; returns (output record set, stats)."""
+    def run_job(self, spec: JobSpec) -> tuple[dict, JobStats]:
+        """Run one job; returns (output, stats), the output's records being
+        the keys of a dict, each once and in the order they were emitted."""
         if not spec.inputs:
             raise ValueError(f"job '{spec.name}' has no inputs")
         start = time.perf_counter()
@@ -345,7 +342,7 @@ class Engine:
                 raise JobError(spec.name, "reduce", failed.key, failed.cause) from failed.cause
             except Exception as exc:  # noqa: BLE001 - reported with the task
                 raise JobError(spec.name, "reduce", index, exc) from exc
-        output = set(reduced)
+        output = dict.fromkeys(reduced)
 
         stats = JobStats(
             name=spec.name,
@@ -386,4 +383,4 @@ def wordcount_job(lines: Iterable[str]) -> JobSpec:
 
 def wordcount(engine: Engine, lines: Iterable[str]) -> dict[str, int]:
     output, _ = engine.run_job(wordcount_job(lines))
-    return dict(output)
+    return dict(output.keys())  # the records are (word, count) pairs

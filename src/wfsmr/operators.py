@@ -1,7 +1,7 @@
 """Relational operators as MapReduce jobs, hash join and anti-join, and
 whole-rule evaluation.
 
-Operator jobs read encoded rows (tuples of symbol ids) from two inputs,
+Operator jobs read rows (tuples of constants) from two inputs,
 each a key function and its rows, which the engine co-groups by key, each
 row as itself (see :mod:`wfsmr.mapreduce`). Slot 0 holds the left or
 positive side, because the engine reduces only the keys of slot 0 and a
@@ -22,13 +22,13 @@ relation; here each relation is its own input, so no record carries a tag.
 
 Rule evaluation chains one job per join over the positive subgoals and one
 per anti-join over the negative subgoals; slot 0 of every job after the
-first reads the output of the job before it. Job output is a set, so no job
-between them removes duplicates. Projections run inside these jobs: the
-positive-goal projection in the job that produces the goal, and the head
-projection, head constants included, in the reduce of the last job. A rule
-with neither joins nor anti-joins runs a single projection job, which keys
-each row by its projection and emits the task's keys as they are, so every
-rule evaluation runs ``max(1, joins + anti-joins)`` jobs. A variant of the
+first reads the output of the job before it. Job output holds each row
+once, so no job between them removes duplicates. Projections run inside
+these jobs: the positive-goal projection in the job that produces the goal,
+and the head projection, head constants included, in the reduce of the last
+job. A rule with neither joins nor anti-joins runs a single projection job,
+which keys each row by its projection and emits the task's keys as they
+are, so every rule evaluation runs ``max(1, joins + anti-joins)`` jobs. A variant of the
 rule (see :mod:`wfsmr.planner`) reads one subgoal in a delta, which is slot
 0 of its job; a seed runs as a join of the delta's atoms with the positive
 goal.
@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .mapreduce import Engine, GroupedInput, Groups, JobSpec
 from .planner import RulePlan, SubgoalAccess
-from .store import FactSource, SymbolTable
+from .store import FactSource, Row, Rows
 
 __all__ = [
     "single_join",
@@ -66,8 +66,6 @@ __all__ = [
     "rule_pipeline",
     "InputCache",
 ]
-
-Row = tuple[int, ...]
 
 
 def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tuple]:
@@ -127,18 +125,12 @@ def _access_stream(source: FactSource, access: SubgoalAccess, cols: tuple) -> It
     tuples = source.tuples(access.atom.predicate)
     if not access.eq_cols and not access.const_cols and cols == tuple(range(access.atom.arity)):
         return tuples
-    const_cols = []
-    for col, symbol in access.const_cols:
-        sid = source.symbols.lookup(symbol)
-        if sid is None:  # constant never interned: nothing can match
-            return ()
-        const_cols.append((col, sid))
-    eq_cols = access.eq_cols
+    const_cols, eq_cols = access.const_cols, access.eq_cols
     project = _picker(cols)
     return (
         project(row)
         for row in tuples
-        if not any(row[c] != sid for c, sid in const_cols)
+        if not any(row[c] != symbol for c, symbol in const_cols)
         and not any(row[a] != row[b] for a, b in eq_cols)
     )
 
@@ -260,7 +252,7 @@ def single_join(
     right_key: Sequence[int],
     out_cols: Sequence[tuple[str, int]],
     name: str = "join",
-) -> set[Row]:
+) -> Rows:
     """Hash-join two tuple streams on the given key columns.
 
     ``out_cols`` selects output columns as ("l", i) or ("r", i) pairs.
@@ -278,7 +270,7 @@ def anti_join(
     negative: Iterable[Row],
     key: Sequence[int],
     name: str = "antijoin",
-) -> set[Row]:
+) -> Rows:
     """Keep positive tuples whose key columns match no negative tuple.
 
     ``negative`` holds bare key tuples (safety guarantees the key covers
@@ -307,7 +299,7 @@ def rule_pipeline(
     columns that key them. Jobs are named ``r<rule index>:<head predicate>:<kind>``.
     """
     prefix = f"r{plan.index}:{plan.head_predicate}"
-    head_pick = partial(head_picker, plan, pos.symbols)
+    head_pick = partial(head_picker, plan)
     cache = cache if cache is not None else InputCache()
 
     def stream(
@@ -375,11 +367,10 @@ def rule_pipeline(
     return jobs
 
 
-def head_picker(plan: RulePlan, symbols: SymbolTable, goal_at: Sequence[int],
-                width: int) -> Callable[[tuple], tuple]:
+def head_picker(plan: RulePlan, goal_at: Sequence[int], width: int) -> Callable[[tuple], tuple]:
     """Head projection of rows of ``width`` columns that hold goal column
     ``g`` at ``goal_at[g]``; the head constants follow the row's columns."""
-    consts = tuple(symbols.intern(value) for kind, value in plan.head_cols if kind == "c")
+    consts = tuple(value for kind, value in plan.head_cols if kind == "c")
     const_at = iter(range(width, width + len(consts)))
     indices = [goal_at[v] if k == "v" else next(const_at) for k, v in plan.head_cols]
     return _picker(indices, consts)
@@ -397,14 +388,14 @@ def eval_rule(
     neg: FactSource,
     delta: Optional[FactSource] = None,
     cache: Optional[InputCache] = None,
-) -> set[Row]:
+) -> Rows:
     """Head tuples derivable from the rule with positive subgoals matched in
     ``pos`` and negative subgoals absent from ``neg``; a variant matches its
     delta subgoal in ``delta`` instead (see :func:`rule_pipeline`).
 
     ``cache`` keeps the invariant inputs between the calls of one solve;
-    each call without one maps all of its inputs. The returned set is the
-    last job's output, new to this call."""
+    each call without one maps all of its inputs. The returned rows are
+    the last job's output, new to this call."""
     cache = cache if cache is not None else InputCache()
     jobs = rule_pipeline(plan, pos, neg, delta, cache)
 

@@ -2,8 +2,8 @@
 
 ``ground_afp`` grounds the whole program over its active domain and runs
 the alternating fixpoint literally on Python sets of ground atoms. It is
-deliberately brute force: no plans, no jobs, no dictionary encoding. It
-exists to cross-check the engine on small inputs.
+deliberately brute force: no plans and no jobs. It exists to cross-check
+the engine on small inputs.
 
 ``game_partition`` solves win/move games by backward induction: a position
 is won when some successor is lost, lost when every successor is won

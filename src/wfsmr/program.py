@@ -10,7 +10,7 @@ Both ``:-`` and ``<-`` are accepted as the rule arrow, ``,`` is conjunction,
 Variables start with an uppercase letter; constants start with a lowercase
 letter or a digit. A rule with an empty body is a fact and must be ground.
 Every rule must be safe: each variable occurring anywhere in the rule must
-also occur in a positive body subgoal. Function symbols, arithmetic, and
+also occur in a positive body subgoal. Function terms, arithmetic, and
 comparison builtins are not supported.
 
 Programs and facts inputs share one lexical grammar. A token is a name of

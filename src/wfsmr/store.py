@@ -1,8 +1,9 @@
-"""Dictionary-encoded fact storage with set semantics.
+"""Fact storage with set semantics.
 
-Constants are interned once per solver session into dense integer ids, and
-all relations and operator jobs work on fixed-width tuples of those ids.
-A :class:`Database` groups tuples by predicate. Databases are mutated only
+A row is the tuple of a fact's constants as parsed, ints and text alike,
+and all relations and operator jobs work on fixed-width rows, held as
+:data:`Rows`: each row once, in the order it was added.
+A :class:`Database` groups rows by predicate. Databases are mutated only
 by the fixpoint driver between jobs; operator jobs only read them.
 :class:`DatabaseView` presents several databases as one logical fact set
 without copying, which is how the driver feeds the union of its stored
@@ -10,57 +11,59 @@ deltas to the negative side of anti-joins.
 """
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Iterable, Iterator, Optional, Union
 
 from .program import ArityError, Fact, Symbol
 
-__all__ = ["SymbolTable", "Relation", "Database", "DatabaseView", "FactSource"]
+__all__ = ["Row", "Rows", "Relation", "Database", "DatabaseView", "FactSource"]
+
+Row = tuple[Symbol, ...]
+
+# Rows without repeats, as the keys of a dict whose values are None. A dict
+# walks its keys in the order they were added, which is about the order
+# their tuples were allocated in, so a scan reads memory nearly in sequence;
+# a set walks them in hash order, and from about 1e5 rows on most of those
+# reads miss the CPU cache. Two are equal when they hold the same rows; to
+# compare one with a set, take its ``keys()``.
+Rows = dict[Row, None]
+
+_is_text = str.__instancecheck__  # isinstance(value, str), as a function of value
 
 
-class SymbolTable:
-    """Bidirectional map between constant symbols and dense integer ids."""
+def _without(rows: Rows, others: Iterable[Rows]) -> Rows:
+    """The rows of ``rows`` that none of ``others`` holds, in their order."""
+    kept: Iterable[Row] = rows
+    for other in others:
+        kept = filterfalse(other.__contains__, kept)
+    return dict.fromkeys(kept)
 
-    def __init__(self) -> None:
-        self._ids: dict[Symbol, int] = {}
-        self._symbols: list[Symbol] = []
 
-    def intern(self, symbol: Symbol) -> int:
-        sid = self._ids.get(symbol)
-        if sid is None:
-            sid = len(self._symbols)
-            self._ids[symbol] = sid
-            self._symbols.append(symbol)
-        return sid
-
-    def lookup(self, symbol: Symbol) -> Optional[int]:
-        return self._ids.get(symbol)
-
-    def decode(self, sid: int) -> Symbol:
-        return self._symbols[sid]
-
-    def __len__(self) -> int:
-        return len(self._symbols)
+def _row_order(row: Row) -> tuple:
+    """Sort key of a row. Int and text constants do not compare, so rows
+    sort first by which of their columns hold text, and only rows that agree
+    on that compare by value."""
+    return (*map(_is_text, row), *row)
 
 
 class Relation:
-    """All known tuples of one predicate, as a set of encoded tuples."""
+    """All known rows of one predicate."""
 
     __slots__ = ("predicate", "arity", "tuples")
 
     def __init__(self, predicate: str, arity: int):
         self.predicate = predicate
         self.arity = arity
-        self.tuples: set[tuple[int, ...]] = set()
+        self.tuples: Rows = {}
 
     def __len__(self) -> int:
         return len(self.tuples)
 
 
 class Database:
-    """Predicate-keyed set of encoded facts sharing one symbol table."""
+    """Predicate-keyed set of facts, each stored as the row of its constants."""
 
-    def __init__(self, symbols: Optional[SymbolTable] = None):
-        self.symbols = symbols if symbols is not None else SymbolTable()
+    def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
 
     # -- construction ------------------------------------------------------
@@ -76,16 +79,15 @@ class Database:
 
     def insert_many(self, facts: Iterable[Fact]) -> None:
         """Bulk insert; one relation lookup per predicate run, not per fact."""
-        intern = self.symbols.intern
         rel: Optional[Relation] = None
         for fact in facts:
             if rel is None or rel.predicate != fact.predicate:
                 rel = self._relation_for(fact.predicate, fact.arity)
             elif rel.arity != fact.arity:
                 raise ArityError(fact.predicate, fact.arity, rel.arity)
-            rel.tuples.add(tuple(map(intern, fact.args)))
+            rel.tuples[fact.args] = None
 
-    def add_encoded(self, predicate: str, arity: int, rows: set[tuple[int, ...]]) -> None:
+    def add_rows(self, predicate: str, arity: int, rows: Rows) -> None:
         """Add ``rows`` to the relation of ``predicate``. With no fact of it
         here yet, ``rows`` itself becomes the relation: the caller hands it over."""
         rel = self._relation_for(predicate, arity)
@@ -97,7 +99,6 @@ class Database:
     def take(self, other: "Database") -> None:
         """Move the relations of ``other``, none of whose predicates this
         database holds, into it without copying; ``other`` is left empty."""
-        self._require_shared_symbols(other)
         shared = self._relations.keys() & other._relations.keys()
         if shared:
             raise ValueError(f"both databases hold predicates {sorted(shared)}")
@@ -105,8 +106,7 @@ class Database:
         other._relations = {}
 
     def update(self, other: "Database") -> None:
-        """In-place set union with another database on the same symbol table."""
-        self._require_shared_symbols(other)
+        """In-place set union with another database."""
         for rel in other._relations.values():
             self._relation_for(rel.predicate, rel.arity).tuples.update(rel.tuples)
 
@@ -122,12 +122,12 @@ class Database:
         rel = self._relations.get(predicate)
         return rel.arity if rel is not None else None
 
-    def tuples(self, predicate: str) -> Iterator[tuple[int, ...]]:
+    def tuples(self, predicate: str) -> Iterator[Row]:
         rel = self._relations.get(predicate)
         if rel is not None:
             yield from rel.tuples
 
-    def contains(self, predicate: str, row: tuple[int, ...]) -> bool:
+    def contains(self, predicate: str, row: Row) -> bool:
         rel = self._relations.get(predicate)
         return rel is not None and row in rel.tuples
 
@@ -137,26 +137,21 @@ class Database:
 
     # -- algebra -----------------------------------------------------------
 
-    def _require_shared_symbols(self, other: "FactSource") -> None:
-        if other.symbols is not self.symbols:
-            raise ValueError("databases must share one symbol table")
-
     @staticmethod
     def _parts(other: "FactSource") -> tuple["Database", ...]:
         return other.parts if isinstance(other, DatabaseView) else (other,)
 
     @staticmethod
-    def _part_sets(parts: tuple["Database", ...], predicate: str) -> list[set[tuple[int, ...]]]:
+    def _part_sets(parts: tuple["Database", ...], predicate: str) -> list[Rows]:
         return [part._relations[predicate].tuples for part in parts if predicate in part._relations]
 
     def difference(self, other: "FactSource") -> "Database":
         """Facts present here and absent from ``other`` (database or view).
         The result owns its sets: changing it leaves both inputs alone."""
-        self._require_shared_symbols(other)
         parts = self._parts(other)
-        out = Database(self.symbols)
+        out = Database()
         for rel in self._relations.values():
-            kept = rel.tuples.difference(*self._part_sets(parts, rel.predicate))
+            kept = _without(rel.tuples, self._part_sets(parts, rel.predicate))
             if kept:
                 out._relation_for(rel.predicate, rel.arity).tuples = kept
         return out
@@ -164,10 +159,11 @@ class Database:
     def difference_update(self, other: "FactSource") -> None:
         """In-place set difference: remove the facts ``other`` (database or
         view) holds; a relation left empty is dropped."""
-        self._require_shared_symbols(other)
         parts = self._parts(other)
         for predicate, rel in list(self._relations.items()):
-            rel.tuples.difference_update(*self._part_sets(parts, predicate))
+            for held in self._part_sets(parts, predicate):
+                for row in rel.tuples.keys() & held.keys():  # walks the smaller
+                    del rel.tuples[row]
             if not rel.tuples:
                 del self._relations[predicate]
 
@@ -179,41 +175,42 @@ class Database:
     # benchmark's tracing (perfbench/tracing.py) wraps it by name; removing
     # it waits for the next change to the benchmark.
     def copy(self) -> "Database":
-        out = Database(self.symbols)
+        out = Database()
         for rel in self._relations.values():
             new = out._relation_for(rel.predicate, rel.arity)
-            new.tuples = set(rel.tuples)
+            new.tuples = rel.tuples.copy()
         return out
 
     def same_content(self, other: "Database") -> bool:
-        self._require_shared_symbols(other)
         mine = {p: rel.tuples for p, rel in self._relations.items() if rel.tuples}
         theirs = {p: rel.tuples for p, rel in other._relations.items() if rel.tuples}
         return mine == theirs
 
     def isdisjoint(self, other: "FactSource") -> bool:
         """No fact lies both here and in ``other`` (database or view)."""
-        self._require_shared_symbols(other)
         parts = self._parts(other)
-        return all(rel.tuples.isdisjoint(held) for rel in self._relations.values()
+        return all(rel.tuples.keys().isdisjoint(held.keys()) for rel in self._relations.values()
                    for held in self._part_sets(parts, rel.predicate))
 
     def issubset(self, other: "FactSource") -> bool:
-        self._require_shared_symbols(other)
         parts = self._parts(other)
-        return not any(
-            rel.tuples.difference(*self._part_sets(parts, rel.predicate))
-            for rel in self._relations.values()
-        )
+        for rel in self._relations.values():
+            outside = rel.tuples.keys()
+            for held in self._part_sets(parts, rel.predicate):
+                outside = outside - held.keys()
+            if outside:
+                return False
+        return True
 
     # -- export ------------------------------------------------------------
 
     def iter_facts(self) -> Iterator[Fact]:
-        """Decode all facts, ordered by predicate then encoded tuple."""
+        """All facts, ordered by predicate, then by which columns hold text
+        (ints first), then by value; the order does not depend on insertion
+        order."""
         for predicate in sorted(self._relations):
-            rel = self._relations[predicate]
-            for row in sorted(rel.tuples):
-                yield Fact(predicate, tuple(self.symbols.decode(i) for i in row))
+            for row in sorted(self._relations[predicate].tuples, key=_row_order):
+                yield Fact(predicate, row)
 
     def __repr__(self) -> str:
         return f"Database({self.count()} facts, {len(self._relations)} predicates)"
@@ -227,7 +224,7 @@ class DatabaseView:
     not require disjointness, but duplicate suppression is not performed.
     """
 
-    __slots__ = ("parts", "symbols")
+    __slots__ = ("parts",)
 
     def __init__(self, *parts: Union[Database, "DatabaseView"]):
         flat: list[Database] = []
@@ -238,17 +235,12 @@ class DatabaseView:
                 flat.append(part)
         if not flat:
             raise ValueError("a view needs at least one database")
-        symbols = flat[0].symbols
-        for db in flat[1:]:
-            if db.symbols is not symbols:
-                raise ValueError("view parts must share one symbol table")
         self.parts: tuple[Database, ...] = tuple(flat)
-        self.symbols = symbols
 
     def predicates(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(p for db in self.parts for p in db.predicates()))
 
-    def tuples(self, predicate: str) -> Iterator[tuple[int, ...]]:
+    def tuples(self, predicate: str) -> Iterator[Row]:
         for db in self.parts:
             yield from db.tuples(predicate)
 

@@ -17,7 +17,7 @@ from wfsmr.program import (
     Rule,
     Variable,
 )
-from wfsmr.store import Database, SymbolTable
+from wfsmr.store import Database
 
 GroundAtom = tuple[str, tuple]
 
@@ -27,22 +27,14 @@ GroundAtom = tuple[str, tuple]
 # ---------------------------------------------------------------------------
 
 
-def make_db(facts: Iterable[Fact], symbols: SymbolTable | None = None) -> Database:
-    db = Database(symbols)
+def make_db(facts: Iterable[Fact]) -> Database:
+    db = Database()
     db.insert_many(facts)
     return db
 
 
 def db_atoms(db: Database) -> set[GroundAtom]:
     return {(f.predicate, f.args) for f in db.iter_facts()}
-
-
-def decoded(symbols: SymbolTable, rows: Iterable[tuple]) -> set[tuple]:
-    return {tuple(symbols.decode(i) for i in row) for row in rows}
-
-
-def encoded(symbols: SymbolTable, rows: Iterable[tuple]) -> set[tuple]:
-    return {tuple(symbols.intern(v) for v in row) for row in rows}
 
 
 def result_atoms(result) -> tuple[set[GroundAtom], set[GroundAtom]]:
@@ -70,7 +62,7 @@ def serial_mapreduce(reducer: Reducer, inputs: Sequence[tuple]) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Relational oracles (nested loops over decoded tuples)
+# Relational oracles (nested loops over rows)
 # ---------------------------------------------------------------------------
 
 

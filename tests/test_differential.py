@@ -25,6 +25,7 @@ yields.
 from __future__ import annotations
 
 import copy
+import itertools
 from collections import Counter
 
 import pytest
@@ -33,14 +34,14 @@ from hypothesis import strategies as st
 
 from wfsmr import EngineConfig, Fact, SolveOptions, fixpoint, parse_facts, parse_program, solve
 from wfsmr.bench import builtin_program, gen_chain, gen_cycle, gen_tree
-from wfsmr.fixpoint import SolveStats, partitions_agree
+from wfsmr.fixpoint import SolveStats, TruthValue, classify, partitions_agree
 from wfsmr.mapreduce import Engine
 from wfsmr.oracle import ground_afp
 from wfsmr.planner import compile_program
 from wfsmr.program import Atom, Constant, Literal, Program, Rule, Variable
 from wfsmr.store import DatabaseView
 
-from tests.helpers import result_atoms
+from tests.helpers import result_atoms, rule_constants
 
 BASE = ("e", "f", "g")  # facts only; "g" occurs only under "not"
 BOTH = ("m",)  # facts and rules
@@ -367,6 +368,20 @@ WIN = "w(X) :- m(X,Y), not w(Y).\n"
 CHAIN = " ".join(f"m({i},{i + 1})." for i in range(1, 10))
 CHAINS = CHAIN + " " + " ".join(f"m({i},{i + 1})." for i in range(11, 20))
 TWO_NEGATIVES = "w(X) :- t(X,Y,Z), not w(Y), not w(Z).\n"
+# 7 is an int and 007 is text: twins in the facts, in body selections, in a
+# ground negative subgoal and in heads; no fact holds 008, the text twin of 8.
+# w(7) is true, as 007 has no move; were the twins one constant, 7 would
+# move to itself and w(7) would be undefined
+TWINS = (
+    "w(X) :- m(X,Y), not w(Y).\n"
+    "a(X) :- m(X,007), w(X).\n"
+    "b(X) :- m(X,7), not w(X).\n"
+    "c(X) :- m(X,008).\n"
+    "d(X) :- m(X,7), not w(007).\n"
+    "h(7,X) :- a(X).\n"
+    "h(007,X) :- b(X), not c(X).\n"
+)
+TWIN_FACTS = "m(7,007). m(1,2). m(2,1). m(2,7). m(8,7)."
 
 
 class TestCheckedSolves:
@@ -413,21 +428,33 @@ class TestCheckedSolves:
             (parse_program("p(X) :- s(X).\np(X) :- b(X,Y), not p(Y).\n"),
              parse_facts(" ".join(f"b({i},{i + 1})." for i in range(1, 20)) + " s(4). s(7). p(9)."),
              4),
+            (parse_program(TWINS), parse_facts(TWIN_FACTS), 0),
         ],
         ids=["tc-neg-chain", "win-cycle", "win-tree", "undefined-tail",
              "undefined-into-definite", "undefined-read-negatively", "stacked-negative",
              "base-and-lower-head", "held-by-two-keys", "positive-and-negative-on-empty-key",
              "no-rules", "two-negatives-enter-together-and-apart", "counted-base-head",
              "counted-without-positive-subgoal", "counted-head-constant",
-             "base-only-rule-beside-a-negative-cycle"],
+             "base-only-rule-beside-a-negative-cycle", "int-and-text-twins"],
     )
     def test_optimized_driver_agrees_with_naive(self, checked, program, facts, decrements):
         before = Counter(checked)
         optimized = solve(program, facts)
         naive = solve(program, facts, options=SolveOptions(mode="naive"))
         assert partitions_agree(optimized, naive)
-        assert result_atoms(optimized) == ground_afp(program, facts)
+        want = ground_afp(program, facts)
+        assert result_atoms(optimized) == want
         assert optimized.stats.peak_live_sets <= 3
+        # classify agrees with the oracle on every ground atom over the
+        # input's constants, the false ones and each int and text twin included
+        domain = {c for rule in program.rules for c in rule_constants(rule)}
+        domain.update(c for fact in facts for c in fact.args)
+        for predicate, arity in optimized.signatures.items():
+            for args in itertools.product(domain, repeat=arity):
+                atom = (predicate, args)
+                value = (TruthValue.TRUE if atom in want[0] else
+                         TruthValue.UNDEFINED if atom in want[1] else TruthValue.FALSE)
+                assert classify(Fact(predicate, args), optimized) is value, atom
         # one seed check per delta least fixpoint or counted U step, one
         # stability check per solve, and every K step from K2 on seeded
         ran = checked - before

@@ -77,13 +77,13 @@ class TestImmediateConsequences:
             "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).\n",
             parse_facts("a(1,2).\na(1,3).\nb(2,4).\nb(3,5)."),
         )
-        neg = make_db(parse_facts("c(1,2).\nd(2,3)."), session.symbols)
+        neg = make_db(parse_facts("c(1,2).\nd(2,3)."))
         out = immediate_consequences(session.engine, session.plans, session.base, neg)
         assert db_atoms(out) == {("p", (1, 5))}
 
     def test_game_rule_with_one_blocked_instance(self):
         session = new_session(WIN, [Fact("move", (1, 2)), Fact("move", (2, 1))])
-        blocked = make_db([Fact("win", (1,))], session.symbols)
+        blocked = make_db([Fact("win", (1,))])
         out = immediate_consequences(session.engine, session.plans, session.base, blocked)
         # win(1) derivable because win(2) is not in the blocking set;
         # win(2) blocked because win(1) is
@@ -153,14 +153,11 @@ class TestLeastFixpointDelta:
         for _ in range(10):
             program = random_program(rng)
             session = Session(program, (), Engine())
-            neg = make_db(
-                [
-                    Fact(p, tuple(rng.randrange(1, 7) for _ in range(a)))
-                    for p, a in program.signatures.items()
-                    for _ in range(rng.randrange(3))
-                ],
-                session.symbols,
-            )
+            neg = make_db([
+                Fact(p, tuple(rng.randrange(1, 7) for _ in range(a)))
+                for p, a in program.signatures.items()
+                for _ in range(rng.randrange(3))
+            ])
             full = least_fixpoint(session, session.plans, DatabaseView(neg), "full", "w")
             for start in ((), (session.base.copy(),), (full,)):
                 delta = least_fixpoint_delta(
@@ -462,7 +459,7 @@ class TestStats:
             out = consequences(engine, plans, pos, *args, **kwargs)
             rounds.append(1)
             if len(rounds) == 2:  # K0's second round loses reach(2)
-                out = out.difference(make_db([Fact("reach", (2,))], pos.symbols))
+                out = out.difference(make_db([Fact("reach", (2,))]))
             return out
 
         monkeypatch.setattr(fixpoint, "immediate_consequences", dropping)
@@ -642,7 +639,7 @@ class TestCountedUSteps:
         session = new_session(WIN, [Fact("move", (i, i + 1)) for i in (1, 2, 3)])
 
         def wins(*nodes):
-            return make_db([Fact("win", (n,)) for n in nodes], session.symbols)
+            return make_db([Fact("win", (n,)) for n in nodes])
 
         counts = fixpoint.DerivationCounts(wins(*possible))
         counts.extra = extra
@@ -688,7 +685,7 @@ class TestCountedUSteps:
 
         def spy(session, plans, known, grown, counts, label):
             dropped = original(session, plans, known, grown, counts, label)
-            a = (session.symbols.lookup("a"),)
+            a = ("a",)
             counted[label] = counts.extra["win"].get(a, 1 if counts.possible.contains("win", a) else 0)
             return dropped
 

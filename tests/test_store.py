@@ -4,30 +4,9 @@ import pytest
 
 from wfsmr.oracle import ground_afp
 from wfsmr.program import ArityError, Fact, parse_program
-from wfsmr.store import Database, DatabaseView, SymbolTable
+from wfsmr.store import Database, DatabaseView
 
 from tests.helpers import db_atoms, make_db
-
-
-class TestSymbolTable:
-    def test_ids_are_dense_and_stable(self):
-        table = SymbolTable()
-        ids = [table.intern(s) for s in ("a", 1, "b", "a", 1)]
-        assert ids == [0, 1, 2, 0, 1]
-        assert len(table) == 3
-
-    def test_decode_is_lossless(self):
-        table = SymbolTable()
-        symbols = ["x", 7, "0", 0, "long_name_42"]
-        for s in symbols:
-            assert table.decode(table.intern(s)) == s
-
-    def test_lookup_without_interning(self):
-        table = SymbolTable()
-        assert table.lookup("missing") is None
-        table.intern("there")
-        assert table.lookup("there") == 0
-        assert len(table) == 1
 
 
 class TestInsert:
@@ -60,59 +39,54 @@ class TestInsert:
             db.insert_many([Fact("b", ()), Fact("b", (1,))])
 
 
-class TestAddEncoded:
+class TestAddRows:
     def test_keeps_the_handed_set_when_the_relation_has_no_facts(self):
         db = Database()
-        rows = {(1, 2), (2, 3)}
-        db.add_encoded("a", 2, rows)
+        rows = dict.fromkeys([(1, 2), (2, 3)])
+        db.add_rows("a", 2, rows)
         assert db.relation("a").tuples is rows
-        db.add_encoded("b", 1, set())  # an empty relation has no facts either
-        handed = {(4,)}
-        db.add_encoded("b", 1, handed)
+        db.add_rows("b", 1, {})  # an empty relation has no facts either
+        handed = {(4,): None}
+        db.add_rows("b", 1, handed)
         assert db.relation("b").tuples is handed
         assert db.count() == 3
 
     def test_unions_into_a_relation_with_facts(self):
         db = make_db([Fact("a", (1, 2))])
         held = db.relation("a").tuples
-        rows = {(7, 8), next(iter(held))}
-        db.add_encoded("a", 2, rows)
+        rows = dict.fromkeys([(7, 8), next(iter(held))])
+        db.add_rows("a", 2, rows)
         assert db.relation("a").tuples is held
         assert db.count() == 2
-        assert len(rows) == 2  # the handed set is left alone
+        assert held.keys() == {(1, 2), (7, 8)}
+        assert len(rows) == 2  # the handed rows are left alone
 
     def test_arity_clash(self):
         db = make_db([Fact("a", (1, 2))])
         with pytest.raises(ArityError):
-            db.add_encoded("a", 1, {(1,)})
-        db.add_encoded("b", 1, set())
+            db.add_rows("a", 1, {(1,): None})
+        db.add_rows("b", 1, {})
         with pytest.raises(ArityError):
-            db.add_encoded("b", 2, {(1, 2)})
+            db.add_rows("b", 2, {(1, 2): None})
 
 
 class TestIsDisjoint:
     def test_against_a_database(self):
-        sym = SymbolTable()
-        a = make_db([Fact("p", (1,)), Fact("q", (1, 2))], sym)
-        b = make_db([Fact("p", (2,)), Fact("r", (1,))], sym)  # q only in a, r only in b
+        a = make_db([Fact("p", (1,)), Fact("q", (1, 2))])
+        b = make_db([Fact("p", (2,)), Fact("r", (1,))])  # q only in a, r only in b
         assert a.isdisjoint(b) and b.isdisjoint(a)
-        assert Database(sym).isdisjoint(a) and a.isdisjoint(Database(sym))
+        assert Database().isdisjoint(a) and a.isdisjoint(Database())
         b.insert_many([Fact("q", (1, 2))])
         assert not a.isdisjoint(b) and not b.isdisjoint(a)
         assert not a.isdisjoint(a)
 
     def test_against_a_view(self):
-        sym = SymbolTable()
-        a = make_db([Fact("p", (1,)), Fact("p", (2,)), Fact("q", (5,))], sym)
-        part1 = make_db([Fact("p", (3,)), Fact("r", (1,))], sym)
-        part2 = make_db([Fact("p", (4,))], sym)
+        a = make_db([Fact("p", (1,)), Fact("p", (2,)), Fact("q", (5,))])
+        part1 = make_db([Fact("p", (3,)), Fact("r", (1,))])
+        part2 = make_db([Fact("p", (4,))])
         assert a.isdisjoint(DatabaseView(part1, part2))
         part2.insert_many([Fact("p", (2,))])
         assert not a.isdisjoint(DatabaseView(part1, part2))
-
-    def test_requires_shared_symbols(self):
-        with pytest.raises(ValueError):
-            Database().isdisjoint(Database())
 
 
 def _two_cycle_partition():
@@ -135,50 +109,41 @@ class TestUnion:
     """In-place union (``update``), the only union the driver uses."""
 
     def test_absorption(self):
-        sym = SymbolTable()
-        a = make_db([Fact("a", (1, 2))], sym)
-        b = make_db([Fact("a", (1, 2)), Fact("a", (1, 3))], sym)
+        a = make_db([Fact("a", (1, 2))])
+        b = make_db([Fact("a", (1, 2)), Fact("a", (1, 3))])
         a.update(b)
         assert db_atoms(a) == {("a", (1, 2)), ("a", (1, 3))}
 
     def test_true_set_plus_possible_delta(self):
         moves, undef_atoms = _two_cycle_partition()
-        sym = SymbolTable()
-        known = make_db(moves, sym)
-        delta = make_db([Fact(p, args) for p, args in undef_atoms], sym)
+        known = make_db(moves)
+        delta = make_db([Fact(p, args) for p, args in undef_atoms])
         possible = _union(known, delta)
         assert possible.count() == 4
         assert db_atoms(possible) == db_atoms(known) | undef_atoms
         assert known.count() == 2 and delta.count() == 2  # the copy took the update
 
     def test_identity(self):
-        sym = SymbolTable()
-        empty = Database(sym)
-        x = make_db([Fact("p", (5,))], sym)
+        empty = Database()
+        x = make_db([Fact("p", (5,))])
         empty.update(x)
         assert empty.same_content(x)
-        x.update(Database(sym))
+        x.update(Database())
         assert empty.same_content(x)
 
     def test_size_bound_and_commutativity(self):
         rng = random.Random(7)
-        sym = SymbolTable()
-        a = make_db([Fact("r", (rng.randrange(4), rng.randrange(4))) for _ in range(10)], sym)
-        b = make_db([Fact("r", (rng.randrange(4), rng.randrange(4))) for _ in range(10)], sym)
+        a = make_db([Fact("r", (rng.randrange(4), rng.randrange(4))) for _ in range(10)])
+        b = make_db([Fact("r", (rng.randrange(4), rng.randrange(4))) for _ in range(10)])
         union = _union(a, b)
         assert union.count() <= a.count() + b.count()
         assert union.same_content(_union(b, a))
 
-    def test_requires_shared_symbols(self):
-        with pytest.raises(ValueError):
-            Database().update(Database())
-
 
 class TestDifference:
     def test_basic(self):
-        sym = SymbolTable()
-        a = make_db([Fact("a", (1, 2)), Fact("a", (1, 3))], sym)
-        b = make_db([Fact("a", (1, 2))], sym)
+        a = make_db([Fact("a", (1, 2)), Fact("a", (1, 3))])
+        b = make_db([Fact("a", (1, 2))])
         assert db_atoms(a.difference(b)) == {("a", (1, 3))}
 
     def test_self_difference_is_empty(self):
@@ -187,36 +152,83 @@ class TestDifference:
 
     def test_possible_minus_true_on_two_cycle(self):
         moves, undef_atoms = _two_cycle_partition()
-        sym = SymbolTable()
-        known = make_db(moves, sym)
-        possible = make_db(moves + [Fact(p, args) for p, args in undef_atoms], sym)
+        known = make_db(moves)
+        possible = make_db(moves + [Fact(p, args) for p, args in undef_atoms])
         assert db_atoms(possible.difference(known)) == undef_atoms
 
     def test_difference_against_view(self):
-        sym = SymbolTable()
-        a = make_db([Fact("p", (1,)), Fact("p", (2,)), Fact("p", (3,))], sym)
-        part1 = make_db([Fact("p", (1,))], sym)
-        part2 = make_db([Fact("p", (3,))], sym)
+        a = make_db([Fact("p", (1,)), Fact("p", (2,)), Fact("p", (3,))])
+        part1 = make_db([Fact("p", (1,))])
+        part2 = make_db([Fact("p", (3,))])
         out = a.difference(DatabaseView(part1, part2))
         assert db_atoms(out) == {("p", (2,))}
 
     def test_union_difference_law(self):
         rng = random.Random(11)
-        sym = SymbolTable()
-        a = make_db([Fact("r", (rng.randrange(4),)) for _ in range(6)], sym)
-        b = make_db([Fact("r", (rng.randrange(4),)) for _ in range(6)], sym)
+        a = make_db([Fact("r", (rng.randrange(4),)) for _ in range(6)])
+        b = make_db([Fact("r", (rng.randrange(4),)) for _ in range(6)])
         assert _union(a, b).difference(b).issubset(a)
 
     @pytest.mark.parametrize("other_holds_predicate", [True, False])
     def test_output_is_its_own_set(self, other_holds_predicate):
-        sym = SymbolTable()
-        a = make_db([Fact("p", (1,)), Fact("p", (2,))], sym)
-        b = make_db([Fact("p" if other_holds_predicate else "q", (1,))], sym)
+        a = make_db([Fact("p", (1,)), Fact("p", (2,))])
+        b = make_db([Fact("p" if other_holds_predicate else "q", (1,))])
         before = db_atoms(a), db_atoms(b)
         out = a.difference(b)
         out.insert_many([Fact("p", (9,)), Fact("q", (9,))])
         out.relation("p").tuples.clear()
         assert (db_atoms(a), db_atoms(b)) == before
+
+
+class TestDifferenceUpdate:
+    ROWS = [(5,), (2,), (8,), (1,), (9,), (3,), (7,), (4,), (6,), (0,)]
+
+    def _db(self):
+        return make_db([Fact("p", row) for row in self.ROWS] + [Fact("q", (1,))])
+
+    def test_rows_leave_the_same_dict(self):
+        db = self._db()
+        rows = db.relation("p").tuples
+        db.difference_update(make_db([Fact("p", (8,)), Fact("p", (11,)), Fact("q", (2,))]))
+        assert db.relation("p").tuples is rows
+        assert list(rows) == [row for row in self.ROWS if row != (8,)]
+        assert db.count() == 10
+
+    def test_most_rows_leave_the_rest_in_order(self):
+        db = self._db()
+        gone = self.ROWS[1:9]
+        view = DatabaseView(make_db([Fact("p", row) for row in gone[:4]]),
+                            make_db([Fact("p", row) for row in gone[4:]]))
+        db.difference_update(view)
+        assert list(db.tuples("p")) == [(5,), (0,)]
+        assert list(db.tuples("q")) == [(1,)]
+
+    def test_an_emptied_relation_is_dropped(self):
+        db = self._db()
+        db.difference_update(DatabaseView(self._db(), make_db([Fact("r", (1,))])))
+        assert db.predicates() == ()
+        assert db.count() == 0
+
+
+class TestRowOrder:
+    def test_a_relation_keeps_the_order_rows_were_added_in(self):
+        rows = [(3, "b"), (1, "a"), (3, "b"), (2, 2), (1, "a"), (0, "c")]
+        db = make_db([Fact("p", row) for row in rows])
+        assert list(db.tuples("p")) == [(3, "b"), (1, "a"), (2, 2), (0, "c")]
+
+    def test_difference_keeps_the_order_of_the_rows_left(self):
+        rows = [(7,), (4,), (9,), (1,), (6,), (2,)]
+        db = make_db([Fact("p", row) for row in rows])
+        view = DatabaseView(make_db([Fact("p", (9,))]), make_db([Fact("p", (4,)), Fact("p", (2,))]))
+        assert list(db.difference(view).tuples("p")) == [(7,), (1,), (6,)]
+
+    def test_issubset_of_a_view_needs_each_row_in_some_part(self):
+        a = make_db([Fact("p", (1,)), Fact("p", (2,)), Fact("q", (3,))])
+        part1 = make_db([Fact("p", (2,)), Fact("q", (3,))])
+        part2 = make_db([Fact("p", (1,))])
+        assert a.issubset(DatabaseView(part1, part2))
+        assert not a.issubset(part1)
+        assert not a.issubset(DatabaseView(part2, make_db([Fact("q", (3,))])))
 
 
 class TestCount:
@@ -237,32 +249,33 @@ class TestCount:
 
     def test_count_equality_matches_set_equality(self):
         # the size-based fixpoint test is justified by containment
-        sym = SymbolTable()
-        a = make_db([Fact("p", (i,)) for i in range(5)], sym)
+        a = make_db([Fact("p", (i,)) for i in range(5)])
         b = a.copy()
         assert a.count() == b.count() and a.same_content(b)
         b.insert_many([Fact("p", (99,))])
         assert a.count() != b.count() and not a.same_content(b)
 
 
-class TestEncodingAndExport:
-    def test_decode_encode_round_trip(self):
+class TestExport:
+    def test_round_trip(self):
         facts = [Fact("m", ("alpha", 3)), Fact("m", (3, "alpha")), Fact("n", ())]
         db = make_db(facts)
         assert set(db.iter_facts()) == set(facts)
 
     def test_iter_facts_is_sorted_deterministically(self):
-        # ordered by predicate then encoded tuple: stable for a given
-        # construction order, independent of set-iteration internals
-        facts = [Fact("b", (2,)), Fact("a", (9, 1)), Fact("a", (1, 9))]
-        db1 = make_db(facts)
-        db2 = make_db(facts)
-        assert [str(f) for f in db1.iter_facts()] == [str(f) for f in db2.iter_facts()]
-        reordered = make_db(list(reversed(facts)))
-        assert set(db1.iter_facts()) == set(reordered.iter_facts())
-        assert sorted(str(f) for f in db1.iter_facts()) == sorted(
-            str(f) for f in reordered.iter_facts()
-        )
+        # ordered by predicate, then by which columns hold text (ints
+        # first), then by value, whatever order the facts went in; rows that
+        # mix int and text constants sort too
+        facts = [Fact("b", (2,)), Fact("a", (9, 1)), Fact("a", (1, 9)),
+                 Fact("m", ("alpha", 3)), Fact("m", (3, "alpha")),
+                 Fact("m", ("007", 7)), Fact("m", (7, "007"))]
+        forward = list(make_db(facts).iter_facts())
+        assert forward == list(make_db(reversed(facts)).iter_facts())
+        assert forward == [
+            Fact("a", (1, 9)), Fact("a", (9, 1)), Fact("b", (2,)),
+            Fact("m", (3, "alpha")), Fact("m", (7, "007")),
+            Fact("m", ("007", 7)), Fact("m", ("alpha", 3)),
+        ]
 
     def test_copy_is_independent(self):
         db = make_db([Fact("p", (1,))])
@@ -273,17 +286,15 @@ class TestEncodingAndExport:
 
 class TestDatabaseView:
     def test_union_semantics(self):
-        sym = SymbolTable()
-        a = make_db([Fact("p", (1,))], sym)
-        b = make_db([Fact("p", (2,)), Fact("q", (3, 4))], sym)
+        a = make_db([Fact("p", (1,))])
+        b = make_db([Fact("p", (2,)), Fact("q", (3, 4))])
         view = DatabaseView(a, b)
         assert set(view.tuples("p")) == set(a.tuples("p")) | set(b.tuples("p"))
         assert set(view.tuples("q")) == set(b.tuples("q"))
         assert set(view.tuples("r")) == set()
 
     def test_nested_views_flatten(self):
-        sym = SymbolTable()
-        parts = [make_db([Fact("p", (i,))], sym) for i in range(3)]
+        parts = [make_db([Fact("p", (i,))]) for i in range(3)]
         view = DatabaseView(DatabaseView(parts[0], parts[1]), parts[2])
         assert len(view.parts) == 3
         assert len(set(view.tuples("p"))) == 3
