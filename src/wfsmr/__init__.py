@@ -9,7 +9,7 @@ from .fixpoint import (
     partitions_agree,
     solve,
 )
-from .mapreduce import Engine, EngineConfig, JobSpec, per_key
+from .mapreduce import Engine, EngineConfig, JobSpec
 from .planner import compile_program, compile_rule
 from .program import (
     Atom,
@@ -44,7 +44,6 @@ __all__ = [
     "parse_facts",
     "parse_program",
     "partitions_agree",
-    "per_key",
     "solve",
     "__version__",
 ]

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``check`` validates a program (optionally dumping compiled
-plans), ``solve`` writes the true/undefined atom files, ``generate`` writes
-benchmark fact files, and ``wordcount`` runs the engine smoke test.
+plans), ``solve`` writes the true/undefined atom files, and ``generate``
+writes benchmark fact files.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime error,
 4 standard output closed before the command finished (as by ``| head``).
@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from . import bench as bench_mod
 from .fixpoint import SolveOptions, partitions_agree, solve, trace_records
-from .mapreduce import Engine, EngineConfig, wordcount
+from .mapreduce import Engine, EngineConfig
 from .planner import compile_program
 from .program import (
     ArityError, Fact, ParseError, Program, ProgramError, facts_to_text, parse_facts, parse_program,
@@ -30,8 +30,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 EXIT_BROKEN_PIPE = 4
-
-_PARTITIONS_HELP = "reduce tasks per job (default: 1)"
 
 
 class _UsageError(Exception):
@@ -66,7 +64,9 @@ def _build_parser() -> _Parser:
     solve_cmd.add_argument("--facts", action="append", default=[])
     solve_cmd.add_argument("--out", required=True, help="output path prefix")
     solve_cmd.add_argument("--mode", choices=["naive", "optimized", "both"], default="optimized")
-    solve_cmd.add_argument("--partitions", type=_positive, default=1, help=_PARTITIONS_HELP)
+    solve_cmd.add_argument(
+        "--partitions", type=_positive, default=1, help="reduce tasks per job (default: 1)"
+    )
     solve_cmd.add_argument("--trace", action="store_true", help="print the run as JSON lines")
 
     gen = sub.add_parser("generate", help="write a benchmark facts file")
@@ -74,10 +74,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=_positive, required=True)
     gen.add_argument("--k", type=int, help="chain stride, 1 <= k < n (chain only)")
     gen.add_argument("--out", required=True)
-
-    wc = sub.add_parser("wordcount", help="word-frequency smoke test")
-    wc.add_argument("files", nargs="+")
-    wc.add_argument("--partitions", type=_positive, default=1, help=_PARTITIONS_HELP)
     return parser
 
 
@@ -167,21 +163,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_wordcount(args) -> int:
-    lines: list[str] = []
-    for path in args.files:
-        lines.extend(Path(path).read_text(encoding="utf-8").splitlines())
-    counts = wordcount(Engine(EngineConfig(partitions=args.partitions)), lines)
-    for word in sorted(counts):
-        print(f"{word}\t{counts[word]}")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "check": cmd_check,
     "solve": cmd_solve,
     "generate": cmd_generate,
-    "wordcount": cmd_wordcount,
 }
 
 

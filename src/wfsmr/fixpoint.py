@@ -122,6 +122,7 @@ class SolveStats:
     inference_steps: int = 0
     lfp_calls: int = 0
     steps: list[StepStat] = field(default_factory=list)
+    first_job: int = 0  # the index of the solve's first job in its engine's stats_log
     jobs_total: int = 0
     derived_facts: int = 0
     peak_facts: int = 0  # the fixed facts counted once, plus the live sets
@@ -581,6 +582,7 @@ def solve(
     result.stats.peak_cache_records = session.cache.records()
     session.cache = None
     result.true_facts.update(session.base)
+    result.stats.first_job = jobs_before
     result.stats.jobs_total = len(engine.stats_log) - jobs_before
     return result
 
@@ -603,10 +605,10 @@ def trace_records(result: FixpointResult, engine: Engine) -> Iterator[dict]:
     """The run of one solve as records, in run order: each step's ``job``
     records, with the rule index and kind parsed from the job's name, the
     step's own ``step`` record, and last one ``solve`` record with the
-    :class:`SolveStats` scalars. ``engine`` is the one the solve ran on; its
-    last ``jobs_total`` logged jobs are the solve's."""
+    :class:`SolveStats` scalars. ``engine`` is the one the solve ran on; the
+    ``jobs_total`` jobs it logged from ``first_job`` on are the solve's."""
     stats = result.stats
-    jobs = iter(engine.stats_log[len(engine.stats_log) - stats.jobs_total:])
+    jobs = iter(engine.stats_log[stats.first_job:stats.first_job + stats.jobs_total])
     for step in stats.steps:
         for job in islice(jobs, step.jobs):
             rule, _, kind = job.name.split(":")  # r<rule index>:<head>:<kind><n>

@@ -11,18 +11,13 @@ Every job reduces with a task-level reduce, the hook Hadoop offers by
 overriding ``Reducer.run``. The engine calls it exactly once per reduce
 task with all of that task's groups, and it emits the output of every key
 of input 0 in the task at once; what it emits for a key may depend only on
-the records under that key. A failing call is reported as a
-:class:`JobError` that names the index of the reduce task. :func:`per_key`
-makes the usual one: it calls a user reduce function exactly once per
-distinct key of input 0 as ``reducer(key, groups)``, where ``groups[i]``
-holds the records of input ``i`` under the key and is empty when that
-input has none, and its :class:`JobError` names the key instead. Either
-way, a key that only a later input has is never reduced, and the output
-holds each record emitted by the reduce calls once, as the keys of a dict in
-the order they were emitted, so as a set it is independent of the partition
-count. String hashes are salted per process, so the routing, and with it
-the order of the reduce calls, may differ between runs; the output's rows do
-not.
+the records under that key, and a key that only a later input has is
+never reduced. A failing call is reported as a :class:`JobError` that
+names the index of the reduce task. The output holds each record emitted
+by the reduce calls once, as the keys of a dict in the order they were
+emitted, so as a set it is independent of the partition count. String
+hashes are salted per process, so the routing, and with it the order of the
+reduce calls, may differ between runs; the output's rows do not.
 
 This departs from the reduce-side joins of Hadoop that the source paper
 runs, where all inputs share one map function, which may emit any number
@@ -31,7 +26,7 @@ each record carries a tag naming its relation. The paper's join and
 anti-join mappers emit one pair per record; here each record is keyed once
 and is its own value, and the engine knows each record's input, so none is
 tagged. A job that would emit several pairs per record flattens its
-records first, as :func:`wordcount_job` does.
+records first.
 
 An input may also be a :class:`GroupedInput`: one that does not change
 between the jobs that read it. The first such job maps and groups it like
@@ -52,27 +47,21 @@ import threading
 import time
 from contextlib import ContextDecorator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "GroupedInput",
     "JobSpec",
-    "per_key",
     "JobStats",
     "JobError",
     "EngineConfig",
     "Engine",
-    "wordcount_job",
-    "wordcount",
     "gc_paused",
 ]
 
 KeyOf = Callable[[Any], Hashable]
 # an input's groups: (key -> its only record, key -> its two or more records)
 Groups = tuple[dict, dict]
-Reducer = Callable[[Any, Sequence[Sequence]], Iterable]
 # (input 0's groups, the other inputs' groups, the output list) of one
 # reduce task -> the values in the task's largest group, all inputs
 TaskReduce = Callable[[Groups, Sequence[Groups], list], int]
@@ -115,8 +104,8 @@ gc_paused = _CollectorPause()
 
 class JobError(RuntimeError):
     """A user map or reduce function failed; identifies the offending item:
-    the record in the map phase, and in the reduce phase the key for a
-    per-key reducer or the reduce task's index for a task-level reduce."""
+    the record in the map phase, the reduce task's index in the reduce
+    phase."""
 
     def __init__(self, job: str, phase: str, item: object, cause: BaseException):
         super().__init__(f"job '{job}' failed in {phase} phase on {item!r}: {cause}")
@@ -176,9 +165,8 @@ class JobSpec:
     hashable key. ``reduce_task`` takes one reduce task's groups of input
     0, those of the other inputs and the output list; it appends the output
     of input 0's keys and returns the number of records, all inputs, under
-    the key with the most (:func:`per_key` makes one from a per-key
-    reducer). Both must be pure with respect to the job input, and
-    ``reduce_task`` must not modify the groups it is given: those of a
+    the key with the most. Both must be pure with respect to the job input,
+    and ``reduce_task`` must not modify the groups it is given: those of a
     ``GroupedInput`` are the held ones.
     """
 
@@ -195,50 +183,6 @@ class EngineConfig:
     # passes it; removing it waits for the next change to the benchmark.
     workers: int = 1
     partitions: int = 1
-
-
-_MISSING = object()
-
-
-class _ReducerFailed(Exception):
-    """A per-key reducer failed on ``key``; the engine reports it as a
-    :class:`JobError` naming the key."""
-
-    def __init__(self, key: object, cause: Exception):
-        super().__init__(key, cause)
-        self.key = key
-        self.cause = cause
-
-
-def per_key(reducer: Reducer) -> TaskReduce:
-    """The task-level reduce that calls ``reducer(key, groups)`` once per key
-    of input 0. ``reducer`` takes the key and, per input, the sequence of
-    that input's records under it, the record objects themselves, and
-    returns an iterable of output records."""
-    return partial(_cogroup, reducer)
-
-
-def _cogroup(reducer: Reducer, own: Groups, others: Sequence[Groups], out: list) -> int:
-    """:func:`per_key`'s reduce: one ``reducer(key, groups)`` call per key of
-    input 0, with each other input's records under the key."""
-    single, multi = own
-    max_group = 0
-    # a single value comes as a 1-tuple, made by zip
-    for key, values in chain(zip(single, zip(single.values())), multi.items()):
-        groups = [values]
-        size = len(values)
-        for one, many in others:
-            value = one.get(key, _MISSING)
-            theirs = many.get(key, ()) if value is _MISSING else (value,)
-            groups.append(theirs)
-            size += len(theirs)
-        if size > max_group:
-            max_group = size
-        try:
-            out.extend(reducer(key, groups))
-        except Exception as exc:  # noqa: BLE001 - reported with the key
-            raise _ReducerFailed(key, exc) from exc
-    return max_group
 
 
 def _map_and_group(
@@ -338,8 +282,6 @@ class Engine:
             reduce_groups += len(own[0]) + len(own[1])
             try:
                 max_group = max(max_group, spec.reduce_task(own, others, reduced))
-            except _ReducerFailed as failed:
-                raise JobError(spec.name, "reduce", failed.key, failed.cause) from failed.cause
             except Exception as exc:  # noqa: BLE001 - reported with the task
                 raise JobError(spec.name, "reduce", index, exc) from exc
         output = dict.fromkeys(reduced)
@@ -360,27 +302,3 @@ class Engine:
         self.stats_log.append(stats)
         return output, stats
 
-
-# ---------------------------------------------------------------------------
-# Smoke-test job
-# ---------------------------------------------------------------------------
-
-import re as _re
-
-_WORD_RE = _re.compile(r"[A-Za-z0-9_]+")
-
-
-def wordcount_job(lines: Iterable[str]) -> JobSpec:
-    """Word-frequency job over text lines: the canonical engine smoke test.
-    Each word is a record keyed by itself, so its count is its group's size."""
-    words = (word for line in lines for word in _WORD_RE.findall(line))
-
-    def reducer(key, groups) -> list:
-        return [(key, len(groups[0]))]
-
-    return JobSpec("wordcount", per_key(reducer), [(lambda word: word, words)])
-
-
-def wordcount(engine: Engine, lines: Iterable[str]) -> dict[str, int]:
-    output, _ = engine.run_job(wordcount_job(lines))
-    return dict(output.keys())  # the records are (word, count) pairs

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from wfsmr.mapreduce import Reducer
 from wfsmr.program import (
     Atom,
     Constant,
@@ -20,6 +19,8 @@ from wfsmr.program import (
 from wfsmr.store import Database
 
 GroundAtom = tuple[str, tuple]
+# (key, per input the records under it) -> output records
+Reducer = Callable[[Any, Sequence[Sequence]], Iterable]
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +43,29 @@ def result_atoms(result) -> tuple[set[GroundAtom], set[GroundAtom]]:
 
 
 # ---------------------------------------------------------------------------
-# Serial MapReduce oracle
+# Per-key reduce and serial MapReduce oracle
 # ---------------------------------------------------------------------------
+
+
+def per_key(reducer: Reducer):
+    """The task-level reduce that calls ``reducer(key, groups)`` once per key
+    of input 0, where ``groups[i]`` holds the records of input ``i`` under
+    the key and is empty when that input has none: the per-key co-group,
+    and the reference for a task reduce's ``max_group``."""
+
+    def reduce_task(own, others, out: list) -> int:
+        single, multi = own
+        max_group = 0
+        # a single value comes as a 1-tuple, made by zip
+        for key, values in itertools.chain(zip(single, zip(single.values())), multi.items()):
+            groups = [values]
+            for one, many in others:
+                groups.append((one[key],) if key in one else many.get(key, ()))
+            max_group = max(max_group, sum(map(len, groups)))
+            out.extend(reducer(key, groups))
+        return max_group
+
+    return reduce_task
 
 
 def serial_mapreduce(reducer: Reducer, inputs: Sequence[tuple]) -> set:

@@ -9,7 +9,7 @@ import pytest
 from wfsmr.bench import builtin_program, chain_levels, gen_chain, gen_cycle, gen_tree
 from wfsmr.cli import EXIT_OK, main
 from wfsmr.fixpoint import SolveOptions, classify, partitions_agree, solve
-from wfsmr.mapreduce import Engine, wordcount
+from wfsmr.mapreduce import Engine
 from wfsmr.operators import anti_join, eval_rule, single_join
 from wfsmr.oracle import game_partition, ground_afp
 from wfsmr.planner import compile_rule
@@ -55,8 +55,6 @@ def test_criterion_1_worked_example_goldens():
         ).rules[0]
         final = eval_rule(engine, compile_rule(rule), pos, neg)
         assert final.keys() == {(1, 5)}
-        counts = wordcount(engine, ["Hello world.", "Hello MapReduce."])
-        assert counts == {"Hello": 2, "world": 1, "MapReduce": 1}
         assert time.perf_counter() - started < 1.0
 
 

@@ -131,9 +131,23 @@ class TestSolve:
         assert main(["check", "--program", path]) == EXIT_RUNTIME
         assert "schema lost variables" in capsys.readouterr().err
 
-    def test_missing_file_is_runtime_error(self, tmp_path):
+    def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         out = str(tmp_path / "r")
-        assert main(["solve", "--program", "/nonexistent.lp", "--out", out]) == EXIT_RUNTIME
+        missing = str(tmp_path / "missing.lp")
+        assert main(["solve", "--program", missing, "--out", out]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.lp" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == []
+
+    def test_facts_path_naming_a_directory_is_runtime_error(self, tmp_path, capsys):
+        program = write(tmp_path, "win.lp", WIN)
+        (tmp_path / "facts").mkdir()
+        out = str(tmp_path / "r")
+        args = ["solve", "--program", program, "--facts", str(tmp_path / "facts"), "--out", out]
+        assert main(args) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "facts" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["facts", "win.lp"]
 
     def test_invalid_program_is_validation_error(self, tmp_path):
         program = write(tmp_path, "bad.lp", "p(X) :- not q(X).\n")
@@ -294,28 +308,11 @@ class TestGenerate:
         assert not Path(out).exists()
 
 
-class TestWordcount:
-    def test_worked_example(self, tmp_path, capsys):
-        path = write(tmp_path, "docs.txt", "Hello world.\nHello MapReduce.\n")
-        assert main(["wordcount", path]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out == "Hello\t2\nMapReduce\t1\nworld\t1\n"
-
-    def test_empty_file(self, tmp_path, capsys):
-        path = write(tmp_path, "empty.txt", "")
-        assert main(["wordcount", path]) == EXIT_OK
-        assert capsys.readouterr().out == ""
-
-    def test_repeated_word(self, tmp_path, capsys):
-        path = write(tmp_path, "rep.txt", "ho ho ho ho ho\n")
-        assert main(["wordcount", path]) == EXIT_OK
-        assert capsys.readouterr().out == "ho\t5\n"
-
-
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
-        assert main(["transmogrify"]) == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        for argv in (["transmogrify"], ["wordcount", "docs.txt"]):
+            assert main(argv) == EXIT_USAGE, argv
+            assert "usage error" in capsys.readouterr().err
 
     def test_missing_required_flag(self, capsys):
         assert main(["check"]) == EXIT_USAGE
@@ -347,14 +344,13 @@ class TestUsage:
 
     def test_partitions_must_be_positive(self, tmp_path, capsys):
         program = write(tmp_path, "win.lp", WIN)
-        docs = write(tmp_path, "docs.txt", "ho ho\n")
         out = str(tmp_path / "r")
         for value in ("-3", "0", "two"):
-            for argv in (["solve", "--program", program, "--out", out], ["wordcount", docs]):
-                assert main(argv + ["--partitions", value]) == EXIT_USAGE, (argv[0], value)
-                err = capsys.readouterr().err
-                assert "argument --partitions" in err
-                assert "an integer >= 1" in err and "_positive" not in err, (argv[0], value)
+            argv = ["solve", "--program", program, "--out", out, "--partitions", value]
+            assert main(argv) == EXIT_USAGE, value
+            err = capsys.readouterr().err
+            assert "argument --partitions" in err
+            assert "an integer >= 1" in err and "_positive" not in err, value
         assert not Path(out + ".true").exists()
 
     def test_solve_out_must_not_name_a_directory(self, tmp_path, capsys):

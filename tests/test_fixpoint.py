@@ -421,6 +421,18 @@ class TestStats:
             assert records[-1]["record"] == "solve"
             earlier = len(engine.stats_log)
 
+    def test_trace_of_an_earlier_solve_on_a_reused_engine_holds_its_own_jobs(self):
+        engine = Engine()
+        first = solve(builtin_program("win-not-win"), gen_cycle(5), engine=engine)
+        first_log = list(engine.stats_log)
+        second = solve(builtin_program("tc-neg"), gen_chain(20, 4), engine=engine)
+        for result, log in ((first, first_log), (second, engine.stats_log[len(first_log):])):
+            jobs = [r for r in trace_records(result, engine) if r["record"] == "job"]
+            assert [r["name"] for r in jobs] == [job.name for job in log]
+            assert [r["map_in"] for r in jobs] == [job.map_in for job in log]
+        assert {job.name.split(":")[1] for job in first_log} == {"win"}
+        assert (first.stats.first_job, second.stats.first_job) == (0, len(first_log))
+
     def test_monotone_step_sizes(self):
         # K sizes grow across the whole solve; U sizes shrink within each
         # component, which runs its own alternating fixpoint (the naive
@@ -772,6 +784,15 @@ class TestClassify:
     def test_wrong_arity_rejected(self, two_cycle_result):
         with pytest.raises(ArityError):
             classify(Fact("win", (1, 2)), two_cycle_result)
+
+
+class TestSolveOptions:
+    def test_a_mode_other_than_optimized_or_naive_is_refused(self):
+        # "both" is the command line's: it runs each driver in turn
+        engine = Engine()
+        with pytest.raises(ValueError, match="unknown mode 'both'"):
+            solve(parse_program(WIN), gen_cycle(2), options=SolveOptions(mode="both"), engine=engine)
+        assert engine.stats_log == []
 
 
 class TestFactsHandling:

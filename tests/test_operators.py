@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from wfsmr.mapreduce import Engine, EngineConfig, JobError, per_key
+from wfsmr.mapreduce import Engine, EngineConfig, JobError
 from wfsmr.operators import (
     InputCache, _antijoin_spec, _join_spec, _project_spec, anti_join, eval_rule, rule_pipeline,
     single_join,
@@ -21,6 +21,7 @@ from tests.helpers import (
     eval_rule_bruteforce,
     make_db,
     nested_loop_join,
+    per_key,
     random_program,
     random_relation,
 )

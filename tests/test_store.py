@@ -284,7 +284,30 @@ class TestExport:
         assert db.count() == 1 and clone.count() == 2
 
 
+class TestTake:
+    def test_moves_the_relations_and_empties_the_other(self):
+        db = make_db([Fact("p", (1,))])
+        other = make_db([Fact("q", (2, 3))])
+        rows = other.relation("q").tuples
+        db.take(other)
+        assert db_atoms(db) == {("p", (1,)), ("q", (2, 3))}
+        assert db.relation("q").tuples is rows
+        assert other.count() == 0
+
+    def test_a_shared_predicate_is_refused_and_changes_nothing(self):
+        db = make_db([Fact("p", (1,)), Fact("q", (5,))])
+        other = make_db([Fact("p", (2,)), Fact("r", (3,))])
+        with pytest.raises(ValueError, match=r"both databases hold predicates \['p'\]"):
+            db.take(other)
+        assert db_atoms(db) == {("p", (1,)), ("q", (5,))}
+        assert db_atoms(other) == {("p", (2,)), ("r", (3,))}
+
+
 class TestDatabaseView:
+    def test_a_view_of_no_database_is_refused(self):
+        with pytest.raises(ValueError, match="at least one database"):
+            DatabaseView()
+
     def test_union_semantics(self):
         a = make_db([Fact("p", (1,))])
         b = make_db([Fact("p", (2,)), Fact("q", (3, 4))])
