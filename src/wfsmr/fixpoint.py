@@ -187,7 +187,7 @@ def immediate_consequences(
         if delta is not None and not delta.relation(plan.delta.atom.predicate):
             continue
         reads = (plan.base, *(step.right for step in plan.joins))
-        if any(next(pos.tuples(access.atom.predicate), None) is None
+        if any(next(iter(pos.tuples(access.atom.predicate)), None) is None
                for access in reads if access is not None and not access.delta):
             continue
         rows = eval_rule(engine, plan, pos, neg, delta, cache)

@@ -3,9 +3,12 @@
 A job reads one or more inputs, each a record stream with its own key
 function. The map phase groups every record, as its own value, under
 ``key_of(record)``, separately for each input. Jobs run serially on the
-calling thread: one loop keys and groups, then each distinct key is routed
-to one of the engine's partitions by ``hash(key) % partitions``, and the
-partitions are reduced in turn as the reduce tasks of the job.
+calling thread: an input with a length is keyed and grouped in one C-level
+pass, ``dict(zip(map(key_of, records), records))``, and kept as is when no
+key repeats; any other input goes through a per-record loop. Then each
+distinct key is routed to one of the engine's partitions by
+``hash(key) % partitions``, and the partitions are reduced in turn as the
+reduce tasks of the job.
 
 Every job reduces with a task-level reduce, the hook Hadoop offers by
 overriding ``Reducer.run``. The engine calls it exactly once per reduce
@@ -119,11 +122,11 @@ class JobError(RuntimeError):
 class JobStats:
     name: str
     map_in: int = 0
-    map_out: int = 0  # always ``map_in`` (each record is keyed once); the benchmark reads it
+    map_out: int = 0  # always ``map_in`` (each record is grouped once); the benchmark reads it
     reduce_groups: int = 0
     reduce_out: int = 0
     # keying, grouping and routing every input: the shuffle runs inside the
-    # map loop, so its time is part of this one
+    # map phase, so its time is part of this one
     map_ms: float = 0.0
     reduce_ms: float = 0.0  # the reduce calls and the output set
     partitions: int = 1
@@ -165,9 +168,10 @@ class JobSpec:
     hashable key. ``reduce_task`` takes one reduce task's groups of input
     0, those of the other inputs and the output list; it appends the output
     of input 0's keys and returns the number of records, all inputs, under
-    the key with the most. Both must be pure with respect to the job input,
-    and ``reduce_task`` must not modify the groups it is given: those of a
-    ``GroupedInput`` are the held ones.
+    the key with the most. Both must be pure with respect to the job input:
+    ``key_of`` may be called twice on a record of an input whose keys repeat
+    or on which it raises. ``reduce_task`` must not modify the groups it is
+    given: those of a ``GroupedInput`` are the held ones.
     """
 
     name: str
@@ -190,7 +194,14 @@ def _map_and_group(
 ) -> tuple[list[Groups], int]:
     """Group every record of one input under ``key_of(record)``; returns the
     groups, split by reduce task, and the number of records mapped."""
-    single: dict = {}
+    if hasattr(records, "__len__"):
+        try:
+            single = dict(zip(map(key_of, records), records))
+        except Exception:  # noqa: BLE001 - the loop below names the record
+            single = {}
+        if len(single) == len(records):  # no key repeats
+            return _split((single, {}), partitions), len(single)
+    single = {}
     multi: dict = {}
     mapped = 0
     for record in records:

@@ -74,10 +74,8 @@ def _picker(indices: Sequence[int], consts: tuple = ()) -> Callable[[tuple], tup
     indices = tuple(indices)
     if len(indices) > 1:
         get = itemgetter(*indices)
-    elif indices:  # itemgetter of a single index returns a bare value
-        get = lambda row, i=indices[0]: (row[i],)  # noqa: E731
-    else:
-        get = lambda row: ()  # noqa: E731
+    else:  # itemgetter of one index gives the bare value, of a slice a tuple
+        get = itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0, 0))
     return (lambda row: get(row + consts)) if consts else get
 
 
@@ -120,8 +118,8 @@ class InputCache:
 
 def _access_stream(source: FactSource, access: SubgoalAccess, cols: tuple) -> Iterable[Row]:
     """A subgoal's rows with its selection filters applied and projected to
-    atom columns ``cols`` map-side; the relation's own stream when neither
-    changes a row."""
+    atom columns ``cols`` map-side; the rows as ``source`` gives them when
+    neither changes a row."""
     tuples = source.tuples(access.atom.predicate)
     if not access.eq_cols and not access.const_cols and cols == tuple(range(access.atom.arity)):
         return tuples
@@ -140,9 +138,8 @@ def _access_stream(source: FactSource, access: SubgoalAccess, cols: tuple) -> It
 # ---------------------------------------------------------------------------
 
 
-def _itself(row: Row) -> Row:
-    """Whole-row key: the row object itself."""
-    return row
+# Whole-row key: a full slice of a tuple is the tuple itself, so no key is copied.
+_itself: Callable[[Row], Row] = itemgetter(slice(None))
 
 
 def _join_task(pick: Callable[[tuple], tuple], own: Groups, others: Sequence[Groups],

@@ -11,7 +11,7 @@ deltas to the negative side of anti-joins.
 """
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Iterable, Iterator, Optional, Union
 
 from .program import ArityError, Fact, Symbol
@@ -122,10 +122,11 @@ class Database:
         rel = self._relations.get(predicate)
         return rel.arity if rel is not None else None
 
-    def tuples(self, predicate: str) -> Iterator[Row]:
+    def tuples(self, predicate: str) -> Iterable[Row]:
+        """The rows of ``predicate``, as its relation's live keys view, or
+        ``()``: an iterable, not an iterator, with a length."""
         rel = self._relations.get(predicate)
-        if rel is not None:
-            yield from rel.tuples
+        return rel.tuples.keys() if rel is not None else ()
 
     def contains(self, predicate: str, row: Row) -> bool:
         rel = self._relations.get(predicate)
@@ -240,9 +241,12 @@ class DatabaseView:
     def predicates(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(p for db in self.parts for p in db.predicates()))
 
-    def tuples(self, predicate: str) -> Iterator[Row]:
-        for db in self.parts:
-            yield from db.tuples(predicate)
+    def tuples(self, predicate: str) -> Iterable[Row]:
+        """The rows of ``predicate`` in part order: those of the only part
+        holding some, as :meth:`Database.tuples` gives them, else a one-pass
+        ``chain`` over the parts that hold some."""
+        held = [rows for db in self.parts if (rows := db.tuples(predicate))]
+        return held[0] if len(held) == 1 else chain.from_iterable(held)
 
 
 FactSource = Union[Database, DatabaseView]

@@ -68,6 +68,31 @@ def per_key(reducer: Reducer):
     return reduce_task
 
 
+def map_and_group_reference(key_of, records, partitions: int = 1):
+    """The per-record map loop: every record grouped under ``key_of(record)``
+    as (key -> its only record, key -> its two or more records), keys in the
+    order first met, then each key routed to reduce task
+    ``hash(key) % partitions``; returns the tasks' groups and the count of
+    records mapped."""
+    single: dict = {}
+    multi: dict = {}
+    mapped = 0
+    for record in records:
+        mapped += 1
+        key = key_of(record)
+        if key in multi:
+            multi[key].append(record)
+        elif key in single:
+            multi[key] = [single.pop(key), record]
+        else:
+            single[key] = record
+    tasks: list = [({}, {}) for _ in range(partitions)]
+    for at, groups in enumerate((single, multi)):
+        for key, value in groups.items():
+            tasks[hash(key) % partitions][at][key] = value
+    return tasks, mapped
+
+
 def serial_mapreduce(reducer: Reducer, inputs: Sequence[tuple]) -> set:
     """Naive single-threaded key, co-group, reduce reference run of a per-key
     ``reducer`` over ``(key_of, records)`` inputs; only the keys of input 0

@@ -18,13 +18,24 @@ from wfsmr.mapreduce import (
     gc_paused,
 )
 
-from tests.helpers import per_key, serial_mapreduce
+from wfsmr.operators import _itself, _picker
+
+from tests.helpers import map_and_group_reference, per_key, serial_mapreduce
 
 DOCS = ["Hello world.", "Hello MapReduce."]
 
 
 # the records of these tests are (key, value) pairs
 by_key = itemgetter(0)
+
+
+# the kinds of record collection a job input may be: the engine groups one
+# with a length in one pass first
+INPUT_KINDS = {
+    "list": list,
+    "keys view": lambda rows: dict.fromkeys(rows).keys(),
+    "generator": lambda rows: (row for row in rows),
+}
 
 
 def values(records):
@@ -136,6 +147,27 @@ class TestRunJob:
         assert err.value.phase == "map"
         assert err.value.item == (3, 3)
 
+        # the third record fails on each kind of input; a list and a keys view
+        # are keyed in one pass first, so their first three records twice
+        records = [(i, i) for i in range(5)]
+        calls = []
+
+        def third_fails(record):
+            calls.append(record)
+            if record[0] == 2:
+                raise ValueError("boom")
+            return record[0]
+
+        for kind, keyed in [("list", 6), ("keys view", 6), ("generator", 3)]:
+            calls.clear()
+            records_of_kind = INPUT_KINDS[kind](records)
+            spec = JobSpec("bad", per_key(collect_reducer), [(third_fails, records_of_kind)])
+            with pytest.raises(JobError) as err:
+                engine.run_job(spec)
+            assert (err.value.phase, err.value.item) == ("map", (2, 2))
+            assert isinstance(err.value.cause, ValueError)
+            assert len(calls) == keyed
+
     @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
     def test_a_task_reduce_runs_once_per_reduce_task(self, partitions):
         records = [(i % 5, i) for i in range(20)] + [(7, 0)]
@@ -196,6 +228,54 @@ class TestRunJob:
         assert stats.map_in == stats.map_out == len(records)
 
 
+class TestMapPhase:
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_groups_equal_the_per_record_loop(self, repeats, kind, partitions):
+        records = [(i % 5 if repeats else 40 - i, i) for i in range(23)]
+        seen = []
+
+        def reduce_task(own, others, out):
+            seen.append(own)
+            return 0
+
+        spec = JobSpec("map", reduce_task, [(by_key, INPUT_KINDS[kind](records))])
+        _, stats = Engine(EngineConfig(partitions=partitions)).run_job(spec)
+        reference, mapped = map_and_group_reference(by_key, records, partitions)
+        assert stats.map_in == mapped == len(records)
+        assert len(seen) == partitions
+        for (single, multi), (ref_single, ref_multi) in zip(seen, reference):
+            assert list(single.items()) == list(ref_single.items())
+            assert list(multi.items()) == list(ref_multi.items())
+        assert sum(len(multi) for _, multi in seen) == (5 if repeats else 0)
+
+    @pytest.mark.parametrize("kind, repeats, keyed", [
+        ("list", False, 23), ("keys view", False, 23), ("generator", False, 23),
+        ("list", True, 46), ("generator", True, 23),
+    ])
+    def test_only_an_input_with_a_length_whose_keys_repeat_is_keyed_twice(
+            self, kind, repeats, keyed):
+        calls = []
+
+        def key_of(record):
+            calls.append(record)
+            return record[0]
+
+        records = [(i % 5 if repeats else i, i) for i in range(23)]
+        spec = JobSpec("map", per_key(collect_reducer), [(key_of, INPUT_KINDS[kind](records))])
+        Engine().run_job(spec)
+        assert len(calls) == keyed
+
+    def test_the_solver_key_functions(self):
+        row = (7, "a", 9)
+        assert _itself(row) is row
+        assert _picker([1])(row) == ("a",)
+        assert _picker([])(row) == ()
+        assert _picker([2, 0])(row) == (9, 7)
+        assert _picker([3], ("c",))(row) == ("c",)
+
+
 class TestDeterminism:
     @staticmethod
     def _random_spec(rng: random.Random):
@@ -245,7 +325,8 @@ class TestDeterminism:
         engine = Engine(EngineConfig(workers=4, partitions=7))
         output, _ = engine.run_job(spec)
         assert len(output) == 11
-        assert len(threads) == 60 + 11
+        # keys repeat, so the map keys each record twice: once in one pass, again in the loop
+        assert len(threads) == 2 * 60 + 11
         assert set(threads) == {threading.current_thread()}
 
     def test_wordcount_across_configs(self):

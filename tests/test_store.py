@@ -321,3 +321,23 @@ class TestDatabaseView:
         view = DatabaseView(DatabaseView(parts[0], parts[1]), parts[2])
         assert len(view.parts) == 3
         assert len(set(view.tuples("p"))) == 3
+
+    def test_the_only_part_holding_a_predicate_gives_its_rows_in_order(self):
+        rows = [(3, 1), (1, 2), (2, 2)]
+        view = DatabaseView(make_db([Fact("q", (0,))]), make_db([Fact("p", r) for r in rows]),
+                            Database())
+        held = view.tuples("p")
+        assert list(held) == rows
+        assert list(held) == rows  # an iterable, not a spent iterator
+
+    def test_several_parts_give_their_rows_in_part_order(self):
+        a = make_db([Fact("p", (2,)), Fact("p", (1,))])
+        b = make_db([Fact("p", (4,)), Fact("p", (3,))])
+        assert list(DatabaseView(a, b).tuples("p")) == [(2,), (1,), (4,), (3,)]
+        assert list(DatabaseView(b, a).tuples("p")) == [(4,), (3,), (2,), (1,)]
+
+    def test_a_predicate_no_part_holds_gives_no_rows(self):
+        view = DatabaseView(make_db([Fact("p", (1,))]), Database())
+        assert list(view.tuples("r")) == []
+        assert list(Database().tuples("p")) == []
+        assert list(make_db([Fact("p", (1,))]).tuples("r")) == []
