@@ -180,6 +180,23 @@ class TestSolve:
         assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+        reason="this interpreter converts integers of any length",
+    )
+    @pytest.mark.parametrize("into", ["facts", "program"])
+    def test_integer_over_the_digit_limit_is_validation_error(self, tmp_path, capsys, monkeypatch, into):
+        monkeypatch.chdir(tmp_path)
+        limit = sys.get_int_max_str_digits()
+        fact = f"move(1,{'9' * (limit + 1)}).\n"
+        write(tmp_path, "game.lp", WIN + (fact if into == "program" else ""))
+        write(tmp_path, "big.facts", "move(1,2).\n" + (fact if into == "facts" else ""))
+        args = ["solve", "--program", "game.lp", "--facts", "big.facts", "--out", "r"]
+        assert main(args) == EXIT_VALIDATION
+        where = "big.facts:2:8" if into == "facts" else "game.lp:2:8"
+        message = f"validation error: {where}: integer constant longer than {limit} digits\n"
+        assert capsys.readouterr().err == message
+
     def test_facts_shared_by_files_and_program_count_once(self, tmp_path, capsys):
         program = write(tmp_path, "win.lp", WIN + "move(3,4).\n")
         first = write(tmp_path, "a.facts", "move(1,2).\nmove(2,3).\nmove(3,4).\n")

@@ -213,7 +213,7 @@ class TestRunJob:
 
     @pytest.mark.parametrize("held", [False, True])
     @pytest.mark.parametrize("partitions", [1, 3])
-    def test_each_record_is_keyed_once_and_reduced_as_itself(self, partitions, held):
+    def test_each_record_is_reduced_as_itself(self, partitions, held):
         records = [(i % 4, i) for i in range(10)]
         seen = []
 

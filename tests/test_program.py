@@ -1,12 +1,14 @@
 import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfsmr import program as program_mod
-from wfsmr.bench import gen_cycle
+from wfsmr.bench import gen_chain, gen_cycle, gen_tree
 from wfsmr.fixpoint import SolveOptions, solve, trace_records
 from wfsmr.mapreduce import Engine
 from wfsmr.planner import compile_program
@@ -17,6 +19,7 @@ from wfsmr.program import (
     InvariantError,
     Literal,
     ParseError,
+    ProgramError,
     Rule,
     SafetyError,
     Variable,
@@ -195,6 +198,9 @@ class TestParseFactsAgainstTokenParser:
         ("p(1).\nmove(X, 2).", ParseError, 2, 1, "fact 'move(X,2)' is not ground (variables: X)"),
         ("P(1).", ParseError, 1, 1, "expected predicate name, found 'P'"),
         ("not(1).", ParseError, 1, 1, "'not' is reserved and cannot name a predicate"),
+        # the same with the final newline of a one-predicate integer file
+        ("not(1).\n", ParseError, 1, 1, "'not' is reserved and cannot name a predicate"),
+        ("not(1,2).\n", ParseError, 1, 1, "'not' is reserved and cannot name a predicate"),
         ("p(1).\n  not.", ParseError, 2, 3, "'not' is reserved and cannot name a predicate"),
         ("p(not).", ParseError, 1, 3, "expected term, found 'not'"),
         ("p(1, not).", ParseError, 1, 6, "expected term, found 'not'"),
@@ -271,6 +277,136 @@ class TestParseFactsAgainstTokenParser:
         monkeypatch.setattr(program_mod, "_FACT_RE", re.compile(r"(?!)()()"))
         with pytest.raises(InvariantError):
             parse_facts("p(1).")
+
+
+# Texts in the shape of the one-predicate integer fast path: one predicate,
+# canonical integers, each statement on its own "\n"-terminated line. Small
+# values repeat rows; the predicates include one that is a prefix of another.
+_FAST_PREDICATES = ("p", "mov", "move", "e_1", "notx", "b9")
+
+
+@st.composite
+def _fast_shaped_lines(draw) -> tuple[str, int, list[str]]:
+    predicate = draw(st.sampled_from(_FAST_PREDICATES))
+    arity = draw(st.integers(1, 3))
+    ints = st.integers(0, 12) | st.integers(0, 10**30)
+    rows = draw(st.lists(st.tuples(*[ints] * arity), min_size=1, max_size=12))
+    return predicate, arity, [f"{predicate}({','.join(map(str, row))}).\n" for row in rows]
+
+
+def _swap_integer(line: str, new: str) -> str:
+    return re.sub(r"(?<=[(,])[0-9]+", new, line, count=1)
+
+
+# Each near miss changes one thing, so the general path and the token parser
+# meet the same first fault.
+_NEAR_MISSES = {
+    "no final newline": lambda p, n, lines, i: lines[:-1] + [lines[-1][:-1]],
+    "crlf": lambda p, n, lines, i: [line.replace("\n", "\r\n") for line in lines],
+    "second predicate": lambda p, n, lines, i: lines[:i] + ["q(1).\n"] + lines[i:],
+    "prefix predicate": lambda p, n, lines, i: lines[:i] + [
+        lines[i].replace(p, "move" if p == "mov" else "mov", 1)] + lines[i:],
+    "leading zero": lambda p, n, lines, i: lines[:i] + [_swap_integer(lines[i], "007")] + lines[i + 1:],
+    "underscore": lambda p, n, lines, i: lines[:i] + [_swap_integer(lines[i], "1_0")] + lines[i + 1:],
+    "arabic-indic digit": lambda p, n, lines, i: lines[:i] + [_swap_integer(lines[i], "1\u0661")] + lines[i + 1:],
+    "empty arguments": lambda p, n, lines, i: lines[:i] + ["r().\n"] + lines[i:],
+    "arity clash": lambda p, n, lines, i: lines[:i] + [f"{p}({','.join(['1'] * (n + 1))}).\n"] + lines[i:],
+    "comment": lambda p, n, lines, i: lines[:i] + ["% c\n"] + lines[i:],
+    "space": lambda p, n, lines, i: lines[:i] + [lines[i].replace("(", "( ", 1)] + lines[i + 1:],
+    "empty text": lambda p, n, lines, i: [],
+}
+
+
+@st.composite
+def _fast_texts_and_near_misses(draw) -> str:
+    predicate, arity, lines = draw(_fast_shaped_lines())
+    miss = draw(st.sampled_from([None, *sorted(_NEAR_MISSES)]))
+    if miss is not None:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines = _NEAR_MISSES[miss](predicate, arity, lines, i)
+    return "".join(lines)
+
+
+def _assert_as_token_parser(text: str) -> None:
+    """``parse_facts`` gives the token parser's facts, deduplicated and with
+    the same argument types, or its error."""
+    try:
+        want = tuple(dict.fromkeys(parse_program(text).facts()))
+    except ProgramError as exc:
+        with pytest.raises(type(exc)) as err:
+            parse_facts(text)
+        assert str(err.value) == str(exc)
+        return
+    got = parse_facts(text)
+    assert got == want
+    assert [tuple(map(type, f.args)) for f in got] == [tuple(map(type, f.args)) for f in want]
+
+
+def _big_integer() -> str:
+    return "1" * (sys.get_int_max_str_digits() + 1)
+
+
+_INT_LIMITED = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts integers of any length",
+)
+
+
+class TestOnePredicateIntegerFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(_fast_texts_and_near_misses())
+    def test_same_facts_or_error_as_parse_program(self, text):
+        _assert_as_token_parser(text)
+
+    @pytest.mark.parametrize(
+        "facts", [gen_cycle(300), gen_tree(100), gen_chain(60, 7)], ids=["cycle", "tree", "chain"]
+    )
+    def test_generated_files_take_the_fast_path(self, facts, monkeypatch):
+        want = parse_facts(facts_to_text(facts))
+        monkeypatch.setattr(program_mod, "_FACT_RE", re.compile(r"(?!)()()"))
+        got = parse_facts(facts_to_text(facts))
+        assert got == want == tuple(facts)
+        assert len({id(fact.predicate) for fact in got}) == 1
+
+    @pytest.mark.parametrize("prefix", ["", "% c\n"], ids=["two-predicates", "comment"])
+    def test_one_predicate_string_for_all_facts(self, prefix):
+        facts = parse_facts(prefix + "edge(1,2).\nnode(1).\nedge(2,3).\nnode(2).\nedge(3,1).\n")
+        assert len(facts) == 5
+        assert len({id(fact.predicate) for fact in facts}) == 2
+
+    def test_tracemalloc_peak(self):
+        # a backtracking check of the whole text, such as a fullmatch of
+        # (?:statement)*, holds hundreds of bytes per statement
+        text = facts_to_text(gen_cycle(20000))
+        tracemalloc.start()
+        try:
+            facts = parse_facts(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(facts) == 20000
+        assert peak <= 6.0e6
+
+    @_INT_LIMITED
+    @pytest.mark.parametrize(
+        "parse, text, line, col",
+        [
+            (parse, text, line, col)
+            for parse in (parse_facts, parse_program)
+            for text, line, col in [
+                ("p({big}).\n", 1, 3),  # the shape of the fast path
+                ("p(1).\np(2,{big}).", 2, 5),
+                ("% c\np(1).\np({big}).\n", 3, 3),
+            ]
+        ] + [(parse_program, "q(X) :- p(X, {big}).\n", 1, 14)],
+    )
+    def test_integer_over_the_digit_limit(self, parse, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text.format(big=_big_integer()))
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value).endswith(
+            f"integer constant longer than {sys.get_int_max_str_digits()} digits"
+        )
 
 
 class TestCheckSafety:
