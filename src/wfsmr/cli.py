@@ -21,7 +21,8 @@ from .fixpoint import SolveOptions, partitions_agree, solve, trace_records
 from .mapreduce import Engine, EngineConfig
 from .planner import compile_program
 from .program import (
-    ArityError, Fact, ParseError, Program, ProgramError, facts_to_text, parse_facts, parse_program,
+    ArityError, Fact, FactRows, ParseError, Program, ProgramError, facts_to_text, parse_facts,
+    parse_program,
 )
 from .store import Database
 
@@ -91,7 +92,7 @@ def _load_program(path: str) -> Program:
     return _parse_file(path, parse_program)
 
 
-def _load_facts(paths: Sequence[str]) -> dict[str, tuple[Fact, ...]]:
+def _load_facts(paths: Sequence[str]) -> dict[str, tuple[Fact, ...] | FactRows]:
     """The facts of each file, by path."""
     return {path: _parse_file(path, parse_facts) for path in paths}
 
@@ -117,8 +118,12 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     program = _load_program(args.program)
     files = _load_facts(args.facts)
-    # a fact in several files is stored once: the solver's base is a set
-    facts = [fact for file_facts in files.values() for fact in file_facts]
+    # one file's facts go to the solver as parsed; a fact in several files
+    # is stored once: the solver's base is a set
+    if len(files) == 1:
+        [facts] = files.values()
+    else:
+        facts = [fact for file_facts in files.values() for fact in file_facts]
     config = EngineConfig(partitions=args.partitions)
     modes = ["optimized", "naive"] if args.mode == "both" else [args.mode]
     results = {}

@@ -38,8 +38,9 @@ partitions:
 
 Rounds run rule sets through the MapReduce operator pipelines. The base
 facts and the true facts of finished components form the fixed, read-only
-part of every source (``Session.fixed``), which no derived set copies; the
-undefined atoms of finished components form a second one
+part of every source (``Session.fixed``), which no derived set copies and
+nothing changes, so the rows of a :class:`~wfsmr.program.FactRows` become a
+base relation uncopied; the undefined atoms of finished components form a second one
 (``Session.undefined``), which U steps read positively and K steps
 negatively. Stored sets hold rule output only; :func:`solve` adds the base
 facts to the true set when it returns. Job inputs over predicates whose
@@ -70,7 +71,7 @@ from .mapreduce import Engine, gc_paused
 from .counting import DerivationCounts, count_instances
 from .operators import InputCache, eval_rule
 from .planner import RulePlan, compile_program
-from .program import ArityError, Fact, InvariantError, Program, UnknownPredicateError
+from .program import ArityError, Fact, FactRows, InvariantError, Program, UnknownPredicateError
 from .store import Database, DatabaseView, FactSource
 
 __all__ = [
@@ -208,7 +209,12 @@ class Session:
         self.base = Database()
         self.signatures = dict(program.signatures)
         self.base.insert_many(program.facts())
-        self.base.insert_many(facts)
+        if isinstance(facts, FactRows) and self.base.relation(facts.predicate) is None:
+            # its rows become the base relation, uncopied: the base is never
+            # changed, so neither is the caller's value
+            self.base.add_rows(facts.predicate, len(next(iter(facts.rows))), facts.rows)
+        else:
+            self.base.insert_many(facts)
         # insert_many keeps one arity per predicate, so one check per
         # predicate covers every fact against the program's signatures
         for predicate in self.base.predicates():

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Union
+from itertools import repeat
+from typing import Iterable, Iterator, NoReturn, Union
 
 from .mapreduce import gc_paused
 
@@ -36,6 +37,7 @@ __all__ = [
     "Literal",
     "Rule",
     "Fact",
+    "FactRows",
     "Program",
     "ProgramError",
     "ParseError",
@@ -189,6 +191,26 @@ class Fact:
         if not self.args:
             return self.predicate
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"
+
+
+class FactRows:
+    """The facts of one predicate, held as the rows ``parse_facts`` read; a
+    :class:`Fact` is made per row only when iterated, in the same order every
+    time. It equals the tuple of its facts. Its ``rows`` must not change."""
+
+    __slots__ = ("predicate", "rows")
+
+    def __init__(self, predicate: str, rows: dict[tuple[Symbol, ...], None]):
+        self.predicate, self.rows = predicate, rows
+
+    def __iter__(self) -> Iterator[Fact]:
+        return map(Fact, repeat(self.predicate), self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, (tuple, FactRows)) and tuple(self) == tuple(other)
 
 
 def check_safety(rule: Rule) -> tuple[str, ...]:
@@ -424,13 +446,16 @@ def parse_program(text: str) -> Program:
 
 
 @gc_paused
-def parse_facts(text: str) -> tuple[Fact, ...]:
-    """Parse a facts file (one ground atom per statement) into deduplicated Facts.
+def parse_facts(text: str) -> tuple[Fact, ...] | FactRows:
+    """Parse a facts file (one ground atom per statement) into deduplicated
+    facts in first-occurrence order: a tuple, or a :class:`FactRows` equal to it.
 
     A text of lines ``p(int,...,int).`` each ending in ``\\n``, all of one
     predicate and arity, with canonical integers (``0`` or no leading zero),
-    is checked by one ``re.subn`` and read in C-level passes. Any other text
-    costs one match of ``_FACT_RE`` per statement. Inputs that match rejects
+    is checked by one ``re.subn`` and read in C-level passes into the rows of
+    a :class:`FactRows`, which :func:`~wfsmr.fixpoint.solve` takes as a base
+    relation without building a fact. Any other text costs one match of
+    ``_FACT_RE`` per statement and gives a tuple. Inputs that match rejects
     (rules, variables, bad syntax) and arity clashes raise the token parser's
     error.
     """
@@ -444,7 +469,7 @@ def parse_facts(text: str) -> tuple[Fact, ...]:
         except ValueError:
             ints = ()
         if ints and not re.subn(rf"{predicate}\({num}(?:,{num}){{{arity - 1}}}\)\.\n", "", text)[0]:
-            return tuple([Fact(predicate, args) for args in dict.fromkeys(zip(*[iter(ints)] * arity))])
+            return FactRows(predicate, dict.fromkeys(zip(*[iter(ints)] * arity)))
     match, names = _FACT_RE.match, _NAME_RE.findall
     unique: dict[tuple[str, tuple[Symbol, ...]], None] = {}
     arities: dict[str, int] = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import wfsmr
+from wfsmr import cli
 from wfsmr.bench import TC_NEG, gen_chain, gen_cycle
 from wfsmr.cli import (
     EXIT_BROKEN_PIPE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main,
@@ -15,7 +16,7 @@ from wfsmr.cli import (
 from wfsmr.fixpoint import SolveOptions, SolveStats, solve
 from wfsmr.mapreduce import Engine, EngineConfig
 from wfsmr.planner import compile_program
-from wfsmr.program import facts_to_text, parse_facts, parse_program
+from wfsmr.program import FactRows, facts_to_text, parse_facts, parse_program
 
 SECTION3_PROGRAM = "p(X,Y) <- a(X,Z), b(Z,Y), not c(X,Z), not d(Z,Y).\n"
 SECTION3_FACTS = "a(1,2).\na(1,3).\nb(2,4).\nb(3,5).\nc(1,2).\nd(2,3).\n"
@@ -211,6 +212,21 @@ class TestSolve:
             runs.append([summary] + [Path(out + suffix).read_bytes() for suffix in (".true", ".undef")])
         assert runs[0] == runs[1]
         assert runs[0][0].startswith("true=6 undefined=3 ")
+
+    @pytest.mark.parametrize("count, handed", [(1, FactRows), (2, list)])
+    def test_one_facts_file_goes_to_the_solver_as_parsed(self, tmp_path, monkeypatch, count, handed):
+        program = write(tmp_path, "win.lp", WIN)
+        files = [write(tmp_path, f"{i}.facts", f"move({i},{i + 1}).\n") for i in range(count)]
+        seen = []
+
+        def recording(program, facts, **kwargs):
+            seen.append(facts)
+            return solve(program, facts, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        args = ["solve", "--program", program, "--out", str(tmp_path / "r")]
+        assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_OK
+        assert [type(facts) for facts in seen] == [handed]
 
 
 def solve_records(tmp_path, capsys, program_text, facts):

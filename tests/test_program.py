@@ -16,6 +16,7 @@ from wfsmr.program import (
     ArityError,
     Atom,
     Fact,
+    FactRows,
     InvariantError,
     Literal,
     ParseError,
@@ -167,6 +168,53 @@ def _facts_texts(draw) -> str:
         out.append(statement * draw(st.integers(1, 2)))
     out.append(draw(st.sampled_from(["", "% comment at the end without a newline"])))
     return "".join(out)
+
+
+class TestFactRows:
+    TEXT = "e(1,2).\ne(3,4).\ne(1,2).\ne(5,6).\n"
+    FACTS = (Fact("e", (1, 2)), Fact("e", (3, 4)), Fact("e", (5, 6)))
+
+    def test_only_the_fast_path_gives_rows(self):
+        assert isinstance(parse_facts(self.TEXT), FactRows)
+        assert isinstance(parse_facts("% c\n" + self.TEXT), tuple)
+
+    def test_equals_its_tuple_and_another_parse(self):
+        rows = parse_facts(self.TEXT)
+        assert rows == self.FACTS and self.FACTS == rows
+        assert not rows != self.FACTS and not self.FACTS != rows
+        assert rows == parse_facts(self.TEXT) == parse_facts("% c\n" + self.TEXT)
+        assert parse_facts(self.TEXT) is not rows
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            FACTS[::-1],
+            FACTS[:2],
+            FACTS + (Fact("e", (7, 8)),),
+            (Fact("f", (1, 2)), Fact("f", (3, 4)), Fact("f", (5, 6))),
+            (Fact("e", (1, 2)), Fact("e", (3, 4)), Fact("e", (5, 7))),
+        ],
+        ids=["order", "fewer", "more", "predicate", "row"],
+    )
+    def test_unequal_to_other_order_or_content(self, other):
+        rows = parse_facts(self.TEXT)
+        assert rows != other and other != rows
+        assert not rows == other and not other == rows
+        parsed = parse_facts(facts_to_text(other))
+        assert isinstance(parsed, FactRows)
+        assert rows != parsed and parsed != rows
+
+    def test_iterates_again_in_the_same_order(self):
+        rows = parse_facts(self.TEXT)
+        assert list(rows) == list(rows) == list(self.FACTS)
+        assert len(rows) == 3
+        assert {id(fact.predicate) for fact in rows} == {id(rows.predicate)}
+
+    @pytest.mark.parametrize("other", [None, 0, 2.5, object(), Fact("e", (1, 2))])
+    def test_non_iterables_compare_unequal(self, other):
+        rows = parse_facts(self.TEXT)
+        assert rows != other and other != rows
+        assert not rows == other and not other == rows
 
 
 class TestParseFactsAgainstTokenParser:
