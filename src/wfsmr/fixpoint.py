@@ -209,9 +209,10 @@ class Session:
         self.base = Database()
         self.signatures = dict(program.signatures)
         self.base.insert_many(program.facts())
-        if isinstance(facts, FactRows) and self.base.relation(facts.predicate) is None:
-            # its rows become the base relation, uncopied: the base is never
-            # changed, so neither is the caller's value
+        if isinstance(facts, FactRows) and facts.rows:
+            # its rows become the base relation uncopied, unless the program
+            # has facts of the predicate: the base is never changed, so
+            # neither is the caller's value
             self.base.add_rows(facts.predicate, len(next(iter(facts.rows))), facts.rows)
         else:
             self.base.insert_many(facts)
