@@ -196,9 +196,9 @@ class Fact:
 class FactRows:
     """The facts of one predicate, held as the rows ``parse_facts`` read; a
     :class:`Fact` is made per row only when iterated, in the same order every
-    time. It equals, hashes, indexes and concatenates as the tuple of its
-    facts, which ``tuple(value)`` gives for anything else. Its ``rows`` must
-    not change."""
+    time. It has a ``len`` and equals the tuple of its facts, but is not one:
+    to index, hash or concatenate it, take ``tuple(value)``. Its ``rows``
+    must not change."""
 
     __slots__ = ("predicate", "rows")
 
@@ -211,20 +211,8 @@ class FactRows:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, (tuple, FactRows)) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other):
-        return tuple(self) + other
-
-    def __radd__(self, other):
-        return other + tuple(self)
 
 
 def check_safety(rule: Rule) -> tuple[str, ...]:

@@ -216,19 +216,12 @@ class TestFactRows:
         assert rows != other and other != rows
         assert not rows == other and not other == rows
 
-    def test_indexes_hashes_and_concatenates_as_its_tuple(self):
+    def test_indexing_hashing_and_concatenation_take_its_tuple(self):
         rows = parse_facts(self.TEXT)
-        assert rows[0] == self.FACTS[0] and rows[-1] == self.FACTS[-1]
-        assert rows[1:] == self.FACTS[1:] and isinstance(rows[1:], tuple)
-        with pytest.raises(IndexError):
-            rows[3]
-        assert hash(rows) == hash(self.FACTS) == hash(parse_facts(self.TEXT))
-        assert {rows, self.FACTS} == {self.FACTS}
-        assert rows + rows == self.FACTS + self.FACTS
-        assert rows + self.FACTS[:1] == self.FACTS + self.FACTS[:1]
-        assert self.FACTS[:1] + rows == self.FACTS[:1] + self.FACTS
-        with pytest.raises(TypeError):
-            rows + [self.FACTS[0]]
+        for use in (lambda v: v[0], lambda v: v[1:], hash, lambda v: v + v, lambda v: v + self.FACTS):
+            with pytest.raises(TypeError):
+                use(rows)
+            assert use(tuple(rows)) == use(self.FACTS)
 
 
 class TestParseFactsAgainstTokenParser:
