@@ -92,7 +92,7 @@ def _load_program(path: str) -> Program:
     return _parse_file(path, parse_program)
 
 
-def _load_facts(paths: Sequence[str]) -> dict[str, tuple[Fact, ...] | FactRows]:
+def _load_facts(paths: Sequence[str]) -> dict[str, FactRows]:
     """The facts of each file, by path."""
     return {path: _parse_file(path, parse_facts) for path in paths}
 

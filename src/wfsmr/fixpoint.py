@@ -39,8 +39,8 @@ partitions:
 Rounds run rule sets through the MapReduce operator pipelines. The base
 facts and the true facts of finished components form the fixed, read-only
 part of every source (``Session.fixed``), which no derived set copies and
-nothing changes, so the rows of a :class:`~wfsmr.program.FactRows` become a
-base relation uncopied; the undefined atoms of finished components form a second one
+nothing changes, so the rows of a :class:`~wfsmr.program.FactRows` become
+base relations uncopied; the undefined atoms of finished components form a second one
 (``Session.undefined``), which U steps read positively and K steps
 negatively. Stored sets hold rule output only; :func:`solve` adds the base
 facts to the true set when it returns. Job inputs over predicates whose
@@ -208,14 +208,14 @@ class Session:
         self.engine = engine
         self.base = Database()
         self.signatures = dict(program.signatures)
-        self.base.insert_many(program.facts())
-        if isinstance(facts, FactRows) and facts.rows:
-            # its rows become the base relation uncopied, unless the program
-            # has facts of the predicate: the base is never changed, so
-            # neither is the caller's value
-            self.base.add_rows(facts.predicate, len(next(iter(facts.rows))), facts.rows)
-        else:
-            self.base.insert_many(facts)
+        # program facts first: a shared predicate's rows then go into their dict, not the caller's
+        for source in (program.facts(), facts):
+            if isinstance(source, FactRows):
+                for predicate, rows in source.relations.items():
+                    if rows:
+                        self.base.add_rows(predicate, len(next(iter(rows))), rows)
+            else:
+                self.base.insert_many(source)
         # insert_many keeps one arity per predicate, so one check per
         # predicate covers every fact against the program's signatures
         for predicate in self.base.predicates():

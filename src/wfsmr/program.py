@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NoReturn, Union
 
 from .mapreduce import gc_paused
@@ -194,22 +194,22 @@ class Fact:
 
 
 class FactRows:
-    """The facts of one predicate, held as the rows ``parse_facts`` read; a
-    :class:`Fact` is made per row only when iterated, in the same order every
-    time. It has a ``len`` and equals the tuple of its facts, but is not one:
-    to index, hash or concatenate it, take ``tuple(value)``. Its ``rows``
-    must not change."""
+    """Deduplicated facts, held as ``relations``: each predicate, in order of
+    its first fact, to the dict whose keys are its rows. A :class:`Fact` is
+    made per row only when iterated, in the same order every time. It has a
+    ``len`` and equals the tuple of its facts, but is not one: to index, hash
+    or concatenate it, take ``tuple(value)``. Its rows must not change."""
 
-    __slots__ = ("predicate", "rows")
+    __slots__ = ("relations",)
 
-    def __init__(self, predicate: str, rows: dict[tuple[Symbol, ...], None]):
-        self.predicate, self.rows = predicate, rows
+    def __init__(self, relations: dict[str, dict[tuple[Symbol, ...], None]]):
+        self.relations = relations
 
     def __iter__(self) -> Iterator[Fact]:
-        return map(Fact, repeat(self.predicate), self.rows)
+        return chain.from_iterable(map(Fact, repeat(p), rows) for p, rows in self.relations.items())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(map(len, self.relations.values()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, (tuple, FactRows)) and tuple(self) == tuple(other)
@@ -258,11 +258,13 @@ class Program:
         elif known != atom.arity:
             raise ArityError(atom.predicate, atom.arity, known)
 
-    def facts(self) -> tuple[Fact, ...]:
-        return tuple(
-            Fact(rule.head.predicate, tuple(t.symbol for t in rule.head.args))  # type: ignore[union-attr]
-            for rule in self.rules if rule.is_fact
-        )
+    def facts(self) -> FactRows:
+        """The facts among the rules, as :func:`parse_facts` gives them."""
+        relations: dict[str, dict[tuple[Symbol, ...], None]] = {}
+        for head in (rule.head for rule in self.rules if rule.is_fact):
+            args = tuple(t.symbol for t in head.args)  # type: ignore[union-attr]
+            relations.setdefault(head.predicate, {})[args] = None
+        return FactRows(relations)
 
     def proper_rules(self) -> tuple[Rule, ...]:
         return tuple(rule for rule in self.rules if not rule.is_fact)
@@ -448,16 +450,15 @@ def parse_program(text: str) -> Program:
 
 
 @gc_paused
-def parse_facts(text: str) -> tuple[Fact, ...] | FactRows:
-    """Parse a facts file (one ground atom per statement) into deduplicated
-    facts in first-occurrence order: a tuple, or a :class:`FactRows` equal to it.
+def parse_facts(text: str) -> FactRows:
+    """Parse a facts file (one ground atom per statement) into a
+    :class:`FactRows` equal to ``parse_program(text).facts()``, whose rows
+    :func:`~wfsmr.fixpoint.solve` takes as base relations uncopied.
 
     A text of lines ``p(int,...,int).`` each ending in ``\\n``, all of one
     predicate and arity, with canonical integers (``0`` or no leading zero),
-    is checked by one ``re.subn`` and read in C-level passes into the rows of
-    a :class:`FactRows`, which :func:`~wfsmr.fixpoint.solve` takes as a base
-    relation without building a fact. Any other text costs one match of
-    ``_FACT_RE`` per statement and gives a tuple. Inputs that match rejects
+    is checked by one ``re.subn`` and read in C-level passes; any other text
+    costs one match of ``_FACT_RE`` per statement. Inputs that match rejects
     (rules, variables, bad syntax) and arity clashes raise the token parser's
     error.
     """
@@ -471,11 +472,10 @@ def parse_facts(text: str) -> tuple[Fact, ...] | FactRows:
         except ValueError:
             ints = ()
         if ints and not re.subn(rf"{predicate}\({num}(?:,{num}){{{arity - 1}}}\)\.\n", "", text)[0]:
-            return FactRows(predicate, dict.fromkeys(zip(*[iter(ints)] * arity)))
+            return FactRows({predicate: dict.fromkeys(zip(*[iter(ints)] * arity))})
     match, names = _FACT_RE.match, _NAME_RE.findall
-    unique: dict[tuple[str, tuple[Symbol, ...]], None] = {}
+    relations: dict[str, dict[tuple[Symbol, ...], None]] = {}
     arities: dict[str, int] = {}
-    shared: dict[str, str] = {}  # one string per predicate for all its facts
     pos, end = _SKIP_RE.match(text).end(), len(text)
     while pos < end:
         found = match(text, pos)
@@ -483,7 +483,6 @@ def parse_facts(text: str) -> tuple[Fact, ...] | FactRows:
             _raise_facts_error(text, pos, arities)
         pos = found.end()
         predicate, body = found.groups()
-        predicate = shared.setdefault(predicate, predicate)
         if body and "%" in body:
             body = _SKIP_RE.sub("", body)
         try:
@@ -492,8 +491,8 @@ def parse_facts(text: str) -> tuple[Fact, ...] | FactRows:
             _raise_facts_error(text, found.start(), arities)
         if arities.setdefault(predicate, len(args)) != len(args):
             _raise_facts_error(text, found.start(), arities)
-        unique[predicate, args] = None
-    return tuple([Fact(predicate, args) for predicate, args in unique])
+        relations.setdefault(predicate, {})[args] = None
+    return FactRows(relations)
 
 
 def _raise_facts_error(text: str, start: int, arities: dict[str, int]) -> NoReturn:

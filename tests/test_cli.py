@@ -213,10 +213,15 @@ class TestSolve:
         assert runs[0] == runs[1]
         assert runs[0][0].startswith("true=6 undefined=3 ")
 
-    @pytest.mark.parametrize("count, handed", [(1, FactRows), (2, list)])
-    def test_one_facts_file_goes_to_the_solver_as_parsed(self, tmp_path, monkeypatch, count, handed):
+    @pytest.mark.parametrize(
+        "texts, handed",
+        [(["move(0,1).\n"], FactRows), (["% general path\nmove(0, 1).\nnode(0).\n"], FactRows),
+         (["move(0,1).\n", "move(1,2).\n"], list)],
+        ids=["fast-path", "general", "two-files"],
+    )
+    def test_one_facts_file_goes_to_the_solver_as_parsed(self, tmp_path, monkeypatch, texts, handed):
         program = write(tmp_path, "win.lp", WIN)
-        files = [write(tmp_path, f"{i}.facts", f"move({i},{i + 1}).\n") for i in range(count)]
+        files = [write(tmp_path, f"{i}.facts", text) for i, text in enumerate(texts)]
         seen = []
 
         def recording(program, facts, **kwargs):

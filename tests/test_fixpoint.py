@@ -857,44 +857,56 @@ class TestFactsHandling:
 
 
 class TestParsedRowsHandoff:
-    """A :class:`FactRows`' rows become the base relation uncopied, so
+    """A :class:`FactRows`' rows become base relations uncopied, so
     nothing in a solve may change the base."""
 
     TEXT = facts_to_text(gen_tree(20))
+    # the general path: a comment, and two predicates whose facts alternate
+    GENERAL = "% moves and nodes\n" + "".join(f"{fact}.\nnode({fact.args[0]}).\n" for fact in gen_tree(20))
+    TEXTS = pytest.mark.parametrize("facts_text", [TEXT, GENERAL], ids=["fast-path", "general"])
+    READ = WIN + "lost(X) :- node(X), not win(X).\n"
 
+    @TEXTS
     @pytest.mark.parametrize("mode", ["optimized", "naive"])
     @pytest.mark.parametrize("partitions", [1, 3])
     @pytest.mark.parametrize(
-        "text", [WIN, WIN + "move(Y,X) :- move(X,Y), not win(Y).\n"], ids=["read", "also-derived"])
-    def test_solve_leaves_the_parsed_value_as_parsed(self, mode, partitions, text):
-        program, facts = parse_program(text), parse_facts(self.TEXT)
-        assert isinstance(facts, FactRows)
+        "text", [READ, READ + "move(Y,X) :- move(X,Y), not win(Y).\n"], ids=["read", "also-derived"])
+    def test_solve_leaves_the_parsed_value_as_parsed(self, facts_text, mode, partitions, text):
+        program, facts = parse_program(text), parse_facts(facts_text)
         engine = Engine(EngineConfig(partitions=partitions))
         result = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
-        assert facts == parse_facts(self.TEXT)
-        assert result.true_facts.relation("move").tuples is not facts.rows
+        assert facts == parse_facts(facts_text)
+        for predicate, rows in facts.relations.items():
+            assert result.true_facts.relation(predicate).tuples is not rows
         assert result_atoms(result) == ground_afp(program, facts)
 
-    def test_the_base_relation_is_the_parsed_rows(self):
-        facts = parse_facts(self.TEXT)
-        session = new_session(WIN, facts)
-        assert session.base.relation("move").tuples is facts.rows
-        # the program's own facts of the predicate: the rows are inserted
-        session = new_session(WIN + "move(99,100).\n", facts)
-        assert session.base.relation("move").tuples is not facts.rows
+    @TEXTS
+    def test_the_base_relation_is_the_parsed_rows(self, facts_text):
+        facts = parse_facts(facts_text)
+        session = new_session(self.READ, facts)
+        for predicate, rows in facts.relations.items():
+            assert session.base.relation(predicate).tuples is rows
+        # the program's own facts of a predicate: the rows are added to them
+        session = new_session(self.READ + "move(99,100).\n", facts)
+        assert session.base.relation("move").tuples is not facts.relations["move"]
+        assert list(session.base.tuples("move")) == [(99, 100), *facts.relations["move"]]
+        if "node" in facts.relations:
+            assert session.base.relation("node").tuples is facts.relations["node"]
         assert session.base.count() == len(facts) + 1
-        assert facts == parse_facts(self.TEXT)
+        assert facts == parse_facts(facts_text)
 
-    @pytest.mark.parametrize("text", [WIN, WIN + "move(99,100).\n"], ids=["rows", "program-facts"])
-    def test_solve_builds_no_fact_from_the_rows(self, monkeypatch, text):
-        program, facts = parse_program(text), parse_facts(self.TEXT)
+    @TEXTS
+    @pytest.mark.parametrize("text", [READ, READ + "move(99,100).\n"], ids=["rows", "program-facts"])
+    def test_solve_builds_no_fact_from_the_rows(self, monkeypatch, facts_text, text):
+        program, facts = parse_program(text), parse_facts(facts_text)
         want = result_atoms(solve(program, list(facts)))
         monkeypatch.setattr(FactRows, "__iter__", lambda rows: pytest.fail("iterated"))
         assert result_atoms(solve(program, facts)) == want
 
-    def test_empty_rows_solve_as_no_facts(self):
+    @pytest.mark.parametrize("relations", [{}, {"move": {}}], ids=["no-predicate", "no-rows"])
+    def test_empty_rows_solve_as_no_facts(self, relations):
         program = parse_program(WIN + "move(1,2).\n")
-        assert result_atoms(solve(program, FactRows("move", {}))) == result_atoms(solve(program, ()))
+        assert result_atoms(solve(program, FactRows(relations))) == result_atoms(solve(program, ()))
 
     def test_insert_many_copies_the_parsed_rows(self):
         facts = parse_facts(self.TEXT)

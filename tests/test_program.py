@@ -99,7 +99,7 @@ class TestParseProgram:
 
     def test_numeric_constants_canonicalized(self):
         program = parse_program("e(1,02).\n")
-        fact = program.facts()[0]
+        [fact] = program.facts()
         assert fact.args == (1, "02")  # leading zero keeps the text form
 
 
@@ -174,9 +174,30 @@ class TestFactRows:
     TEXT = "e(1,2).\ne(3,4).\ne(1,2).\ne(5,6).\n"
     FACTS = (Fact("e", (1, 2)), Fact("e", (3, 4)), Fact("e", (5, 6)))
 
-    def test_only_the_fast_path_gives_rows(self):
-        assert isinstance(parse_facts(self.TEXT), FactRows)
-        assert isinstance(parse_facts("% c\n" + self.TEXT), tuple)
+    # a text of each kind parse_facts accepts, and its facts: deduplicated and
+    # grouped by predicate in the order of its first fact
+    ACCEPTED = {
+        "fast-path": (TEXT, FACTS),
+        "comment": ("% c\n" + TEXT, FACTS),
+        "spacing": ("e( 1,2 ).\r\n e(3,\t4).e(1,2) .\n\ne(5,6).\n", FACTS),
+        "predicates": (
+            "e(1,2).\nf(1).\ne(3,4).\ng.\nf(1).\ne(5,6).\n",
+            FACTS + (Fact("f", (1,)), Fact("g")),
+        ),
+        "text-constants": ("e(007,x).\ne(1,2).\ne(007,x).\n", (Fact("e", ("007", "x")), Fact("e", (1, 2)))),
+        "no-final-newline": (TEXT[:-1], FACTS),
+        "empty": ("", ()),
+    }
+
+    @pytest.mark.parametrize("text, facts", ACCEPTED.values(), ids=ACCEPTED)
+    def test_every_accepted_text_gives_rows(self, text, facts):
+        for value in (parse_facts(text), parse_program(text).facts()):
+            assert isinstance(value, FactRows)
+            assert value == facts and facts == value
+            assert list(value) == list(value) == list(facts)
+            assert len(value) == len(facts)
+            assert list(value.relations) == list(dict.fromkeys(fact.predicate for fact in facts))
+            assert all(value.relations.values())
 
     def test_equals_its_tuple_and_another_parse(self):
         rows = parse_facts(self.TEXT)
@@ -208,7 +229,7 @@ class TestFactRows:
         rows = parse_facts(self.TEXT)
         assert list(rows) == list(rows) == list(self.FACTS)
         assert len(rows) == 3
-        assert {id(fact.predicate) for fact in rows} == {id(rows.predicate)}
+        assert {id(fact.predicate) for fact in rows} == {id(predicate) for predicate in rows.relations}
 
     @pytest.mark.parametrize("other", [None, 0, 2.5, object(), Fact("e", (1, 2))])
     def test_non_iterables_compare_unequal(self, other):
@@ -229,8 +250,8 @@ class TestParseFactsAgainstTokenParser:
     @given(_facts_texts())
     def test_same_facts_as_parse_program(self, text):
         got = parse_facts(text)
-        want = tuple(dict.fromkeys(parse_program(text).facts()))
-        assert got == want
+        want = parse_program(text).facts()
+        assert isinstance(got, FactRows) and got == want
         assert [tuple(map(type, f.args)) for f in got] == [tuple(map(type, f.args)) for f in want]
 
     @pytest.mark.parametrize(
@@ -383,17 +404,17 @@ def _fast_texts_and_near_misses(draw) -> str:
 
 
 def _assert_as_token_parser(text: str) -> None:
-    """``parse_facts`` gives the token parser's facts, deduplicated and with
-    the same argument types, or its error."""
+    """``parse_facts`` gives the token parser's facts, with the same argument
+    types, or its error."""
     try:
-        want = tuple(dict.fromkeys(parse_program(text).facts()))
+        want = parse_program(text).facts()
     except ProgramError as exc:
         with pytest.raises(type(exc)) as err:
             parse_facts(text)
         assert str(err.value) == str(exc)
         return
     got = parse_facts(text)
-    assert got == want
+    assert isinstance(got, FactRows) and got == want
     assert [tuple(map(type, f.args)) for f in got] == [tuple(map(type, f.args)) for f in want]
 
 
