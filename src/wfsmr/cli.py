@@ -92,9 +92,21 @@ def _load_program(path: str) -> Program:
     return _parse_file(path, parse_program)
 
 
-def _load_facts(paths: Sequence[str]) -> dict[str, FactRows]:
-    """The facts of each file, by path."""
-    return {path: _parse_file(path, parse_facts) for path in paths}
+def _load_facts(paths: Sequence[str], signatures: dict[str, int]) -> FactRows:
+    """All files' facts, each predicate's rows in its first file's parsed dict;
+    an arity clash with ``signatures`` or an earlier file names the file."""
+    arities = dict(signatures)
+    relations: dict[str, dict] = {}
+    for path in paths:
+        for predicate, rows in _parse_file(path, parse_facts).relations.items():
+            arity = len(next(iter(rows)))
+            known = arities.setdefault(predicate, arity)
+            if known != arity:
+                raise ProgramError(f"{path}: {ArityError(predicate, arity, known)}")
+            held = relations.setdefault(predicate, rows)
+            if held is not rows:
+                held.update(rows)
+    return FactRows(relations)
 
 
 def _write_atoms(path: Path, db: Database) -> None:
@@ -117,25 +129,13 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     program = _load_program(args.program)
-    files = _load_facts(args.facts)
-    # one file's facts go to the solver as parsed; a fact in several files
-    # is stored once: the solver's base is a set
-    if len(files) == 1:
-        [facts] = files.values()
-    else:
-        facts = [fact for file_facts in files.values() for fact in file_facts]
+    facts = _load_facts(args.facts, program.signatures)
     config = EngineConfig(partitions=args.partitions)
     modes = ["optimized", "naive"] if args.mode == "both" else [args.mode]
     results = {}
     for mode in modes:
         engine = Engine(config)
-        try:
-            results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
-        except ArityError as exc:  # name the first file with a fact of the clashing arity
-            for path, file_facts in files.items():
-                if any(f.predicate == exc.predicate and f.arity == exc.seen for f in file_facts):
-                    raise ProgramError(f"{path}: {exc}") from exc
-            raise
+        results[mode] = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
         if args.trace:
             for record in trace_records(results[mode], engine):
                 print(json.dumps({"mode": mode, **record}))

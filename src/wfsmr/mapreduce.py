@@ -97,7 +97,7 @@ class _CollectorPause(ContextDecorator):
         with self._lock:
             self._users -= 1
             if self._users == 0 and self._was_enabled:
-                if gc.get_count()[0] > gc.get_threshold()[0]:
+                if 0 < gc.get_threshold()[0] < gc.get_count()[0]:
                     gc.collect(0)
                 gc.enable()
 

@@ -166,8 +166,14 @@ class TestSolve:
              "c.facts: predicate 'move' used with arity 3 but previously with arity 2"),
             ("game.lp", WIN, ["c.facts"],
              "c.facts: predicate 'move' used with arity 3 but previously with arity 2"),
+            # the file that disagrees with the program, not the later one that agrees
+            ("game.lp", WIN, ["c.facts", "a.facts"],
+             "c.facts: predicate 'move' used with arity 3 but previously with arity 2"),
+            ("game.lp", WIN, ["n1.facts", "n2.facts"],
+             "n2.facts: predicate 'node' used with arity 2 but previously with arity 1"),
         ],
-        ids=["facts-syntax", "program-syntax", "program-arity", "facts-arity", "facts-against-program"],
+        ids=["facts-syntax", "program-syntax", "program-arity", "facts-arity", "facts-against-program",
+             "first-facts-against-program", "facts-across-files"],
     )
     def test_validation_error_names_its_file(
         self, tmp_path, capsys, monkeypatch, name, program, files, message
@@ -177,6 +183,8 @@ class TestSolve:
         write(tmp_path, "a.facts", "move(1,2).\n")
         write(tmp_path, "b.facts", "move(2,3).\nmove(3 4).")
         write(tmp_path, "c.facts", "move(2,3,4).\n")
+        write(tmp_path, "n1.facts", "node(1).\n")
+        write(tmp_path, "n2.facts", "node(1,2).\n")
         args = ["solve", "--program", name, "--out", "r"]
         assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"validation error: {message}\n"
@@ -214,12 +222,11 @@ class TestSolve:
         assert runs[0][0].startswith("true=6 undefined=3 ")
 
     @pytest.mark.parametrize(
-        "texts, handed",
-        [(["move(0,1).\n"], FactRows), (["% general path\nmove(0, 1).\nnode(0).\n"], FactRows),
-         (["move(0,1).\n", "move(1,2).\n"], list)],
-        ids=["fast-path", "general", "two-files"],
+        "texts",
+        [[], ["move(0,1).\n"], ["% general path\nmove(0, 1).\nnode(0).\n"], ["move(0,1).\n", "move(1,2).\n"]],
+        ids=["no-files", "fast-path", "general", "two-files"],
     )
-    def test_one_facts_file_goes_to_the_solver_as_parsed(self, tmp_path, monkeypatch, texts, handed):
+    def test_facts_files_go_to_the_solver_as_parsed(self, tmp_path, monkeypatch, texts):
         program = write(tmp_path, "win.lp", WIN)
         files = [write(tmp_path, f"{i}.facts", text) for i, text in enumerate(texts)]
         seen = []
@@ -231,7 +238,38 @@ class TestSolve:
         monkeypatch.setattr(cli, "solve", recording)
         args = ["solve", "--program", program, "--out", str(tmp_path / "r")]
         assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_OK
-        assert [type(facts) for facts in seen] == [handed]
+        assert [type(facts) for facts in seen] == [FactRows]
+
+    def test_several_facts_files_reach_the_solver_as_their_parsed_rows(self, tmp_path, monkeypatch):
+        program = write(tmp_path, "lost.lp", WIN + "lost(X) :- node(X), not win(X).\n")
+        files = [write(tmp_path, "moves.facts", "move(1,2).\nmove(2,3).\n"),
+                 write(tmp_path, "more.facts", "move(3,1).\nmove(1,2).\nnode(1).\nnode(4).\n")]
+        parsed, seen = [], []
+
+        def recording_parse(text):
+            parsed.append(parse_facts(text))
+            return parsed[-1]
+
+        def recording_solve(program, facts, **kwargs):
+            seen.append(facts)
+            return solve(program, facts, **kwargs)
+
+        def no_facts(self):
+            raise AssertionError("a Fact was built on the way into solve")
+
+        monkeypatch.setattr(cli, "parse_facts", recording_parse)
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        monkeypatch.setattr(FactRows, "__iter__", no_facts)
+        out = str(tmp_path / "r")
+        args = ["solve", "--program", program, "--out", out, "--mode", "both"]
+        assert main(args + [arg for path in files for arg in ("--facts", path)]) == EXIT_OK
+        first, second = (rows.relations for rows in parsed)
+        [handed, again] = seen
+        assert handed is again and list(handed.relations) == ["move", "node"]
+        # each predicate's rows are its first file's dict: nothing is copied
+        assert handed.relations["move"] is first["move"] and handed.relations["node"] is second["node"]
+        assert list(first["move"]) == [(1, 2), (2, 3), (3, 1)]
+        assert Path(out + ".true").read_text() == "lost(4)\nmove(1,2)\nmove(2,3)\nmove(3,1)\nnode(1)\nnode(4)\n"
 
 
 def solve_records(tmp_path, capsys, program_text, facts):

@@ -449,6 +449,27 @@ class TestCollectorPause:
         assert gc.get_count()[0] < threshold
         assert (len(kept), len(facts)) == (2 * threshold, threshold)
 
+    def test_no_collection_runs_on_the_way_out_when_the_threshold_is_zero(self):
+        # threshold 0 turns automatic collection off, so the pause holds none back
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(0)
+        gc.callbacks.append(record)
+        try:
+            with gc_paused:
+                kept = [[] for _ in range(2 * thresholds[0])]
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*thresholds)
+        assert collections == [] and len(kept) == 2 * thresholds[0]
+        assert gc.isenabled()
+
     def test_a_failing_job_restores_the_collector(self):
         def broken_key(record):
             raise ValueError("boom")
