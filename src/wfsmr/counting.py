@@ -58,8 +58,8 @@ def count_instances(
         session.stats.derived_facts += len(rows)
         head = head_picker(plan, range(width), width)
         for db in (counts.possible, out):
-            db.add_rows(predicate, plan.head_arity, {})
-        held, into = counts.possible.relation(predicate).tuples, out.relation(predicate).tuples
+            db.add_rows(predicate, {})
+        held, into = counts.possible.relation(predicate), out.relation(predicate)
         more = extra.setdefault(predicate, {})
         for atom in map(head, rows):
             if first:  # each possible atom's live instances

@@ -194,7 +194,7 @@ def immediate_consequences(
         rows = eval_rule(engine, plan, pos, neg, delta, cache)
         if stats is not None:
             stats.derived_facts += len(rows)
-        out.add_rows(plan.head_predicate, plan.head_arity, rows)
+        out.add_rows(plan.head_predicate, rows)
     return out
 
 
@@ -213,13 +213,13 @@ class Session:
             if isinstance(source, FactRows):
                 for predicate, rows in source.relations.items():
                     if rows:
-                        self.base.add_rows(predicate, len(next(iter(rows))), rows)
+                        self.base.add_rows(predicate, rows)
             else:
                 self.base.insert_many(source)
-        # insert_many keeps one arity per predicate, so one check per
+        # a relation's rows are all of one width, so one check per
         # predicate covers every fact against the program's signatures
         for predicate in self.base.predicates():
-            arity = self.base.arity_of(predicate)
+            arity = len(next(iter(self.base.tuples(predicate))))
             known = self.signatures.setdefault(predicate, arity)
             if known != arity:
                 raise ArityError(predicate, arity, known)
@@ -543,8 +543,6 @@ def solve_naive(session: Session) -> FixpointResult:
             raise InvariantError("size-based stationarity test disagrees with set equality")
         stats.drop_live("K'")
         stats.drop_live("U'")
-        stats.drop_live("K")
-        stats.drop_live("U")
         known, possible = known_next, possible_next
         stats.register_live("K", known)
         stats.register_live("U", possible)

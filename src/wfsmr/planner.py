@@ -153,10 +153,6 @@ class RulePlan:
     def head_predicate(self) -> str:
         return self.rule.head.predicate
 
-    @property
-    def head_arity(self) -> int:
-        return self.rule.head.arity
-
     def explain(self) -> str:
         lines = [f"rule: {self.rule}"]
         if self.base is not None:

@@ -3,8 +3,11 @@
 A row is the tuple of a fact's constants as parsed, ints and text alike,
 and all relations and operator jobs work on fixed-width rows, held as
 :data:`Rows`: each row once, in the order it was added.
-A :class:`Database` groups rows by predicate. Databases are mutated only
-by the fixpoint driver between jobs; operator jobs only read them.
+A :class:`Database` maps each predicate to its relation, a :data:`Rows`
+with no wrapper, whose arity is the width of its rows: rows of another
+width going into a relation that holds some raise :class:`ArityError`.
+Databases are mutated only by the fixpoint driver between jobs; operator
+jobs only read them.
 :class:`DatabaseView` presents several databases as one logical fact set
 without copying, which is how the driver feeds the union of its stored
 deltas to the negative side of anti-joins.
@@ -16,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .program import ArityError, Fact, Symbol
 
-__all__ = ["Row", "Rows", "Relation", "Database", "DatabaseView", "FactSource"]
+__all__ = ["Row", "Rows", "Database", "DatabaseView", "FactSource"]
 
 Row = tuple[Symbol, ...]
 
@@ -46,55 +49,46 @@ def _row_order(row: Row) -> tuple:
     return (*map(_is_text, row), *row)
 
 
-class Relation:
-    """All known rows of one predicate."""
-
-    __slots__ = ("predicate", "arity", "tuples")
-
-    def __init__(self, predicate: str, arity: int):
-        self.predicate = predicate
-        self.arity = arity
-        self.tuples: Rows = {}
-
-    def __len__(self) -> int:
-        return len(self.tuples)
+def _check_width(predicate: str, rows: Rows, held: Rows) -> None:
+    """Raise :class:`ArityError` unless ``rows`` and ``held``, where both hold
+    rows, are of one width: a relation's arity is the width of its rows."""
+    if rows and held:
+        seen, expected = len(next(iter(rows))), len(next(iter(held)))
+        if seen != expected:
+            raise ArityError(predicate, seen, expected)
 
 
 class Database:
-    """Predicate-keyed set of facts, each stored as the row of its constants."""
+    """Predicate-keyed set of facts: each predicate's relation is the
+    :data:`Rows` of its facts' constants."""
 
     def __init__(self) -> None:
-        self._relations: dict[str, Relation] = {}
+        self._relations: dict[str, Rows] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _relation_for(self, predicate: str, arity: int) -> Relation:
-        rel = self._relations.get(predicate)
-        if rel is None:
-            rel = Relation(predicate, arity)
-            self._relations[predicate] = rel
-        elif rel.arity != arity:
-            raise ArityError(predicate, arity, rel.arity)
-        return rel
-
     def insert_many(self, facts: Iterable[Fact]) -> None:
         """Bulk insert; one relation lookup per predicate run, not per fact."""
-        rel: Optional[Relation] = None
+        predicate, rows, width = None, {}, 0
         for fact in facts:
-            if rel is None or rel.predicate != fact.predicate:
-                rel = self._relation_for(fact.predicate, fact.arity)
-            elif rel.arity != fact.arity:
-                raise ArityError(fact.predicate, fact.arity, rel.arity)
-            rel.tuples[fact.args] = None
+            args = fact.args
+            if fact.predicate != predicate:
+                predicate = fact.predicate
+                rows = self._relations.setdefault(predicate, {})
+                width = len(next(iter(rows))) if rows else len(args)
+            if len(args) != width:
+                raise ArityError(predicate, len(args), width)
+            rows[args] = None
 
-    def add_rows(self, predicate: str, arity: int, rows: Rows) -> None:
+    def add_rows(self, predicate: str, rows: Rows) -> None:
         """Add ``rows`` to the relation of ``predicate``. With no fact of it
         here yet, ``rows`` itself becomes the relation: the caller hands it over."""
-        rel = self._relation_for(predicate, arity)
-        if rel.tuples:
-            rel.tuples.update(rows)
+        held = self._relations.get(predicate)
+        if held:
+            _check_width(predicate, rows, held)
+            held.update(rows)
         else:
-            rel.tuples = rows
+            self._relations[predicate] = rows
 
     def take(self, other: "Database") -> None:
         """Move the relations of ``other``, none of whose predicates this
@@ -106,35 +100,33 @@ class Database:
         other._relations = {}
 
     def update(self, other: "Database") -> None:
-        """In-place set union with another database."""
-        for rel in other._relations.values():
-            self._relation_for(rel.predicate, rel.arity).tuples.update(rel.tuples)
+        """In-place set union with another database, whose rows it copies."""
+        for predicate, rows in other._relations.items():
+            held = self._relations.setdefault(predicate, {})
+            _check_width(predicate, rows, held)
+            held.update(rows)
 
     # -- queries -----------------------------------------------------------
 
-    def relation(self, predicate: str) -> Optional[Relation]:
+    def relation(self, predicate: str) -> Optional[Rows]:
+        """The live rows of ``predicate``, or None."""
         return self._relations.get(predicate)
 
     def predicates(self) -> tuple[str, ...]:
         return tuple(self._relations)
 
-    def arity_of(self, predicate: str) -> Optional[int]:
-        rel = self._relations.get(predicate)
-        return rel.arity if rel is not None else None
-
     def tuples(self, predicate: str) -> Iterable[Row]:
         """The rows of ``predicate``, as its relation's live keys view, or
         ``()``: an iterable, not an iterator, with a length."""
-        rel = self._relations.get(predicate)
-        return rel.tuples.keys() if rel is not None else ()
+        rows = self._relations.get(predicate)
+        return rows.keys() if rows is not None else ()
 
     def contains(self, predicate: str, row: Row) -> bool:
-        rel = self._relations.get(predicate)
-        return rel is not None and row in rel.tuples
+        return row in self._relations.get(predicate, ())
 
     def count(self) -> int:
         """Total number of stored facts (the fixpoint termination measure)."""
-        return sum(len(rel) for rel in self._relations.values())
+        return sum(map(len, self._relations.values()))
 
     # -- algebra -----------------------------------------------------------
 
@@ -144,28 +136,28 @@ class Database:
 
     @staticmethod
     def _part_sets(parts: tuple["Database", ...], predicate: str) -> list[Rows]:
-        return [part._relations[predicate].tuples for part in parts if predicate in part._relations]
+        return [part._relations[predicate] for part in parts if predicate in part._relations]
 
     def difference(self, other: "FactSource") -> "Database":
         """Facts present here and absent from ``other`` (database or view).
         The result owns its sets: changing it leaves both inputs alone."""
         parts = self._parts(other)
         out = Database()
-        for rel in self._relations.values():
-            kept = _without(rel.tuples, self._part_sets(parts, rel.predicate))
+        for predicate, rows in self._relations.items():
+            kept = _without(rows, self._part_sets(parts, predicate))
             if kept:
-                out._relation_for(rel.predicate, rel.arity).tuples = kept
+                out._relations[predicate] = kept
         return out
 
     def difference_update(self, other: "FactSource") -> None:
         """In-place set difference: remove the facts ``other`` (database or
         view) holds; a relation left empty is dropped."""
         parts = self._parts(other)
-        for predicate, rel in list(self._relations.items()):
+        for predicate, rows in list(self._relations.items()):
             for held in self._part_sets(parts, predicate):
-                for row in rel.tuples.keys() & held.keys():  # walks the smaller
-                    del rel.tuples[row]
-            if not rel.tuples:
+                for row in rows.keys() & held.keys():  # walks the smaller
+                    del rows[row]
+            if not rows:
                 del self._relations[predicate]
 
     def clear(self) -> None:
@@ -177,27 +169,25 @@ class Database:
     # it waits for the next change to the benchmark.
     def copy(self) -> "Database":
         out = Database()
-        for rel in self._relations.values():
-            new = out._relation_for(rel.predicate, rel.arity)
-            new.tuples = rel.tuples.copy()
+        out._relations = {p: rows.copy() for p, rows in self._relations.items()}
         return out
 
     def same_content(self, other: "Database") -> bool:
-        mine = {p: rel.tuples for p, rel in self._relations.items() if rel.tuples}
-        theirs = {p: rel.tuples for p, rel in other._relations.items() if rel.tuples}
+        mine = {p: rows for p, rows in self._relations.items() if rows}
+        theirs = {p: rows for p, rows in other._relations.items() if rows}
         return mine == theirs
 
     def isdisjoint(self, other: "FactSource") -> bool:
         """No fact lies both here and in ``other`` (database or view)."""
         parts = self._parts(other)
-        return all(rel.tuples.keys().isdisjoint(held.keys()) for rel in self._relations.values()
-                   for held in self._part_sets(parts, rel.predicate))
+        return all(rows.keys().isdisjoint(held.keys()) for p, rows in self._relations.items()
+                   for held in self._part_sets(parts, p))
 
     def issubset(self, other: "FactSource") -> bool:
         parts = self._parts(other)
-        for rel in self._relations.values():
-            outside = rel.tuples.keys()
-            for held in self._part_sets(parts, rel.predicate):
+        for predicate, rows in self._relations.items():
+            outside = rows.keys()
+            for held in self._part_sets(parts, predicate):
                 outside = outside - held.keys()
             if outside:
                 return False
@@ -210,7 +200,7 @@ class Database:
         (ints first), then by value; the order does not depend on insertion
         order."""
         for predicate in sorted(self._relations):
-            for row in sorted(self._relations[predicate].tuples, key=_row_order):
+            for row in sorted(self._relations[predicate], key=_row_order):
                 yield Fact(predicate, row)
 
     def __repr__(self) -> str:

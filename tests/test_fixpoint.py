@@ -1,4 +1,5 @@
 import gc
+import inspect
 import random
 import re
 import threading
@@ -646,6 +647,69 @@ class TestStats:
             ("r0:win:antijoin1", 20, 20, 20, 0), ("r0:win:antijoin1", 20, 20, 0, 20)]
 
 
+class TestDriverChecks:
+    """Each check between a driver's steps fires on a set that a faulty
+    step changed after its least fixpoint returned. On the chain
+    1 -> 2 -> 3 -> 4 the true set is empty after K0, {win(3)} after K1 and
+    {win(1), win(3)} from K2 on; the possible set is {win(1), win(3)} from
+    U1 on."""
+
+    # win reads itself through jump, which holds no fact, so the optimized
+    # driver runs full U steps, each checked against the one before
+    PROGRAM = WIN + "win(X) :- jump(X,Y), win(Y).\n"
+    MOVES = [Fact("move", (i, i + 1)) for i in (1, 2, 3)]
+    STRAY = [Fact("win", (99,))]  # an atom no step derives
+
+    @staticmethod
+    def faulty(monkeypatch, name, at, fault):
+        """Replace ``fixpoint.<name>`` by the same step, after which the
+        step labelled ``at`` applies ``fault(out, start)`` to its output and
+        the true set it started from (None in the naive driver)."""
+        original = getattr(fixpoint, name)
+        signature = inspect.signature(original)
+
+        def step(*args, **kwargs):
+            out = original(*args, **kwargs)
+            call = signature.bind(*args, **kwargs).arguments
+            if call["label"] == at:
+                fault(out, call.get("start"))
+            return out
+
+        monkeypatch.setattr(fixpoint, name, step)
+
+    @pytest.mark.parametrize("at, fault, message", [
+        # the true set takes in U0's output as well
+        ("U0", lambda out, start: start[0].update(out), "possible delta overlaps the true set"),
+        ("U1", lambda out, start: out.insert_many(TestDriverChecks.STRAY),
+         "possible set grew between inference steps"),
+        ("K1", lambda out, start: out.insert_many(TestDriverChecks.STRAY),
+         "true set escaped the possible set"),
+        # the true set takes in K1's output before the driver adds it
+        ("K1", lambda out, start: start[0].update(out), "true delta overlaps the true set"),
+    ])
+    def test_optimized(self, monkeypatch, at, fault, message):
+        self.faulty(monkeypatch, "least_fixpoint_delta", at, fault)
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            solve(parse_program(self.PROGRAM), self.MOVES)
+
+    @pytest.mark.parametrize("at, fault, message", [
+        ("K2", lambda out, start: out.difference_update(make_db([Fact("win", (3,))])),
+         "true set shrank between rounds"),
+        ("U1", lambda out, start: out.insert_many(TestDriverChecks.STRAY),
+         "possible set grew between rounds"),
+        ("K1", lambda out, start: out.insert_many(TestDriverChecks.STRAY),
+         "true set escaped the possible set"),
+        # K2 miscounts itself as K1's one fact, so the sizes stand still
+        # while the true set grew
+        ("K2", lambda out, start: setattr(out, "count", lambda: 1),
+         "size-based stationarity test disagrees with set equality"),
+    ])
+    def test_naive(self, monkeypatch, at, fault, message):
+        self.faulty(monkeypatch, "least_fixpoint", at, fault)
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            solve(parse_program(self.PROGRAM), self.MOVES, options=SolveOptions(mode="naive"))
+
+
 class TestCountedUSteps:
     """``count_instances`` on the chain 1 -> 2 -> 3 -> 4, where win(3) and
     win(1) are true and win(2) is false."""
@@ -877,7 +941,7 @@ class TestParsedRowsHandoff:
         result = solve(program, facts, options=SolveOptions(mode=mode), engine=engine)
         assert facts == parse_facts(facts_text)
         for predicate, rows in facts.relations.items():
-            assert result.true_facts.relation(predicate).tuples is not rows
+            assert result.true_facts.relation(predicate) is not rows
         assert result_atoms(result) == ground_afp(program, facts)
 
     @TEXTS
@@ -885,13 +949,13 @@ class TestParsedRowsHandoff:
         facts = parse_facts(facts_text)
         session = new_session(self.READ, facts)
         for predicate, rows in facts.relations.items():
-            assert session.base.relation(predicate).tuples is rows
+            assert session.base.relation(predicate) is rows
         # the program's own facts of a predicate: the rows are added to them
         session = new_session(self.READ + "move(99,100).\n", facts)
-        assert session.base.relation("move").tuples is not facts.relations["move"]
+        assert session.base.relation("move") is not facts.relations["move"]
         assert list(session.base.tuples("move")) == [(99, 100), *facts.relations["move"]]
         if "node" in facts.relations:
-            assert session.base.relation("node").tuples is facts.relations["node"]
+            assert session.base.relation("node") is facts.relations["node"]
         assert session.base.count() == len(facts) + 1
         assert facts == parse_facts(facts_text)
 

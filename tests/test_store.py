@@ -43,20 +43,20 @@ class TestAddRows:
     def test_keeps_the_handed_set_when_the_relation_has_no_facts(self):
         db = Database()
         rows = dict.fromkeys([(1, 2), (2, 3)])
-        db.add_rows("a", 2, rows)
-        assert db.relation("a").tuples is rows
-        db.add_rows("b", 1, {})  # an empty relation has no facts either
+        db.add_rows("a", rows)
+        assert db.relation("a") is rows
+        db.add_rows("b", {})  # an empty relation has no facts either
         handed = {(4,): None}
-        db.add_rows("b", 1, handed)
-        assert db.relation("b").tuples is handed
+        db.add_rows("b", handed)
+        assert db.relation("b") is handed
         assert db.count() == 3
 
     def test_unions_into_a_relation_with_facts(self):
         db = make_db([Fact("a", (1, 2))])
-        held = db.relation("a").tuples
+        held = db.relation("a")
         rows = dict.fromkeys([(7, 8), next(iter(held))])
-        db.add_rows("a", 2, rows)
-        assert db.relation("a").tuples is held
+        db.add_rows("a", rows)
+        assert db.relation("a") is held
         assert db.count() == 2
         assert held.keys() == {(1, 2), (7, 8)}
         assert len(rows) == 2  # the handed rows are left alone
@@ -64,10 +64,15 @@ class TestAddRows:
     def test_arity_clash(self):
         db = make_db([Fact("a", (1, 2))])
         with pytest.raises(ArityError):
-            db.add_rows("a", 1, {(1,): None})
-        db.add_rows("b", 1, {})
-        with pytest.raises(ArityError):
-            db.add_rows("b", 2, {(1, 2): None})
+            db.add_rows("a", {(1,): None})
+
+    def test_update_arity_clash(self):
+        db = make_db([Fact("a", (1, 2))])
+        with pytest.raises(ArityError, match="'a' used with arity 1 but previously with arity 2"):
+            db.update(make_db([Fact("a", (1,))]))
+        assert db_atoms(db) == {("a", (1, 2))}
+        db.update(make_db([Fact("a", (3, 4)), Fact("b", (5,))]))  # same width: a union
+        assert db_atoms(db) == {("a", (1, 2)), ("a", (3, 4)), ("b", (5,))}
 
 
 class TestIsDisjoint:
@@ -176,7 +181,7 @@ class TestDifference:
         before = db_atoms(a), db_atoms(b)
         out = a.difference(b)
         out.insert_many([Fact("p", (9,)), Fact("q", (9,))])
-        out.relation("p").tuples.clear()
+        out.relation("p").clear()
         assert (db_atoms(a), db_atoms(b)) == before
 
 
@@ -188,9 +193,9 @@ class TestDifferenceUpdate:
 
     def test_rows_leave_the_same_dict(self):
         db = self._db()
-        rows = db.relation("p").tuples
+        rows = db.relation("p")
         db.difference_update(make_db([Fact("p", (8,)), Fact("p", (11,)), Fact("q", (2,))]))
-        assert db.relation("p").tuples is rows
+        assert db.relation("p") is rows
         assert list(rows) == [row for row in self.ROWS if row != (8,)]
         assert db.count() == 10
 
@@ -288,10 +293,10 @@ class TestTake:
     def test_moves_the_relations_and_empties_the_other(self):
         db = make_db([Fact("p", (1,))])
         other = make_db([Fact("q", (2, 3))])
-        rows = other.relation("q").tuples
+        rows = other.relation("q")
         db.take(other)
         assert db_atoms(db) == {("p", (1,)), ("q", (2, 3))}
-        assert db.relation("q").tuples is rows
+        assert db.relation("q") is rows
         assert other.count() == 0
 
     def test_a_shared_predicate_is_refused_and_changes_nothing(self):
